@@ -19,6 +19,7 @@ from .spectral import (
     Profile,
     SpectralField2D,
     besov_norm,
+    grid_operators,
     homogeneous_sobolev_norm,
     linf_norm,
     lp_bump,
@@ -42,13 +43,8 @@ class DecayFit:
 
 
 def dispersion_symbol(grid) -> np.ndarray:
-    """xi1/|xi|^2 on the grid lattice, zero at the zero mode."""
-    k1, _ = grid.wavenumbers()
-    mag2 = grid.wavenumber_magnitude() ** 2
-    sym = np.zeros_like(mag2)
-    nz = mag2 > 0
-    sym[nz] = k1[nz] / mag2[nz]
-    return sym
+    """xi1/|xi|^2 on the grid lattice, zero at the zero mode (cached, read-only)."""
+    return grid_operators(grid).symbol
 
 
 def apply_semigroup(f: SpectralField2D, t: float) -> SpectralField2D:

@@ -4,6 +4,8 @@ The evolved unknown is the profile fhat(t) = exp(i beta t xi1/|xi|^2) what(t),
 so the linear dispersive term is applied exactly and classical RK4 only sees
 the transport nonlinearity. Products are formed in physical space with
 2/3-rule dealiasing; the velocity is recovered spectrally from the vorticity.
+RK4 runs on the half spectrum with real transforms, using the per-grid
+operators of spectral.grid_operators.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 from .spectral import (
     ConfigurationError,
     Grid2D,
+    GridOperators,
     InputError,
     NormReport,
     Profile,
@@ -22,6 +25,7 @@ from .spectral import (
     SpectralField2D,
     besov_norm,
     fhat_sup_weighted,
+    grid_operators,
     l2_norm,
     linf_norm,
     require_mean_zero,
@@ -127,78 +131,78 @@ def parse_config(text: str) -> SimConfig:
 # ---------------------------------------------------------------------------
 # velocity recovery
 
-_BS_SIGN_CACHE: dict[int, float] = {}
+def _velocity_modes(w: np.ndarray, ops: GridOperators):
+    """(u1hat, u2hat) = (i xi2, -i xi1) what/|xi|^2, so that curl u = omega.
 
-
-def _biot_savart_components(omega: SpectralField2D, sign: float):
-    g = omega.grid
-    k1, k2 = g.wavenumbers()
-    mag2 = k1 ** 2 + k2 ** 2
-    inv = np.zeros_like(mag2)
-    nz = mag2 > 0
-    inv[nz] = 1.0 / mag2[nz]
-    # xi_perp = (-xi2, xi1)
-    u1 = sign * 1j * (-k2) * inv * omega.modes
-    u2 = sign * 1j * k1 * inv * omega.modes
-    return SpectralField2D(g, u1), SpectralField2D(g, u2)
-
-
-def biot_savart_sign() -> float:
-    """Orientation of the velocity recovery, fixed once by requiring the
-    discrete curl d1 u2 - d2 u1 to reproduce the vorticity."""
-    if 0 not in _BS_SIGN_CACHE:
-        g = Grid2D(16, 2.0 * np.pi)
-        x = g.x_coords()
-        w = RealField2D(g, np.sin(x)[:, None] * np.ones(g.n)[None, :])
-        wh = zero_mean(transform_forward(w))
-        k1, k2 = g.wavenumbers()
-        best, best_err = 1.0, np.inf
-        for sign in (1.0, -1.0):
-            u1, u2 = _biot_savart_components(wh, sign)
-            curl = 1j * k1 * u2.modes - 1j * k2 * u1.modes
-            err = float(np.abs(curl - wh.modes).max())
-            if err < best_err:
-                best, best_err = sign, err
-        if best_err > 1e-12:
-            raise RuntimeError("curl-consistency oracle failed for both signs")
-        _BS_SIGN_CACHE[0] = best
-    return _BS_SIGN_CACHE[0]
+    `w` holds the leading w.shape[1] columns of the spectrum: all n of them,
+    or the n//2 + 1 of the half spectrum."""
+    m = w.shape[1]
+    a = w * ops.inv_mag2[:, :m]
+    return 1j * ops.k2[:, :m] * a, -1j * ops.k1 * a
 
 
 def biot_savart(omega: SpectralField2D):
     """Divergence-free velocity (u1hat, u2hat) with curl u = omega."""
     require_mean_zero(omega)
-    return _biot_savart_components(omega, biot_savart_sign())
+    u1, u2 = _velocity_modes(omega.modes, grid_operators(omega.grid))
+    return SpectralField2D(omega.grid, u1), SpectralField2D(omega.grid, u2)
 
 
 # ---------------------------------------------------------------------------
 # nonlinearity
+#
+# The solver works on the half spectrum: the leading n//2 + 1 columns of the
+# modes of a real field, which determine the rest by Hermitian symmetry.
+# Inverse transforms of those columns are exact real samples, so products can
+# be formed without the fftshifts of transform_inverse/transform_forward, as
+# a pointwise product commutes with the shift.
 
 def dealias_mask(grid: Grid2D) -> np.ndarray:
-    k = np.fft.fftfreq(grid.n) * grid.n          # integer lattice
-    keep = np.abs(k) <= (2.0 / 3.0) * (grid.n / 2.0)
-    return keep[:, None] & keep[None, :]
+    return grid_operators(grid).dealias_mask
 
 
 def dealias(f: SpectralField2D) -> SpectralField2D:
     return SpectralField2D(f.grid, f.modes * dealias_mask(f.grid))
 
 
+def _hermitian_extension(half: np.ndarray, n: int) -> np.ndarray:
+    """Full n x n modes of the real field whose half spectrum is `half`."""
+    full = np.empty((n, n), dtype=complex)
+    m = n // 2 + 1
+    full[:, :m] = half
+    full[:, m:] = np.conj(half[-np.arange(n) % n, m - 2:0:-1])
+    return full
+
+
+def _advection(w: np.ndarray, ops: GridOperators, extra=()):
+    """Half-spectrum coefficients of -u.grad omega, alias-free by the 2/3 rule,
+    for the half-spectrum vorticity modes `w`.
+
+    The half-spectrum arrays in `extra` ride in the same batched inverse
+    transform, and their physical samples are returned alongside. Samples
+    are unscaled: transform_inverse would multiply them by ops.inverse_scale,
+    and the forward transform of a product of two such samples needs that
+    factor exactly once.
+    """
+    n, m = w.shape[0], w.shape[1]
+    mask = ops.dealias_mask[:, :m]
+    wd = w * mask
+    u1, u2 = _velocity_modes(wd, ops)
+    d1 = 1j * ops.k1 * wd
+    d2 = 1j * ops.k2[:, :m] * wd
+    phys = np.fft.irfft2(np.stack((u1, u2, d1, d2) + tuple(extra)), s=(n, n))
+    advect = np.fft.rfft2(phys[0] * phys[2] + phys[1] * phys[3])
+    advect *= mask
+    advect *= -ops.inverse_scale
+    return advect, phys[4:]
+
+
 def nonlinear_term(omega: SpectralField2D) -> SpectralField2D:
     """Spectral coefficients of -u.grad omega, alias-free by the 2/3 rule."""
     require_mean_zero(omega)
     g = omega.grid
-    wd = dealias(omega)
-    u1h, u2h = biot_savart(wd)
-    k1, k2 = g.wavenumbers()
-    d1h = SpectralField2D(g, 1j * k1 * wd.modes)
-    d2h = SpectralField2D(g, 1j * k2 * wd.modes)
-    u1 = transform_inverse(u1h).samples
-    u2 = transform_inverse(u2h).samples
-    w1 = transform_inverse(d1h).samples
-    w2 = transform_inverse(d2h).samples
-    advect = transform_forward(RealField2D(g, u1 * w1 + u2 * w2))
-    return SpectralField2D(g, -dealias(advect).modes)
+    half, _ = _advection(omega.modes[:, :g.n // 2 + 1], grid_operators(g))
+    return SpectralField2D(g, _hermitian_extension(half, g.n))
 
 
 def max_speed(omega: SpectralField2D) -> float:
@@ -223,38 +227,74 @@ def profile_from_omega(omega: SpectralField2D, t: float, beta: float) -> Profile
     return Profile(SpectralField2D(omega.grid, omega.modes * phase), t)
 
 
-def _profile_rhs(fmodes: np.ndarray, s: float, grid: Grid2D, beta: float,
-                 nonlinear: bool) -> np.ndarray:
-    """d/dt of the profile modes at time s."""
-    if not nonlinear:
-        return np.zeros_like(fmodes)
-    sym = dispersion_symbol(grid)
-    omega = SpectralField2D(grid, fmodes * np.exp(-1j * beta * s * sym))
-    nl = nonlinear_term(omega)
-    return nl.modes * np.exp(+1j * beta * s * sym)
+def _cfl_velocity(w: np.ndarray, w_row: np.ndarray, ops: GridOperators):
+    """Half-spectrum velocity of the undealiased vorticity: half spectrum `w`,
+    full Nyquist row `w_row`. Its sup is max_speed of the full vorticity.
+
+    On row n/2, xi1 is its own lattice negation, so the real part that
+    transform_inverse keeps pairs column j with column -j of the same row,
+    which the half spectrum does not hold: u1 sees the Hermitian part of the
+    row and u2 the anti-Hermitian part.
+    """
+    r = w.shape[0] // 2
+    pair = np.conj(w_row[:r:-1])             # conj w(n/2, -j) for j = 1 .. n/2 - 1
+    w_h, w_a = w.copy(), w.copy()
+    w_h[r, 1:r] = 0.5 * (w_row[1:r] + pair)
+    w_a[r, 1:r] = 0.5 * (w_row[1:r] - pair)
+    return _velocity_modes(w_h, ops)[0], _velocity_modes(w_a, ops)[1]
+
+
+def _stage_rhs(h: np.ndarray, phase: np.ndarray, ops: GridOperators, extra=()):
+    """d/dt of the half-spectrum profile modes h at the time s where
+    phase = exp(-i beta s xi1/|xi|^2); the samples of `extra` ride along."""
+    w = h * phase
+    require_mean_zero(w)
+    nl, samples = _advection(w, ops, extra)
+    return nl * np.conj(phase), samples
+
+
+def _rk4_increment(f0: np.ndarray, t: float, cfg: SimConfig) -> np.ndarray:
+    """dt/6 (k1 + 2 k2 + 2 k3 + k4) on the half spectrum of the profile f0.
+
+    One phase per distinct stage time: k2 and k3 share t + dt/2. Raises
+    StabilityError when dt violates the advective bound at time t.
+    """
+    g, dt = cfg.grid, cfg.dt
+    r = g.n // 2
+    ops = grid_operators(g)
+    sym = ops.symbol[:, :r + 1]
+    p0, p_half, p1 = (np.exp(-1j * cfg.beta * s * sym) for s in (t, t + 0.5 * dt, t + dt))
+    h0 = f0[:, :r + 1]
+    w_row = f0[r] * np.exp(-1j * cfg.beta * t * ops.symbol[r])
+    k1, (v1, v2) = _stage_rhs(h0, p0, ops, _cfl_velocity(h0 * p0, w_row, ops))
+    speed = float(np.sqrt(v1 ** 2 + v2 ** 2).max()) * ops.inverse_scale
+    if speed > 0:
+        bound = 0.5 * g.dx / speed
+        if dt > bound:
+            raise StabilityError(
+                f"dt={dt} violates advective bound {bound:.3e}", suggested_dt=0.5 * bound)
+    k2, _ = _stage_rhs(h0 + 0.5 * dt * k1, p_half, ops)
+    k3, _ = _stage_rhs(h0 + 0.5 * dt * k2, p_half, ops)
+    k4, _ = _stage_rhs(h0 + dt * k3, p1, ops)
+    return dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def step(state: SimState, cfg: SimConfig) -> SimState:
-    """One classical RK4 step on the profile modes."""
+    """One classical RK4 step on the profile modes.
+
+    RK4 runs on the half spectrum. The Hermitian extension of its dealiased
+    increment is added to the full profile, so the Nyquist row and column of
+    the profile stay as they were.
+    """
     g = cfg.grid
-    t, dt = state.t, cfg.dt
-    if cfg.nonlinear:
-        omega = omega_from_profile(state.profile, cfg.beta)
-        speed = max_speed(omega)
-        if speed > 0:
-            bound = 0.5 * g.dx / speed
-            if dt > bound:
-                raise StabilityError(
-                    f"dt={dt} violates advective bound {bound:.3e}", suggested_dt=0.5 * bound)
     f0 = state.profile.field.modes
-    k1 = _profile_rhs(f0, t, g, cfg.beta, cfg.nonlinear)
-    k2 = _profile_rhs(f0 + 0.5 * dt * k1, t + 0.5 * dt, g, cfg.beta, cfg.nonlinear)
-    k3 = _profile_rhs(f0 + 0.5 * dt * k2, t + 0.5 * dt, g, cfg.beta, cfg.nonlinear)
-    k4 = _profile_rhs(f0 + dt * k3, t + dt, g, cfg.beta, cfg.nonlinear)
-    fnew = f0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    fnew = f0.copy()
+    if cfg.nonlinear:
+        fnew += _hermitian_extension(_rk4_increment(f0, state.t, cfg), g.n)
     fnew[0, 0] = 0.0
-    prof = Profile(SpectralField2D(g, fnew), t + dt)
-    return SimState(t=t + dt, profile=prof, step_count=state.step_count + 1)
+    t = state.t + cfg.dt
+    return SimState(t=t, profile=Profile(SpectralField2D(g, fnew), t),
+                    step_count=state.step_count + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +349,10 @@ def velocity_sup_norms(omega: SpectralField2D):
     u1 = transform_inverse(u1h).samples
     u2 = transform_inverse(u2h).samples
     u_sup = float(np.sqrt(u1 ** 2 + u2 ** 2).max())
-    k1, k2 = g.wavenumbers()
+    ops = grid_operators(g)
     du_sup = 0.0
     for uh in (u1h, u2h):
-        for k in (k1, k2):
+        for k in (ops.k1, ops.k2):
             comp = transform_inverse(SpectralField2D(g, 1j * k * uh.modes)).samples
             du_sup = max(du_sup, float(np.abs(comp).max()))
     return u_sup, du_sup

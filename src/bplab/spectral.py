@@ -16,6 +16,7 @@ below are normalized.
 
 from __future__ import annotations
 
+import functools
 import io
 import struct
 from dataclasses import dataclass, field
@@ -76,6 +77,41 @@ class Grid2D:
     def wavenumber_magnitude(self) -> np.ndarray:
         k1, k2 = self.wavenumbers()
         return np.hypot(k1, k2)
+
+
+@dataclass(frozen=True)
+class GridOperators:
+    """Fourier multipliers of one grid, in FFT order, all read-only.
+
+    k1 has shape (n, 1) and k2 shape (1, n); they broadcast against the
+    (n, n) arrays. The leading n//2 + 1 columns of each array are the
+    multipliers on the half spectrum that real transforms store.
+    """
+
+    k1: np.ndarray
+    k2: np.ndarray
+    inv_mag2: np.ndarray       # 1/|xi|^2, zero at the zero mode
+    symbol: np.ndarray         # xi1/|xi|^2, zero at the zero mode
+    dealias_mask: np.ndarray   # 2/3 rule: |k_i| <= n/3 on the integer lattice
+    inverse_scale: float       # (2 pi / dx)^2, the factor of transform_inverse
+
+
+@functools.lru_cache(maxsize=4)
+def grid_operators(grid: Grid2D) -> GridOperators:
+    """The operator set of `grid`, built once; equal grids share one set."""
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+    k1, k2 = k[:, None], k[None, :]
+    mag2 = k1 ** 2 + k2 ** 2
+    inv_mag2 = np.zeros_like(mag2)
+    nz = mag2 > 0
+    inv_mag2[nz] = 1.0 / mag2[nz]
+    keep = np.abs(np.fft.fftfreq(grid.n) * grid.n) <= (2.0 / 3.0) * (grid.n / 2.0)
+    ops = GridOperators(k1=k1, k2=k2, inv_mag2=inv_mag2, symbol=k1 * inv_mag2,
+                        dealias_mask=keep[:, None] & keep[None, :],
+                        inverse_scale=(2.0 * np.pi / grid.dx) ** 2)
+    for arr in (ops.k1, ops.k2, ops.inv_mag2, ops.symbol, ops.dealias_mask):
+        arr.flags.writeable = False
+    return ops
 
 
 @dataclass
@@ -171,10 +207,14 @@ def zero_mean(f: SpectralField2D) -> SpectralField2D:
     return out
 
 
-def require_mean_zero(f: SpectralField2D, tol: float = 1e-12) -> None:
-    scale = max(1.0, float(np.abs(f.modes).max(initial=0.0)))
-    if abs(f.mean_mode()) > tol * scale:
-        raise InputError(f"field has nonzero mean mode {f.mean_mode():.3e}")
+def require_mean_zero(f: SpectralField2D | np.ndarray, tol: float = 1e-12) -> None:
+    """Raise InputError unless the zero mode is negligible. `f` is a field or
+    a modes array (full or half spectrum) with the zero mode at [0, 0]."""
+    modes = f.modes if isinstance(f, SpectralField2D) else f
+    scale = max(1.0, float(np.abs(modes).max(initial=0.0)))
+    mean = complex(modes[0, 0])
+    if abs(mean) > tol * scale:
+        raise InputError(f"field has nonzero mean mode {mean:.3e}")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from bplab.solver import (
     SimState,
     StabilityError,
     biot_savart,
-    biot_savart_sign,
     dealias,
     dealias_mask,
     initial_vorticity,
@@ -26,6 +25,7 @@ from bplab.spectral import (
     ConfigurationError,
     Grid2D,
     InputError,
+    Profile,
     RealField2D,
     SpectralField2D,
     transform_forward,
@@ -69,7 +69,12 @@ class TestConfig:
 
 class TestBiotSavart:
     def test_sign_is_fixed_and_consistent(self):
-        assert biot_savart_sign() in (1.0, -1.0)
+        # the fixed symbol (i xi2, -i xi1)/|xi|^2 has curl u = omega on every mode
+        w = random_vorticity(seed=2)
+        u1, u2 = biot_savart(w)
+        k1, k2 = w.grid.wavenumbers()
+        curl = 1j * k1 * u2.modes - 1j * k2 * u1.modes
+        assert np.abs(curl - w.modes).max() < 1e-13 * np.abs(w.modes).max()
 
     def test_zero(self):
         g = Grid2D(16, 5.0)
@@ -168,6 +173,91 @@ class TestNonlinearTerm:
                 expect[ia, ib] = -total * g.dxi ** 2
         scale = np.abs(expect).max()
         assert np.abs(got.modes - expect).max() < 1e-10 * scale
+
+
+def reference_nonlinear(omega):
+    """-u.grad omega on the full spectrum: complex transforms of the dealiased
+    velocity and vorticity gradient, product in physical space."""
+    g = omega.grid
+    k1, k2 = g.wavenumbers()
+    mag2 = k1 ** 2 + k2 ** 2
+    inv = np.divide(1.0, mag2, out=np.zeros_like(mag2), where=mag2 > 0)
+    lattice = np.abs(np.fft.fftfreq(g.n) * g.n) <= g.n / 3.0
+    mask = lattice[:, None] & lattice[None, :]
+    wd = omega.modes * mask
+
+    def phys(modes):
+        return transform_inverse(SpectralField2D(g, modes)).samples
+
+    advect = phys(1j * k2 * inv * wd) * phys(1j * k1 * wd) \
+        + phys(-1j * k1 * inv * wd) * phys(1j * k2 * wd)
+    return -transform_forward(RealField2D(g, advect)).modes * mask
+
+
+def reference_step(f0, t, cfg):
+    """Classical RK4 on the full profile modes, 8 phases per step."""
+    k1, k2 = cfg.grid.wavenumbers()
+    mag2 = k1 ** 2 + k2 ** 2
+    sym = np.divide(k1, mag2, out=np.zeros_like(mag2), where=mag2 > 0)
+
+    def rhs(f, s):
+        omega = SpectralField2D(cfg.grid, f * np.exp(-1j * cfg.beta * s * sym))
+        return reference_nonlinear(omega) * np.exp(1j * cfg.beta * s * sym)
+
+    dt = cfg.dt
+    a = rhs(f0, t)
+    b = rhs(f0 + 0.5 * dt * a, t + 0.5 * dt)
+    c = rhs(f0 + 0.5 * dt * b, t + 0.5 * dt)
+    d = rhs(f0 + dt * c, t + dt)
+    out = f0 + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+    out[0, 0] = 0.0
+    return out
+
+
+def rel_err(got, expect):
+    return np.abs(got - expect).max() / np.abs(expect).max()
+
+
+class TestFullSpectrumEquivalence:
+    """The half-spectrum step against the full-spectrum reference above, on
+    random fields whose Nyquist row and column carry O(1) mass."""
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_nonlinear_term(self, n, seed):
+        w = random_vorticity(n=n, seed=seed)
+        assert rel_err(nonlinear_term(w).modes, reference_nonlinear(w)) <= 1e-12
+
+    def test_fifty_steps(self):
+        cfg = SimConfig(n=32, box_length=10.0, beta=1.0, dt=0.05)
+        w0 = random_vorticity(seed=21)
+        w0 = SpectralField2D(w0.grid, 0.3 * w0.modes)
+        state = SimState(0.0, profile_from_omega(w0, 0.0, cfg.beta))
+        expect = state.profile.field.modes
+        for i in range(50):
+            expect = reference_step(expect, i * cfg.dt, cfg)
+            state = step(state, cfg)
+        assert state.step_count == 50
+        assert rel_err(state.profile.field.modes, expect) <= 1e-12
+
+    def test_nyquist_row_and_column_kept(self):
+        cfg = SimConfig(n=32, box_length=10.0, beta=1.0, dt=0.05)
+        state = SimState(0.0, Profile(random_vorticity(seed=22), 0.0))
+        f0 = state.profile.field.modes
+        f1 = step(state, cfg).profile.field.modes
+        assert np.array_equal(f1[16], f0[16]) and np.array_equal(f1[:, 16], f0[:, 16])
+        assert not np.array_equal(f1, f0)
+
+    @pytest.mark.parametrize("t", [0.0, 0.7, 3.1])
+    def test_cfl_speed_is_max_speed(self, t):
+        # the profile is not rotated to time t, so the vorticity's Nyquist row
+        # carries a phase that breaks its Hermitian symmetry
+        cfg = SimConfig(n=32, box_length=10.0, beta=1.3, dt=1e3)
+        prof = Profile(random_vorticity(seed=23), t)
+        with pytest.raises(StabilityError) as err:
+            step(SimState(t, prof), cfg)
+        speed = 0.25 * cfg.grid.dx / err.value.suggested_dt
+        assert speed == pytest.approx(max_speed(omega_from_profile(prof, cfg.beta)), rel=1e-12)
 
 
 class TestStep:

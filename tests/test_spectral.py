@@ -14,6 +14,7 @@ from bplab.spectral import (
     SpectralField2D,
     besov_norm,
     central_mass_fraction,
+    grid_operators,
     l2_norm,
     linf_norm,
     lp_bump,
@@ -30,6 +31,7 @@ from bplab.spectral import (
     write_field,
     zero_mean,
 )
+from bplab.propagator import dispersion_symbol
 
 
 def random_field(grid, seed=0, scale=1.0):
@@ -63,6 +65,36 @@ class TestGrid:
         g = Grid2D(8, 8.0)
         assert g.x_coords()[0] == -4.0
         assert g.x_coords()[-1] == 3.0
+
+
+class TestGridOperators:
+    def test_equal_grids_share_one_set(self):
+        assert grid_operators(Grid2D(32, 10.0)) is grid_operators(Grid2D(32, 10.0))
+        assert dispersion_symbol(Grid2D(32, 10.0)) is grid_operators(Grid2D(32, 10.0)).symbol
+
+    def test_values(self):
+        g = Grid2D(16, 5.0)
+        ops = grid_operators(g)
+        k1, k2 = g.wavenumbers()
+        nz = (k1 != 0) | (k2 != 0)
+        mag2 = k1[nz] ** 2 + k2[nz] ** 2
+        assert np.array_equal(np.broadcast_to(ops.k1, (16, 16)), k1)
+        assert np.array_equal(np.broadcast_to(ops.k2, (16, 16)), k2)
+        assert ops.inv_mag2[0, 0] == 0.0 and ops.symbol[0, 0] == 0.0
+        assert np.allclose(ops.inv_mag2[nz], 1.0 / mag2, rtol=1e-15, atol=0)
+        assert np.allclose(ops.symbol[nz], k1[nz] / mag2, rtol=1e-15, atol=0)
+        assert ops.inverse_scale == pytest.approx((2 * np.pi / g.dx) ** 2, rel=1e-15)
+
+    def test_arrays_are_read_only(self):
+        g = Grid2D(32, 10.0)
+        ops = grid_operators(g)
+        for arr in (ops.k1, ops.k2, ops.inv_mag2, ops.symbol, ops.dealias_mask):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1
+        sym = dispersion_symbol(g)
+        with pytest.raises(ValueError):
+            sym *= 2.0
+        assert np.array_equal(dispersion_symbol(g), sym)
 
 
 class TestTransforms:

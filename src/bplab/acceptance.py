@@ -20,7 +20,7 @@ from .spectral import (
     RealField2D,
     SpectralField2D,
     l2_norm,
-    lp_bump,
+    shell_field,
     transform_forward,
     transform_inverse,
     zero_mean,
@@ -46,18 +46,13 @@ def _timed(index, name, fn):
     return CriterionResult(index, name, bool(passed), details, time.time() - t0)
 
 
-def _shell_data(n, box_length):
-    g = Grid2D(n, box_length)
-    return zero_mean(SpectralField2D(g, lp_bump(g.wavenumber_magnitude()).astype(complex)))
-
-
 def criterion_1(seed=0):
     """Linear dispersive decay of unit-shell data: exponent near -1 and a
     grid-stable empirical constant."""
     def body():
         times = np.geomspace(10.0, 100.0, 8)
-        fit_hi = propagator.decay_curve(_shell_data(512, 200.0), times)
-        fit_lo = propagator.decay_curve(_shell_data(256, 200.0), times)
+        fit_hi = propagator.decay_curve(shell_field(Grid2D(512, 200.0)), times)
+        fit_lo = propagator.decay_curve(shell_field(Grid2D(256, 200.0)), times)
         stable = abs(fit_hi.c_emp - fit_lo.c_emp) <= 0.2 * fit_hi.c_emp
         ok = (-1.15 <= fit_hi.exponent <= -0.85) and np.isfinite(fit_hi.c_emp) and stable
         return ok, {"exponent": fit_hi.exponent, "c_emp": fit_hi.c_emp,
@@ -85,8 +80,7 @@ def criterion_2(seed=0):
             xi = rng.uniform(-2, 2, 2)
             if np.linalg.norm(xi) < 0.3:
                 continue
-            h = propagator._phase_hessian(xi)
-            det = np.linalg.det(h)
+            det = np.linalg.det(-propagator.symbol_hess(xi))
             ref = propagator.hessian_det(xi)
             fd_worst = max(fd_worst, abs(det - ref) / abs(ref))
             eps = 1e-5
@@ -203,36 +197,32 @@ def criterion_6(seed=0):
     def body():
         rng = substream(seed, "resonance-identities")
         n = 1_000_000
-        xi = resonance._annulus(rng, n)
-        eta = resonance._annulus(rng, n)
-        keep = resonance._norm(xi - eta) > 1e-9
+        xi = resonance.annulus(rng, n)
+        eta = resonance.annulus(rng, n)
+        keep = resonance.norm(xi - eta) > 1e-9
         xi, eta = xi[keep], eta[keep]
-        phi1 = resonance._phase_arr(xi, eta)
-        phi2 = resonance._phase_arr(xi, xi - eta)
+        phi1 = resonance.phase_arr(xi, eta)
+        phi2 = resonance.phase_arr(xi, xi - eta)
         # scale by the largest constituent term; the phase itself can cancel
-        scale = np.maximum.reduce([np.abs(resonance._sym(xi)),
-                                   np.abs(resonance._sym(xi - eta)),
-                                   np.abs(resonance._sym(eta)), np.full_like(phi1, 1e-300)])
+        sym = propagator.symbol
+        scale = np.maximum.reduce([np.abs(sym(xi)), np.abs(sym(xi - eta)),
+                                   np.abs(sym(eta)), np.full_like(phi1, 1e-300)])
         sym_err = float(np.max(np.abs(phi1 - phi2) / scale))
         # harmonicity and the magnitude identities
-        ge = resonance._grad_eta_arr(xi, eta)
-        gx = resonance._grad_xi_arr(xi, eta)
-        ge_id = resonance._norm(xi - 2 * eta) * resonance._norm(xi) / \
-            (resonance._norm(xi - eta) ** 2 * resonance._norm(eta) ** 2)
-        gx_id = resonance._norm(eta - 2 * xi) * resonance._norm(eta) / \
-            (resonance._norm(xi - eta) ** 2 * resonance._norm(xi) ** 2)
-        mag_err = max(
-            float(np.max(np.abs(resonance._norm(ge) - ge_id) / np.maximum(ge_id, 1e-300))),
-            float(np.max(np.abs(resonance._norm(gx) - gx_id) / np.maximum(gx_id, 1e-300))))
-        hess = resonance._sym_hess(eta)
+        ge = resonance.norm(resonance.grad_eta_arr(xi, eta))
+        gx = resonance.norm(resonance.grad_xi_arr(xi, eta))
+        gx_id, ge_id = resonance.grad_phase_magnitudes_arr(xi, eta)
+        mag_err = max(float(np.max(np.abs(ge - ge_id) / np.maximum(ge_id, 1e-300))),
+                      float(np.max(np.abs(gx - gx_id) / np.maximum(gx_id, 1e-300))))
+        hess = propagator.symbol_hess(eta)
         entry_scale = np.abs(hess).max(axis=(-2, -1))
         harm = float(np.max(np.abs(hess[..., 0, 0] + hess[..., 1, 1])
                             / np.maximum(entry_scale, 1e-300)))
         lam = rng.uniform(0.1, 10.0, 1000) * np.where(rng.uniform(size=1000) < 0.5, 1, -1)
         pairs_xi = np.stack([np.zeros_like(lam), 2 * lam], axis=-1)
         pairs_eta = np.stack([np.zeros_like(lam), lam], axis=-1)
-        res_phase = float(np.max(np.abs(resonance._phase_arr(pairs_xi, pairs_eta))))
-        res_grad = float(np.max(resonance._norm(resonance._grad_eta_arr(pairs_xi, pairs_eta))))
+        res_phase = float(np.max(np.abs(resonance.phase_arr(pairs_xi, pairs_eta))))
+        res_grad = float(np.max(resonance.norm(resonance.grad_eta_arr(pairs_xi, pairs_eta))))
         ok = sym_err < 1e-12 and mag_err < 1e-12 and harm < 1e-12 and \
             res_phase == 0.0 and res_grad == 0.0
         return ok, {"sym_err": sym_err, "mag_err": mag_err, "harmonicity": harm,
@@ -243,19 +233,16 @@ def criterion_6(seed=0):
 def criterion_7(seed=0):
     """Region-bound certification (a)-(f) at 1e6 samples each."""
     def body():
-        details = {}
-        ok = True
-        for iid in "abcdef":
-            rep = resonance.certify_bound(iid, 1_000_000,
-                                          seed=substream_seed(seed, f"certify-{iid}"))
-            details[iid] = {"violations": rep.violations,
-                            "worst_margin": rep.worst_margin,
-                            "empirical_constant": rep.empirical_constant}
-            ok = ok and rep.violations == 0
-        lo, hi = resonance.certify_bound_constant_range(
-            "d", 1_000_000, seed=substream_seed(seed, "certify-d-range"))
+        reps = {iid: resonance.certify_bound(iid, 1_000_000,
+                                             seed=substream_seed(seed, f"certify-{iid}"))
+                for iid in resonance.INEQUALITY_IDS}
+        details = {iid: {"violations": rep.violations, "worst_margin": rep.worst_margin,
+                         "empirical_constant": rep.empirical_constant}
+                   for iid, rep in reps.items()}
+        # the two-sided claim of id d: its ratio stays in [1/2, 4]
+        lo, hi = reps["d"].constant_min, reps["d"].empirical_constant
         details["d_ratio_range"] = (lo, hi)
-        ok = ok and 0.5 <= lo and hi <= 4.0
+        ok = all(rep.violations == 0 for rep in reps.values()) and 0.5 <= lo and hi <= 4.0
         return ok, details
     return _timed(7, "region-bound certification", body)
 

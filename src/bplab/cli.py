@@ -26,18 +26,17 @@ _cap_threads()
 import numpy as np
 
 from . import acceptance, diagnostics, propagator, resonance, solver
-from .harness import TOOL_VERSION, ExperimentManifest, atomic_write_text, substream_seed
+from .harness import TOOL_VERSION, ExperimentManifest, substream_seed, write_csv
 from .spectral import (
+    NORM_REPORT_COLUMNS,
     ConfigurationError,
     Grid2D,
     InputError,
     Profile,
-    SpectralField2D,
     besov_norm,
     linf_norm,
-    lp_bump,
-    norm_reports_to_csv,
     read_field,
+    shell_field,
     transform_forward,
     transform_inverse,
     write_field,
@@ -47,14 +46,6 @@ from .spectral import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-
-
-def _csv(path, header_lines, columns, rows):
-    out = [f"# {line}" for line in header_lines]
-    out.append(",".join(columns))
-    for row in rows:
-        out.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
-    atomic_write_text(path, "\n".join(out) + "\n")
 
 
 def _load_config(path):
@@ -72,7 +63,7 @@ def cmd_simulate(args):
     header = manifest.header_lines() + [
         f"config-line: n={cfg.n} L={cfg.box_length:g} beta={cfg.beta:g} dt={cfg.dt:g} "
         f"t_end={cfg.t_end:g} k_energy={cfg.k_energy} init={cfg.init} eps={cfg.eps:g}"]
-    atomic_write_text(args.out, norm_reports_to_csv(res.reports, header))
+    write_csv(args.out, header, NORM_REPORT_COLUMNS, [r.row() for r in res.reports])
     if args.checkpoints:
         os.makedirs(args.checkpoints, exist_ok=True)
         for i, (t, prof) in enumerate(res.checkpoints):
@@ -87,9 +78,7 @@ def cmd_simulate(args):
 
 
 def cmd_decay(args):
-    g = Grid2D(args.n, args.L)
-    data = zero_mean(SpectralField2D(
-        g, lp_bump(g.wavenumber_magnitude() / 2.0 ** args.j).astype(complex)))
+    data = shell_field(Grid2D(args.n, args.L), args.j)
     times = np.geomspace(args.t_min, args.t_max, args.n_times)
     b311 = besov_norm(data, 3.0, 1.0, 1.0)
     prof = Profile(data, 0.0)
@@ -101,7 +90,8 @@ def cmd_decay(args):
     fit = propagator.decay_curve(data, times)
     header = ExperimentManifest("decay", args.seed).header_lines() + [
         f"fitted exponent={fit.exponent:.6f} constant={fit.constant:.6g} c_emp={fit.c_emp:.6g}"]
-    _csv(args.out, header, ["t", "sup_norm", "besov311", "t_times_sup", "bound_lemma52"], rows)
+    write_csv(args.out, header, ["t", "sup_norm", "besov311", "t_times_sup", "bound_lemma52"],
+              rows)
     print(f"decay exponent {fit.exponent:.4f}, C_emp {fit.c_emp:.4g}; wrote {args.out}")
     return EXIT_OK
 
@@ -115,8 +105,8 @@ def cmd_stphase(args):
               f"det_hessian = {propagator.hessian_det(xi):+.12f}")
     if args.out:
         rows = [[float(xi[0]), float(xi[1]), propagator.hessian_det(xi)] for xi in roots]
-        _csv(args.out, ExperimentManifest("stphase", args.seed).header_lines(),
-             ["xi1", "xi2", "det_hessian"], rows)
+        write_csv(args.out, ExperimentManifest("stphase", args.seed).header_lines(),
+                  ["xi1", "xi2", "det_hessian"], rows)
     return EXIT_OK
 
 
@@ -162,9 +152,9 @@ def cmd_diagnose(args):
     header = ExperimentManifest("diagnose", args.seed).header_lines() + [
         f"k={args.k} energy_c={cert.c:.6g} energy_valid={cert.valid} "
         f"transport_ok={transport.ok}"]
-    _csv(args.out, header,
-         ["t", "hk", "energy_envelope", "linf_omega", "transport_rhs",
-          "transport_slack", "weighted2", "weighted3", "fhat_sup2", "flagged"], rows)
+    write_csv(args.out, header,
+              ["t", "hk", "energy_envelope", "linf_omega", "transport_rhs",
+               "transport_slack", "weighted2", "weighted3", "fhat_sup2", "flagged"], rows)
     print(f"energy c={cert.c:.4g} valid={cert.valid}; transport ok={transport.ok}; "
           f"wrote {args.out}")
     return EXIT_OK if (cert.valid and transport.ok) else EXIT_RUNTIME
@@ -172,26 +162,35 @@ def cmd_diagnose(args):
 
 def cmd_resonance(args):
     if args.action == "classify":
+        if args.xi is None or args.eta is None:
+            raise ConfigurationError("resonance classify needs --xi and --eta")
         pair = resonance.FreqPair(tuple(_parse_vec(args.xi)), tuple(_parse_vec(args.eta)))
         label = resonance.classify_region(pair)
         print(f"region = {label.region.value} (swapped={label.swapped})")
         for name, val in label.margins.items():
             print(f"  {name}: {val:+.6g}")
         return EXIT_OK
-    ids = list(args.id) if args.id != "all" else list("abcdef")
+    ids = resonance.INEQUALITY_IDS if args.id == "all" else args.id
+    unknown = sorted(set(ids) - set(resonance.INEQUALITY_IDS))
+    if unknown:
+        raise ConfigurationError(f"unknown inequality id(s) {''.join(unknown)!r}; "
+                                 f"known: {''.join(resonance.INEQUALITY_IDS)}")
     rows = []
     violations = 0
     for iid in ids:
         rep = resonance.certify_bound(iid, args.n,
                                       seed=substream_seed(args.seed, f"certify-{iid}"))
         rows.append([iid, rep.samples, rep.violations, rep.worst_margin,
-                     rep.empirical_constant])
+                     rep.constant_min, rep.empirical_constant])
         violations += rep.violations
+        ratios = "" if np.isnan(rep.empirical_constant) else \
+            f", ratio range [{rep.constant_min:.6g}, {rep.empirical_constant:.6g}]"
         print(f"id={iid}: {rep.violations} violations in {rep.samples} samples, "
-              f"worst margin {rep.worst_margin:.3e}")
+              f"worst margin {rep.worst_margin:.3e}{ratios}")
     if args.out:
-        _csv(args.out, ExperimentManifest("resonance", args.seed).header_lines(),
-             ["id", "samples", "violations", "worst_margin", "empirical_constant"], rows)
+        write_csv(args.out, ExperimentManifest("resonance", args.seed).header_lines(),
+                  ["id", "samples", "violations", "worst_margin", "constant_min",
+                   "empirical_constant"], rows)
     return EXIT_OK if violations == 0 else EXIT_RUNTIME
 
 
@@ -226,17 +225,13 @@ def cmd_reproduce_all(args):
     total = sum(r.elapsed for r in results)
     print(f"total wall time {total:.1f}s")
     if args.out:
-        _csv(args.out, ExperimentManifest("reproduce-all", args.seed).header_lines(),
-             ["criterion", "name", "verdict", "seconds"], rows)
+        write_csv(args.out, ExperimentManifest("reproduce-all", args.seed).header_lines(),
+                  ["criterion", "name", "verdict", "seconds"], rows)
     failures = [r.index for r in results if not r.passed]
     if failures:
         print(f"failed criteria: {failures}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
-
-
-_ONLY_NAMES = {"decay": [1], "stphase": [2], "simulate": [3, 4, 5, 9, 10],
-               "diagnose": [4, 10], "resonance": [6, 7, 8], "bootstrap": [11]}
 
 
 def build_parser():

@@ -1,6 +1,6 @@
-"""Post-processing of simulation output: sup-norm decay, energy-growth
-certificates, the transport a priori bound, weighted profile norms, and the
-bootstrap feasibility arithmetic.
+"""Post-processing of simulation output: energy-growth certificates, the
+transport a priori bound, weighted profile norms, and the bootstrap
+feasibility arithmetic.
 
 Nothing here advances the dynamics; every routine is a pure function of a
 RunResult or a parameter tuple.
@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
+from .propagator import split_bound_amplitude, split_bound_exponent
 from .spectral import (
-    SpectralField2D,
     fhat_sup_weighted,
     linf_norm,
     sobolev_norm,
@@ -24,14 +24,7 @@ from .solver import (
     RunResult,
     linear_operator_field,
     omega_from_profile,
-    velocity_sup_norms,
 )
-
-
-def decay_norms(omega: SpectralField2D):
-    """(|omega|_Linf, |u|_Linf, |Du|_Linf) with u recovered spectrally."""
-    u_sup, du_sup = velocity_sup_norms(omega)
-    return linf_norm(omega), u_sup, du_sup
 
 
 # ---------------------------------------------------------------------------
@@ -187,16 +180,8 @@ class BootstrapParams:
             raise ValueError("need eps > 0, k >= 1, rho in (0, 1)")
 
     @property
-    def inv_p(self) -> float:
-        return 1.0 + self.mu - 1.0 / (1.0 + self.mu)
-
-    @property
     def c_of_k(self) -> float:
         return self.c1 * 2.0 ** (2.0 * self.k)
-
-    @property
-    def amplitude(self) -> float:
-        return self.mu ** (-((1.0 - self.mu) ** 2) / (2.0 * (1.0 + self.mu) ** 2))
 
 
 def _log_poly_in_eps(terms, log_eps):
@@ -214,7 +199,7 @@ def bootstrap_conditions(params: BootstrapParams):
     M, k, eps, mu = params.M, params.k, params.eps, params.mu
     le = np.log(eps)
     e8 = eps ** 0.125
-    inv_p = params.inv_p
+    inv_p = split_bound_exponent(mu)
     margins = {}
     # 1: eps * eps^(-M c(k) eps^(1/8)) <= eps^(1/2)
     lhs1 = (1.0 - M * params.c_of_k * e8) * le
@@ -230,7 +215,7 @@ def bootstrap_conditions(params: BootstrapParams):
         + [(k, -2.0 * M / k + 0.5 + q) for q in (0.5, 0.125, 0.25)], le)
     margins["cond3"] = 0.5 * le - (lhs3 + shift * le)
     # 4: A(mu) eps^(-2M/p) eps^(-(2M/k)(mu + 6/p)) eps^(1/2) <= eps^(1/4)
-    lhs4 = np.log(params.amplitude) + (
+    lhs4 = np.log(split_bound_amplitude(mu)) + (
         -2.0 * M * inv_p - (2.0 * M / k) * (mu + 6.0 * inv_p) + 0.5) * le
     margins["cond4"] = 0.25 * le - lhs4
     return margins

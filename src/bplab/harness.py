@@ -1,12 +1,12 @@
-"""Reproducibility plumbing: named RNG substreams, atomic file output, and
-experiment manifests for the command-line entry points."""
+"""Reproducibility plumbing: named RNG substreams, atomic file and CSV
+output, and experiment manifests for the command-line entry points."""
 
 from __future__ import annotations
 
 import os
 import tempfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,13 +41,21 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def write_csv(path, header_lines, columns, rows) -> None:
+    """Atomically write `# `-prefixed header lines, the column names, then one
+    line per row; floats are written with %.17g, so they read back exactly."""
+    out = [f"# {line}" for line in header_lines]
+    out.append(",".join(columns))
+    for row in rows:
+        out.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
+    atomic_write_text(path, "\n".join(out) + "\n")
+
+
 @dataclass
 class ExperimentManifest:
     name: str
     seed: int = 0
     config_path: str | None = None
-    out_dir: str = "."
-    targets: list = field(default_factory=list)
     tool_version: str = TOOL_VERSION
 
     def header_lines(self) -> list:

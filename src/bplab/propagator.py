@@ -6,6 +6,9 @@ multiplier we provide a direct oscillatory-integral evaluation on dyadic
 shells, a stationary-phase analysis of the frequency-space phase
 phi(xi) = (x/t).xi - xi1/|xi|^2, and the split high/low frequency sup-norm
 bound used to convert weighted L2 control into pointwise decay.
+
+The real symbol g(xi) = xi1/|xi|^2, its gradient and its Hessian are defined
+here once, vectorized; the resonance phase is built from them.
 """
 
 from __future__ import annotations
@@ -42,6 +45,38 @@ class DecayFit:
     c_emp: float
 
 
+# ---------------------------------------------------------------------------
+# the symbol g(v) = v1/|v|^2 and its derivatives, at points v of shape (..., 2)
+#
+# Unpacking v.T yields the two coordinate arrays, or two scalars for a single
+# point, which keeps the per-point calls of the stationary-phase solver cheap;
+# transposing back restores the leading axes.
+
+def symbol(v):
+    """g(v) = v1/|v|^2."""
+    v1, v2 = v.T
+    return (v1 / (v1 ** 2 + v2 ** 2)).T
+
+
+def symbol_grad(v):
+    """grad g(v) = ((v2^2 - v1^2)/|v|^4, -2 v1 v2/|v|^4), shape (..., 2)."""
+    v1, v2 = v.T
+    m4 = (v1 ** 2 + v2 ** 2) ** 2
+    return np.array([(v2 ** 2 - v1 ** 2) / m4, -2.0 * v1 * v2 / m4]).T
+
+
+def symbol_hess(v):
+    """Hessian of g(v), a trace-free symmetric 2x2, shape (..., 2, 2)."""
+    v1, v2 = v.T
+    m2 = v1 ** 2 + v2 ** 2
+    m6 = m2 ** 3
+    d11 = (-2.0 * v1 * m2 - 4.0 * v1 * (v2 ** 2 - v1 ** 2)) / m6
+    d12 = (2.0 * v2 * m2 - 4.0 * v2 * (v2 ** 2 - v1 ** 2)) / m6
+    d22 = (-2.0 * v1 * m2 + 8.0 * v1 * v2 ** 2) / m6
+    # symmetric, so the transpose also swapping the 2x2 indices is harmless
+    return np.array([[d11, d12], [d12, d22]]).T
+
+
 def dispersion_symbol(grid) -> np.ndarray:
     """xi1/|xi|^2 on the grid lattice, zero at the zero mode (cached, read-only)."""
     return grid_operators(grid).symbol
@@ -52,10 +87,6 @@ def apply_semigroup(f: SpectralField2D, t: float) -> SpectralField2D:
     require_mean_zero(f)
     phase = np.exp(-1j * t * dispersion_symbol(f.grid))
     return SpectralField2D(f.grid, f.modes * phase)
-
-
-def apply_inverse_semigroup(f: SpectralField2D, t: float) -> SpectralField2D:
-    return apply_semigroup(f, -t)
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +140,7 @@ def oscillatory_quadrature(x, t, j, tol=1e-8, max_panels=4096):
 
 def phase_gradient(x_over_t, xi):
     """grad of phi(xi) = (x/t).xi - xi1/|xi|^2."""
-    xi = np.asarray(xi, dtype=float)
-    m2 = xi[0] ** 2 + xi[1] ** 2
-    return np.asarray(x_over_t, dtype=float) - np.array(
-        [xi[1] ** 2 - xi[0] ** 2, -2.0 * xi[0] * xi[1]]) / m2 ** 2
+    return np.asarray(x_over_t, dtype=float) - symbol_grad(np.asarray(xi, dtype=float))
 
 
 def stationary_points(x_over_t, shell=(0.25, 4.0)):
@@ -138,8 +166,7 @@ def stationary_points(x_over_t, shell=(0.25, 4.0)):
             g = phase_gradient(v, xi)
             if np.linalg.norm(g) < 1e-13:
                 break
-            h = _phase_hessian(xi)
-            step = np.linalg.solve(h, g)
+            step = np.linalg.solve(-symbol_hess(xi), g)
             # keep the iterate inside the shell
             scale = 1.0
             while np.linalg.norm(xi - scale * step) < shell[0] / 2:
@@ -151,19 +178,8 @@ def stationary_points(x_over_t, shell=(0.25, 4.0)):
     return roots
 
 
-def _phase_hessian(xi):
-    """Hessian of phi = v.xi - xi1/|xi|^2 (the linear part drops out)."""
-    x1, x2 = xi
-    m2 = x1 ** 2 + x2 ** 2
-    # second derivatives of xi1/|xi|^2
-    d11 = (-2.0 * x1 * m2 - 4.0 * x1 * (x2 ** 2 - x1 ** 2)) / m2 ** 3
-    d12 = (2.0 * x2 * m2 - 4.0 * x2 * (x2 ** 2 - x1 ** 2)) / m2 ** 3
-    d22 = (-2.0 * x1 * m2 + 8.0 * x1 * x2 ** 2) / m2 ** 3
-    return -np.array([[d11, d12], [d12, d22]])
-
-
 def hessian_det(xi) -> float:
-    """Closed-form determinant of the Hessian of phi: -4/|xi|^6."""
+    """Closed-form determinant of the Hessian of phi, -symbol_hess: -4/|xi|^6."""
     xi = np.asarray(xi, dtype=float)
     m2 = xi[0] ** 2 + xi[1] ** 2
     if m2 == 0.0:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .propagator import symbol, symbol_grad, symbol_hess
 from .spectral import InputError
 
 _SINGULAR_MARGIN = 1e-12
@@ -55,44 +56,30 @@ class FreqPair:
 # ---------------------------------------------------------------------------
 # vectorized closed forms; points are (..., 2) arrays
 
-def _sym(v):
-    """g(v) = v1/|v|^2."""
-    m2 = v[..., 0] ** 2 + v[..., 1] ** 2
-    return v[..., 0] / m2
+def phase_arr(xi, eta):
+    """Phi(xi, eta), built from the symbol g(v) = v1/|v|^2."""
+    return symbol(xi) - symbol(xi - eta) - symbol(eta)
 
 
-def _sym_grad(v):
-    """grad of g(v): ((v2^2 - v1^2)/|v|^4, -2 v1 v2/|v|^4)."""
-    v1, v2 = v[..., 0], v[..., 1]
-    m4 = (v1 ** 2 + v2 ** 2) ** 2
-    return np.stack([(v2 ** 2 - v1 ** 2) / m4, -2.0 * v1 * v2 / m4], axis=-1)
+def grad_xi_arr(xi, eta):
+    return symbol_grad(xi) - symbol_grad(xi - eta)
 
 
-def _sym_hess(v):
-    """Hessian of g(v), a trace-free symmetric 2x2 (..., 2, 2)."""
-    v1, v2 = v[..., 0], v[..., 1]
-    m2 = v1 ** 2 + v2 ** 2
-    m6 = m2 ** 3
-    d11 = (-2.0 * v1 * m2 - 4.0 * v1 * (v2 ** 2 - v1 ** 2)) / m6
-    d12 = (2.0 * v2 * m2 - 4.0 * v2 * (v2 ** 2 - v1 ** 2)) / m6
-    d22 = (-2.0 * v1 * m2 + 8.0 * v1 * v2 ** 2) / m6
-    return np.stack([np.stack([d11, d12], axis=-1),
-                     np.stack([d12, d22], axis=-1)], axis=-2)
+def grad_eta_arr(xi, eta):
+    return symbol_grad(xi - eta) - symbol_grad(eta)
 
 
-def _phase_arr(xi, eta):
-    return _sym(xi) - _sym(xi - eta) - _sym(eta)
+def grad_phase_magnitudes_arr(xi, eta):
+    """The product identities |grad_xi Phi| = |eta-2xi||eta|/(|xi-eta|^2 |xi|^2)
+    and |grad_eta Phi| = |xi-2eta||xi|/(|xi-eta|^2 |eta|^2)."""
+    d2 = norm(xi - eta) ** 2
+    g_xi = norm(eta - 2.0 * xi) * norm(eta) / (d2 * norm(xi) ** 2)
+    g_eta = norm(xi - 2.0 * eta) * norm(xi) / (d2 * norm(eta) ** 2)
+    return g_xi, g_eta
 
 
-def _grad_xi_arr(xi, eta):
-    return _sym_grad(xi) - _sym_grad(xi - eta)
-
-
-def _grad_eta_arr(xi, eta):
-    return _sym_grad(xi - eta) - _sym_grad(eta)
-
-
-def _norm(v):
+def norm(v):
+    """Euclidean length over the last axis of a (..., 2) array."""
     return np.hypot(v[..., 0], v[..., 1])
 
 
@@ -109,7 +96,7 @@ def _null_form_arr(xi, eta):
 # scalar API
 
 def phase(p: FreqPair) -> float:
-    return float(_phase_arr(p.xi_arr, p.eta_arr))
+    return float(phase_arr(p.xi_arr, p.eta_arr))
 
 
 def null_form(p: FreqPair):
@@ -124,17 +111,13 @@ def null_form(p: FreqPair):
 def grad_phase(p: FreqPair):
     """(grad_xi Phi, grad_eta Phi) as 2-vectors."""
     xi, eta = p.xi_arr, p.eta_arr
-    return _grad_xi_arr(xi, eta), _grad_eta_arr(xi, eta)
+    return grad_xi_arr(xi, eta), grad_eta_arr(xi, eta)
 
 
 def grad_phase_magnitudes(p: FreqPair):
-    """The product identities |grad_eta Phi| = |xi-2eta||xi|/(|xi-eta|^2 |eta|^2)
-    and |grad_xi Phi| = |eta-2xi||eta|/(|xi-eta|^2 |xi|^2)."""
-    xi, eta = p.xi_arr, p.eta_arr
-    d = np.linalg.norm(xi - eta)
-    g_eta = np.linalg.norm(xi - 2.0 * eta) * np.linalg.norm(xi) / (d ** 2 * np.linalg.norm(eta) ** 2)
-    g_xi = np.linalg.norm(eta - 2.0 * xi) * np.linalg.norm(eta) / (d ** 2 * np.linalg.norm(xi) ** 2)
-    return g_xi, g_eta
+    """(|grad_xi Phi|, |grad_eta Phi|) from the product identities."""
+    g_xi, g_eta = grad_phase_magnitudes_arr(p.xi_arr, p.eta_arr)
+    return float(g_xi), float(g_eta)
 
 
 def second_derivs(p: FreqPair):
@@ -145,9 +128,9 @@ def second_derivs(p: FreqPair):
     """
     xi, eta = p.xi_arr, p.eta_arr
     return {
-        "xi_xi": _sym_hess(xi) - _sym_hess(xi - eta),
-        "eta_eta": -_sym_hess(xi - eta) - _sym_hess(eta),
-        "xi_eta": _sym_hess(xi - eta),
+        "xi_xi": symbol_hess(xi) - symbol_hess(xi - eta),
+        "eta_eta": -symbol_hess(xi - eta) - symbol_hess(eta),
+        "xi_eta": symbol_hess(xi - eta),
     }
 
 
@@ -202,9 +185,9 @@ def _classify_masks(xi, eta):
     Returns (codes, xi_n, eta_n, swapped) where codes indexes Region by
     [R1_Case1, R1_Case2A, R1_Case2B, R2, R3, Unclassified].
     """
-    nxi = _norm(xi)
-    neta = _norm(eta)
-    ndiff = _norm(xi - eta)
+    nxi = norm(xi)
+    neta = norm(eta)
+    ndiff = norm(xi - eta)
     swap = neta > ndiff
     eta_n = np.where(swap[..., None], xi - eta, eta)
     neta_n = np.where(swap, ndiff, neta)
@@ -212,7 +195,7 @@ def _classify_masks(xi, eta):
 
     in_r1 = (neta_n / 100.0 <= nxi) & (nxi <= 100.0 * neta_n) & \
             (neta_n / 10000.0 <= ndiff_n) & (ndiff_n <= 10000.0 * neta_n)
-    dist2 = _norm(xi - 2.0 * eta_n)
+    dist2 = norm(xi - 2.0 * eta_n)
     case1 = dist2 >= neta_n / 1000.0
     suba = np.abs(xi[..., 0]) >= np.abs(eta_n[..., 0]) / 100.0
 
@@ -265,23 +248,25 @@ class BoundCheckReport:
     samples: int
     violations: int
     worst_margin: float
-    empirical_constant: float
+    constant_min: float            # smallest finite ratio seen, nan if none
+    empirical_constant: float      # largest finite ratio seen, nan if none
 
 
-def _annulus(rng, n, r_lo=0.1, r_hi=10.0):
+def annulus(rng, n, r_lo=0.1, r_hi=10.0):
+    """n points uniform in area on the annulus r_lo <= |v| <= r_hi, shape (n, 2)."""
     r = np.sqrt(rng.uniform(r_lo ** 2, r_hi ** 2, n))
     th = rng.uniform(-np.pi, np.pi, n)
     return np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
 
 
 def _propose_generic(rng, n):
-    return _annulus(rng, n), _annulus(rng, n)
+    return annulus(rng, n), annulus(rng, n)
 
 
 def _propose_case2(rng, n):
     """xi = 2 eta + delta with |delta| <= |eta|/1000 lands in Case 2 densely."""
-    eta = _annulus(rng, n)
-    r = _norm(eta)
+    eta = annulus(rng, n)
+    r = norm(eta)
     rad = np.sqrt(rng.uniform(0.0, 1.0, n)) * r / 1000.0
     th = rng.uniform(-np.pi, np.pi, n)
     delta = np.stack([rad * np.cos(th), rad * np.sin(th)], axis=-1)
@@ -304,46 +289,46 @@ def _propose_case2b(rng, n):
 
 
 def _check_a(xi, eta):
-    lhs = np.abs(_phase_arr(xi, eta))
-    rhs = (0.6 * np.abs(xi[..., 0]) - 0.002 * np.abs(eta[..., 0])) / _norm(eta) ** 2
+    lhs = np.abs(phase_arr(xi, eta))
+    rhs = (0.6 * np.abs(xi[..., 0]) - 0.002 * np.abs(eta[..., 0])) / norm(eta) ** 2
     margin = lhs - rhs
     const = np.full_like(lhs, np.nan)
     return margin, const
 
 
 def _check_b(xi, eta):
-    lhs = np.abs(_phase_arr(xi, eta))
-    rhs = np.abs(xi[..., 0]) / (2.0 * _norm(eta) ** 2)
+    lhs = np.abs(phase_arr(xi, eta))
+    rhs = np.abs(xi[..., 0]) / (2.0 * norm(eta) ** 2)
     return lhs - rhs, np.full_like(lhs, np.nan)
 
 
 def _check_c(xi, eta):
-    d_eta2 = _grad_eta_arr(xi, eta)[..., 1]
-    neta = _norm(eta)
-    rhs = np.abs(eta[..., 0]) * neta / (4.0 * _norm(xi - eta) ** 4)
+    d_eta2 = grad_eta_arr(xi, eta)[..., 1]
+    neta = norm(eta)
+    rhs = np.abs(eta[..., 0]) * neta / (4.0 * norm(xi - eta) ** 4)
     return np.abs(d_eta2) - rhs, np.full_like(rhs, np.nan)
 
 
 def _check_d(xi, eta):
     cross = np.abs(xi[..., 0] * (-eta[..., 1]) + xi[..., 1] * eta[..., 0])
-    base = np.abs(eta[..., 0]) * _norm(eta)
+    base = np.abs(eta[..., 0]) * norm(eta)
     ratio = np.where(base > 0, cross / base, np.nan)
     margin = np.minimum(cross - 0.5 * base, 4.0 * base - cross)
     return margin, ratio
 
 
 def _check_e(xi, eta):
-    gx = _norm(_grad_xi_arr(xi, eta))
-    ge = _norm(_grad_eta_arr(xi, eta))
-    pred = (_norm(eta - 2.0 * xi) * _norm(eta) ** 3) / \
-           (_norm(xi - 2.0 * eta) * _norm(xi) ** 3)
+    gx = norm(grad_xi_arr(xi, eta))
+    ge = norm(grad_eta_arr(xi, eta))
+    pred = (norm(eta - 2.0 * xi) * norm(eta) ** 3) / \
+           (norm(xi - 2.0 * eta) * norm(xi) ** 3)
     quot = gx / ge
     rel = np.abs(quot - pred) / np.abs(pred)
     return 1e-10 - rel, quot
 
 
 def _check_f(xi, eta):
-    nxi, neta, nd = _norm(xi), _norm(eta), _norm(xi - eta)
+    nxi, neta, nd = norm(xi), norm(eta), norm(xi - eta)
     m1 = np.minimum(nxi - 1.999 * neta, 2.001 * neta - nxi)
     m2 = np.minimum(nd - 0.999 * neta, 1.001 * neta - nd)
     return np.minimum(m1, m2), np.full_like(nxi, np.nan)
@@ -357,6 +342,7 @@ _REGISTRY = {
     "e": (_propose_generic, {0}, _check_e),
     "f": (_propose_case2, {1, 2}, _check_f),
 }
+INEQUALITY_IDS = tuple(_REGISTRY)
 
 
 def evaluate_bound(inequality_id: str, p: FreqPair):
@@ -395,7 +381,7 @@ def certify_bound(inequality_id: str, n: int, seed=0,
     proposed = 0
     violations = 0
     worst = np.inf
-    consts: list = []
+    lo, hi = np.inf, -np.inf
     while accepted < n:
         m = min(batch, 4 * (n - accepted) + 1000)
         xi, eta = propose(rng, m)
@@ -416,40 +402,16 @@ def certify_bound(inequality_id: str, n: int, seed=0,
             worst = min(worst, float(margin.min()))
         finite = const[np.isfinite(const)]
         if finite.size:
-            consts.append((float(finite.min()), float(finite.max())))
+            lo = min(lo, float(finite.min()))
+            hi = max(hi, float(finite.max()))
         accepted += take
         if accepted < n and accepted / max(proposed, 1) < min_acceptance:
             raise SamplerError(
                 f"acceptance {accepted / proposed:.2e} below {min_acceptance:.0e} "
                 f"for {inequality_id!r}")
-    if consts:
-        emp = max(hi for _, hi in consts)
-    else:
-        emp = np.nan
-    return BoundCheckReport(inequality_id, accepted, violations, worst, emp)
-
-
-def certify_bound_constant_range(inequality_id: str, n: int, seed=0):
-    """Like certify_bound but also returns the (min, max) observed ratio for
-    ratio-type inequalities (used for the two-sided claim in id 'd')."""
-    propose, codes_ok, check = _REGISTRY[inequality_id]
-    rng = np.random.default_rng(seed)
-    ok_codes = np.array(sorted(codes_ok), dtype=np.int8)
-    lo, hi = np.inf, -np.inf
-    accepted = 0
-    while accepted < n:
-        xi, eta = propose(rng, min(200_000, 4 * (n - accepted) + 1000))
-        codes, xi_n, eta_n, _ = _classify_masks(xi, eta)
-        idx = np.flatnonzero(np.isin(codes, ok_codes))[:n - accepted]
-        if idx.size == 0:
-            continue
-        _, const = check(xi_n[idx], eta_n[idx])
-        finite = const[np.isfinite(const)]
-        if finite.size:
-            lo = min(lo, float(finite.min()))
-            hi = max(hi, float(finite.max()))
-        accepted += idx.size
-    return lo, hi
+    if lo > hi:
+        lo = hi = np.nan
+    return BoundCheckReport(inequality_id, accepted, violations, worst, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +429,13 @@ def resonance_probe(lam_grid, n_random: int = 1000, seed=0):
         rows.append({"lam": float(lam), "abs_phase": abs(phase(p)),
                      "grad_eta_norm": float(np.linalg.norm(ge))})
     rng = np.random.default_rng(seed)
-    eta = _annulus(rng, n_random)
-    xi = _annulus(rng, n_random)
-    sep = _norm(xi - 2.0 * eta) > 1e-6 * _norm(eta)
-    ok = (_norm(xi - eta) > 1e-9)
-    ge = _norm(_grad_eta_arr(xi[sep & ok], eta[sep & ok]))
+    eta = annulus(rng, n_random)
+    xi = annulus(rng, n_random)
+    sep = norm(xi - 2.0 * eta) > 1e-6 * norm(eta)
+    ok = (norm(xi - eta) > 1e-9)
+    ge = norm(grad_eta_arr(xi[sep & ok], eta[sep & ok]))
     converse_ok = bool(np.all(ge > 0.0))
-    forward = [np.linalg.norm(_grad_eta_arr(2.0 * e, e)) for e in eta[:50]]
+    forward = [np.linalg.norm(grad_eta_arr(2.0 * e, e)) for e in eta[:50]]
     forward_ok = bool(np.max(forward) < 1e-14)
     return {"spacetime": rows, "forward_exact": forward_ok,
             "converse_nonzero": converse_ok}

@@ -28,7 +28,9 @@ from .spectral import (
     grid_operators,
     l2_norm,
     linf_norm,
+    read_field,
     require_mean_zero,
+    shell_field,
     sobolev_norm,
     transform_forward,
     transform_inverse,
@@ -45,10 +47,6 @@ class StabilityError(RuntimeError):
     def __init__(self, message, suggested_dt):
         super().__init__(message)
         self.suggested_dt = suggested_dt
-
-
-class BlowUpError(RuntimeError):
-    """Sup-norm guard tripped or NaN detected during a run."""
 
 
 @dataclass
@@ -310,17 +308,13 @@ def initial_vorticity(cfg: SimConfig) -> SpectralField2D:
         # mean-zero radial vortex (second radial moment of a Gaussian)
         samples = cfg.eps * (1.0 - r2) * np.exp(-r2)
     elif cfg.init in ("shell", "shell-bump"):
-        from .spectral import lp_bump
-        mag = g.wavenumber_magnitude()
-        modes = cfg.eps * lp_bump(mag)
-        return zero_mean(SpectralField2D(g, modes))
+        return SpectralField2D(g, cfg.eps * shell_field(g).modes)
     elif cfg.init in ("pair", "vortex-pair"):
         d = 2.0 * a
         rp = ((X - d) ** 2 + Y ** 2) / (2.0 * a ** 2)
         rm = ((X + d) ** 2 + Y ** 2) / (2.0 * a ** 2)
         samples = cfg.eps * (np.exp(-rp) - np.exp(-rm))
     elif cfg.init == "file":
-        from .spectral import read_field
         if not cfg.init_file:
             raise ConfigurationError("init=file requires init_file")
         fld = read_field(cfg.init_file)

@@ -17,7 +17,8 @@ below are normalized.
 from __future__ import annotations
 
 import functools
-import io
+import os
+import stat
 import struct
 from dataclasses import dataclass, field
 
@@ -189,16 +190,8 @@ def transform_forward(f: RealField2D) -> SpectralField2D:
 def transform_inverse(f: SpectralField2D) -> RealField2D:
     """Fourier coefficients -> real physical samples."""
     g = f.grid
-    scale = (2.0 * np.pi) ** 2 / g.dx ** 2
-    samples = np.fft.fftshift(np.fft.ifft2(f.modes)) * scale
+    samples = np.fft.fftshift(np.fft.ifft2(f.modes)) * grid_operators(g).inverse_scale
     return RealField2D(g, samples.real)
-
-
-def inverse_samples_complex(f: SpectralField2D) -> np.ndarray:
-    """Inverse transform without discarding the imaginary part."""
-    g = f.grid
-    scale = (2.0 * np.pi) ** 2 / g.dx ** 2
-    return np.fft.fftshift(np.fft.ifft2(f.modes)) * scale
 
 
 def zero_mean(f: SpectralField2D) -> SpectralField2D:
@@ -219,9 +212,6 @@ def require_mean_zero(f: SpectralField2D | np.ndarray, tol: float = 1e-12) -> No
 
 # ---------------------------------------------------------------------------
 # Littlewood-Paley machinery
-
-_SHELL_LO, _SHELL_HI = 0.5, 2.0
-
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:
     """Quintic polynomial smoothstep, C^2 across [0, 1]."""
@@ -249,6 +239,11 @@ def lp_project(f: SpectralField2D, j: int) -> SpectralField2D:
     return SpectralField2D(f.grid, f.modes * lp_bump(mag / 2.0 ** j))
 
 
+def shell_field(grid: Grid2D, j: int = 0) -> SpectralField2D:
+    """Mean-zero data whose modes are the bump of the dyadic shell |xi| ~ 2^j."""
+    return zero_mean(SpectralField2D(grid, lp_bump(grid.wavenumber_magnitude() / 2.0 ** j)))
+
+
 def lp_shell_range(grid: Grid2D) -> tuple[int, int]:
     """Dyadic indices [j_min, j_max] that can carry mass on this grid."""
     xi_min = grid.dxi
@@ -256,14 +251,6 @@ def lp_shell_range(grid: Grid2D) -> tuple[int, int]:
     j_min = int(np.floor(np.log2(xi_min))) - 1
     j_max = int(np.ceil(np.log2(xi_max))) + 1
     return j_min, j_max
-
-
-def lp_project_above(f: SpectralField2D, cutoff: float) -> SpectralField2D:
-    """Smooth projection onto frequencies above `cutoff` (1 for |xi| > cutoff,
-    0 for |xi| < cutoff / 2)."""
-    mag = f.grid.wavenumber_magnitude()
-    mult = _smoothstep(2.0 * mag / cutoff - 1.0)
-    return SpectralField2D(f.grid, f.modes * mult)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +298,8 @@ def lp_phys_norm(f: SpectralField2D, p: float) -> float:
 def besov_norm(f: SpectralField2D, s: float, p: float, q: float) -> float:
     """Homogeneous Besov norm: ell^q over shells of 2^(s j) |P_j f|_{L^p}.
 
-    The shell sum is truncated to the dyadic range resolvable on the grid
-    (see besov_shell_range for the reported truncation).
+    The shell sum is truncated to lp_shell_range, the dyadic range
+    resolvable on the grid.
     """
     if not (p >= 1 and q >= 1):
         raise ValueError("p, q must lie in [1, inf]")
@@ -328,11 +315,6 @@ def besov_norm(f: SpectralField2D, s: float, p: float, q: float) -> float:
     if np.isinf(q):
         return float(terms.max(initial=0.0))
     return float(np.sum(terms ** q) ** (1.0 / q))
-
-
-def besov_shell_range(f: SpectralField2D) -> tuple[int, int]:
-    """Dyadic truncation window used by besov_norm on this grid."""
-    return lp_shell_range(f.grid)
 
 
 def central_mass_fraction(f: SpectralField2D) -> float:
@@ -352,7 +334,8 @@ def profile_gradient_modes(f: SpectralField2D) -> tuple[np.ndarray, np.ndarray]:
     """Frequency-space gradient of fhat, computed as the transform of -i x f(x)
     with x the centered box coordinate."""
     g = f.grid
-    phys = inverse_samples_complex(f)
+    # the inverse transform, keeping the imaginary part of a non-real field
+    phys = np.fft.fftshift(np.fft.ifft2(f.modes)) * grid_operators(g).inverse_scale
     x = g.x_coords()
     scale = g.dx ** 2 / (2.0 * np.pi) ** 2
     d1 = np.fft.fft2(np.fft.ifftshift(-1j * x[:, None] * phys)) * scale
@@ -399,22 +382,25 @@ def write_field(path, f: RealField2D) -> None:
 
 
 def read_field(path) -> RealField2D:
+    # the sample count is checked against the file size, which only a
+    # regular file has; a pipe or a terminal is refused before it is opened
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise InputError(f"field file {path} is not a regular file")
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != BPF_MAGIC:
             raise InputError(f"bad field file magic {magic!r}")
-        n = struct.unpack("<q", fh.read(8))[0]
-        box_length = struct.unpack("<d", fh.read(8))[0]
+        head = fh.read(16)
+        if len(head) != 16:
+            raise InputError(f"field file header truncated to {len(head)} of 16 bytes")
+        n, box_length = struct.unpack("<qd", head)
+        if n < 8 or not _is_power_of_two(n) or not (0.0 < box_length < np.inf):
+            raise InputError(f"bad field file header: n={n}, L={box_length!r}")
         grid = Grid2D(n, box_length)
-        data = np.frombuffer(fh.read(8 * n * n), dtype="<f8").reshape(n, n)
+        # sized from the file, so a corrupt n cannot ask for a huge read
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != 8 * n * n:
+            raise InputError(f"field file holds {size} bytes of samples, "
+                             f"expected {8 * n * n} for n={n}")
+        data = np.frombuffer(fh.read(size), dtype="<f8").reshape(n, n)
     return RealField2D(grid, data.copy())
-
-
-def norm_reports_to_csv(reports, header_lines=()) -> str:
-    buf = io.StringIO()
-    for line in header_lines:
-        buf.write(f"# {line}\n")
-    buf.write(",".join(NORM_REPORT_COLUMNS) + "\n")
-    for r in reports:
-        buf.write(",".join(f"{v:.17g}" for v in r.row()) + "\n")
-    return buf.getvalue()

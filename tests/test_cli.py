@@ -2,7 +2,8 @@ import os
 
 import pytest
 
-from bplab.cli import EXIT_CONFIG, EXIT_OK, main
+from bplab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from bplab.spectral import Grid2D, RealField2D, write_field
 
 CONFIG = """\
 # small smoke-test run
@@ -80,6 +81,28 @@ class TestSimulate:
         assert rc == EXIT_CONFIG
 
 
+def _truncated_field_config(tmp_path):
+    field = tmp_path / "init.bpf"
+    write_field(field, RealField2D(Grid2D(32, 20.0), [[0.0] * 32] * 32))
+    field.write_bytes(field.read_bytes()[:-8])
+    cfg = tmp_path / "file.cfg"
+    cfg.write_text(f"n = 32\nL = 20.0\nt_end = 0.1\ninit = file\ninit_file = {field}\n")
+    return str(cfg)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["resonance", "verify", "--id", "z"], EXIT_CONFIG),
+    (["resonance", "verify", "--id", "dz"], EXIT_CONFIG),
+    (["resonance", "classify"], EXIT_CONFIG),
+    (["resonance", "classify", "--xi", "1,1"], EXIT_CONFIG),
+    (["simulate", "--config", _truncated_field_config], EXIT_RUNTIME),
+], ids=["unknown-id", "partly-unknown-ids", "classify-no-vectors", "classify-no-eta",
+        "truncated-init-file"])
+def test_bad_input_exit_codes(tmp_path, argv, code):
+    argv = [a(tmp_path) if callable(a) else a for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == code
+
+
 class TestStphase:
     def test_prints_roots(self, capsys, tmp_path):
         out = str(tmp_path / "st.csv")
@@ -115,6 +138,16 @@ class TestResonance:
         assert rc == EXIT_OK
         assert "0 violations" in capsys.readouterr().out
         assert len(read_noncomment(out)) == 2
+
+    def test_verify_writes_ratio_range(self, tmp_path, capsys):
+        out = str(tmp_path / "res.csv")
+        assert main(["resonance", "verify", "--id", "d", "--n", "10000",
+                     "--out", out]) == EXIT_OK
+        assert "ratio range [" in capsys.readouterr().out
+        header, row = (line.strip().split(",") for line in read_noncomment(out))
+        values = dict(zip(header, row))
+        lo, hi = float(values["constant_min"]), float(values["empirical_constant"])
+        assert 0.5 <= lo <= hi <= 4.0
 
 
 class TestBootstrap:

@@ -8,18 +8,18 @@ from bplab.diagnostics import (
     bootstrap_conditions,
     bootstrap_feasibility,
     bootstrap_search,
-    decay_norms,
     doubling_time,
     energy_certificate,
     linfty_transport_check,
     weighted_norm_series,
 )
-from bplab.solver import SimConfig, run
+from bplab.solver import SimConfig, run, velocity_sup_norms
 from bplab.spectral import (
     Grid2D,
     Profile,
     SpectralField2D,
     fhat_sup_weighted,
+    linf_norm,
 )
 
 
@@ -38,10 +38,12 @@ def linear_run():
 
 
 class TestDecayNorms:
+    """|omega|_Linf, |u|_Linf and |Du|_Linf with u recovered spectrally."""
+
     def test_zero(self):
         g = Grid2D(16, 5.0)
-        out = decay_norms(SpectralField2D(g, np.zeros((16, 16))))
-        assert out == (0.0, 0.0, 0.0)
+        w = SpectralField2D(g, np.zeros((16, 16)))
+        assert (linf_norm(w),) + velocity_sup_norms(w) == (0.0, 0.0, 0.0)
 
     def test_single_shell_gradient_relation(self):
         # one Hermitian mode pair at |xi| = k: |Du| ~= |xi| |u| for that wave
@@ -50,7 +52,7 @@ class TestDecayNorms:
         modes[2, 0] = 1.0
         modes[-2, 0] = 1.0
         w = SpectralField2D(g, modes)
-        _, u_sup, du_sup = decay_norms(w)
+        u_sup, du_sup = velocity_sup_norms(w)
         assert du_sup == pytest.approx(2.0 * u_sup, rel=1e-10)
 
 

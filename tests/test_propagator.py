@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from bplab.propagator import (
-    apply_inverse_semigroup,
     apply_semigroup,
     decay_curve,
     hessian_det,
@@ -15,7 +14,11 @@ from bplab.propagator import (
     split_bound_exponent,
     split_decay_bound,
     stationary_points,
+    symbol,
+    symbol_grad,
+    symbol_hess,
 )
+from bplab import spectral
 from bplab.spectral import (
     Grid2D,
     Profile,
@@ -30,9 +33,7 @@ from bplab.spectral import (
 
 
 def shell_field(n=128, box_length=80.0, j=0):
-    g = Grid2D(n, box_length)
-    return zero_mean(SpectralField2D(
-        g, lp_bump(g.wavenumber_magnitude() / 2.0 ** j).astype(complex)))
+    return spectral.shell_field(Grid2D(n, box_length), j)
 
 
 def random_mean_zero(n=32, box_length=10.0, seed=0):
@@ -55,7 +56,7 @@ class TestSemigroup:
 
     def test_inverse(self):
         f = random_mean_zero(seed=3)
-        back = apply_inverse_semigroup(apply_semigroup(f, 5.0), 5.0)
+        back = apply_semigroup(apply_semigroup(f, 5.0), -5.0)
         assert np.abs(back.modes - f.modes).max() < 1e-13
 
     @settings(max_examples=20, deadline=None)
@@ -99,6 +100,53 @@ class TestOscillatoryQuadrature:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             oscillatory_quadrature(np.zeros(2), -1.0, 0)
+
+
+class TestSymbol:
+    """g(v) = v1/|v|^2 with its gradient and Hessian against central differences."""
+
+    @staticmethod
+    def points(seed, n=50):
+        rng = np.random.default_rng(seed)
+        v = rng.uniform(-2, 2, (n, 2))
+        return v[np.linalg.norm(v, axis=-1) > 0.3]
+
+    def test_gradient_finite_differences(self):
+        v = self.points(20)
+        h = 1e-6
+        for a in range(2):
+            e = np.zeros(2)
+            e[a] = h
+            fd = (symbol(v + e) - symbol(v - e)) / (2 * h)
+            assert np.allclose(symbol_grad(v)[:, a], fd, rtol=1e-6, atol=1e-8)
+
+    def test_hessian_finite_differences(self):
+        v = self.points(21)
+        h = 1e-5
+        for a in range(2):
+            e = np.zeros(2)
+            e[a] = h
+            fd = (symbol_grad(v + e) - symbol_grad(v - e)) / (2 * h)
+            assert np.allclose(symbol_hess(v)[:, :, a], fd, rtol=1e-5, atol=1e-7)
+
+    def test_hessian_symmetric_trace_free_with_closed_form_det(self):
+        v = self.points(22)
+        hess = symbol_hess(v)
+        assert np.array_equal(hess, np.swapaxes(hess, -1, -2))
+        assert np.abs(np.trace(hess, axis1=-2, axis2=-1)).max() < 1e-12 * np.abs(hess).max()
+        dets = np.linalg.det(-hess)
+        ref = np.array([hessian_det(p) for p in v])
+        assert np.abs(dets - ref).max() < 1e-12 * np.abs(ref).max()
+
+    def test_any_leading_shape(self):
+        # one point, a batch of points and a grid of points give the same values
+        v = self.points(23)
+        for fn in (symbol, symbol_grad, symbol_hess):
+            batch = fn(v)
+            assert np.allclose(fn(v.reshape(-1, 1, 2))[:, 0], batch, rtol=1e-14, atol=0)
+            for i in (0, len(v) - 1):
+                assert np.shape(fn(v[i])) == batch.shape[1:]
+                assert np.allclose(fn(v[i]), batch[i], rtol=1e-14, atol=0)
 
 
 class TestStationaryPhase:

@@ -8,14 +8,15 @@ from bplab.resonance import (
     FreqPair,
     Region,
     certify_bound,
-    certify_bound_constant_range,
     classify_region,
     evaluate_bound,
+    grad_eta_arr,
     grad_phase,
     grad_phase_magnitudes,
     null_form,
     null_form_derivs,
     phase,
+    phase_arr,
     resonance_probe,
     second_derivs,
 )
@@ -110,7 +111,6 @@ class TestGradPhase:
         assert np.linalg.norm(ge) == pytest.approx(ie, rel=1e-12, abs=1e-300)
 
     def test_finite_differences(self):
-        from bplab.resonance import _phase_arr
         xi = np.array([0.7, -0.3])
         eta = np.array([1.2, 0.5])
         gx, ge = grad_phase(FreqPair(tuple(xi), tuple(eta)))
@@ -119,9 +119,9 @@ class TestGradPhase:
             e = np.zeros(2)
             e[a] = h
             assert gx[a] == pytest.approx(
-                (_phase_arr(xi + e, eta) - _phase_arr(xi - e, eta)) / (2 * h), rel=1e-6)
+                (phase_arr(xi + e, eta) - phase_arr(xi - e, eta)) / (2 * h), rel=1e-6)
             assert ge[a] == pytest.approx(
-                (_phase_arr(xi, eta + e) - _phase_arr(xi, eta - e)) / (2 * h), rel=1e-6)
+                (phase_arr(xi, eta + e) - phase_arr(xi, eta - e)) / (2 * h), rel=1e-6)
 
 
 class TestSecondDerivs:
@@ -136,7 +136,6 @@ class TestSecondDerivs:
         assert abs(mixed[0, 0] + mixed[1, 1]) < 1e-12 * max(np.abs(mixed).max(), 1e-300)
 
     def test_finite_differences(self):
-        from bplab.resonance import _grad_eta_arr
         xi = np.array([3.0, 0.5])
         eta = np.array([1.0, -0.4])
         sd = second_derivs(FreqPair(tuple(xi), tuple(eta)))
@@ -144,8 +143,8 @@ class TestSecondDerivs:
         for a in range(2):
             e = np.zeros(2)
             e[a] = h
-            fd_ee = (_grad_eta_arr(xi, eta + e) - _grad_eta_arr(xi, eta - e)) / (2 * h)
-            fd_xe = (_grad_eta_arr(xi + e, eta) - _grad_eta_arr(xi - e, eta)) / (2 * h)
+            fd_ee = (grad_eta_arr(xi, eta + e) - grad_eta_arr(xi, eta - e)) / (2 * h)
+            fd_xe = (grad_eta_arr(xi + e, eta) - grad_eta_arr(xi - e, eta)) / (2 * h)
             assert np.allclose(sd["eta_eta"][a], fd_ee, rtol=1e-5, atol=1e-8)
             assert np.allclose(sd["xi_eta"][a], fd_xe, rtol=1e-5, atol=1e-8)
 
@@ -218,8 +217,12 @@ class TestCertifyBound:
         assert rep.worst_margin >= 0.0
 
     def test_ratio_range_for_d(self):
-        lo, hi = certify_bound_constant_range("d", 10_000, seed=7)
-        assert 0.5 <= lo <= hi <= 4.0
+        rep = certify_bound("d", 10_000, seed=7)
+        assert 0.5 <= rep.constant_min <= rep.empirical_constant <= 4.0
+
+    def test_no_ratio_range_without_ratios(self):
+        rep = certify_bound("a", 10_000, seed=7)
+        assert np.isnan(rep.constant_min) and np.isnan(rep.empirical_constant)
 
     def test_unknown_id(self):
         with pytest.raises(KeyError):

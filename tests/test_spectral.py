@@ -1,3 +1,6 @@
+import os
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +24,6 @@ from bplab.spectral import (
     lp_phys_norm,
     lp_project,
     lp_shell_range,
-    norm_reports_to_csv,
     read_field,
     require_mean_zero,
     sobolev_norm,
@@ -31,6 +33,7 @@ from bplab.spectral import (
     write_field,
     zero_mean,
 )
+from bplab.harness import write_csv
 from bplab.propagator import dispersion_symbol
 
 
@@ -311,6 +314,14 @@ def test_roundtrip_property(seed):
     assert np.abs(back.samples - f.samples).max() < 1e-12
 
 
+_FULL = 8 * 16 * 16     # sample bytes of a 16 x 16 field
+
+
+def _bpf(n, box_length, sample_bytes):
+    """A BPF1 file with the given header and sample_bytes zero bytes."""
+    return b"BPF1" + struct.pack("<qd", n, box_length) + b"\x00" * sample_bytes
+
+
 class TestFieldFiles:
     def test_roundtrip(self, tmp_path):
         g = Grid2D(16, 12.5)
@@ -327,14 +338,38 @@ class TestFieldFiles:
         with pytest.raises(InputError):
             read_field(path)
 
+    @pytest.mark.parametrize("data", [
+        _bpf(16, 12.5, 0)[:6], _bpf(16, 12.5, 0), _bpf(16, 12.5, _FULL - 1),
+        _bpf(16, 12.5, _FULL + 8), _bpf(2 ** 20, 1.0, 64),
+        _bpf(12, 1.0, 8 * 144), _bpf(4, 1.0, 8 * 16), _bpf(0, 1.0, 0), _bpf(-8, 1.0, 0),
+        _bpf(16, float("nan"), _FULL), _bpf(16, float("inf"), _FULL),
+        _bpf(16, 0.0, _FULL), _bpf(16, -1.0, _FULL),
+    ], ids=["header-cut", "no-samples", "byte-short", "sample-extra", "n-beyond-file",
+            "n-12", "n-4", "n-0", "n-negative", "L-nan", "L-inf", "L-0", "L-negative"])
+    def test_corrupt_file_rejected(self, tmp_path, data):
+        # n = 2^20 would need 8 TiB of samples; the bad-n and bad-L files hold
+        # exactly the samples their header asks for
+        path = tmp_path / "field.bpf"
+        path.write_bytes(data)
+        with pytest.raises(InputError):
+            read_field(path)
 
-def test_norm_report_csv_format():
+    def test_non_regular_file_rejected(self, tmp_path):
+        path = tmp_path / "field.fifo"
+        os.mkfifo(path)
+        with pytest.raises(InputError, match="not a regular file"):
+            read_field(path)
+
+
+def test_norm_report_csv_format(tmp_path):
     rep = NormReport(t=1.0, l2=2.0, hk=3.0, linf_omega=0.1, linf_u=0.2,
                      linf_du=0.3, besov311=4.0, weighted2=5.0, weighted3=6.0,
                      fhat_sup2=7.0)
-    text = norm_reports_to_csv([rep], header_lines=["seed=0"])
-    lines = text.strip().splitlines()
+    path = tmp_path / "reports.csv"
+    write_csv(path, ["seed=0"], NORM_REPORT_COLUMNS, [rep.row()])
+    lines = path.read_text().strip().splitlines()
     assert lines[0] == "# seed=0"
     assert lines[1] == ",".join(NORM_REPORT_COLUMNS)
     assert lines[2].split(",")[0] == "1"
     assert len(lines[2].split(",")) == len(NORM_REPORT_COLUMNS)
+    assert [float(v) for v in lines[2].split(",")] == rep.row()

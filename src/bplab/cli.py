@@ -56,14 +56,28 @@ def _load_config(path):
         raise ConfigurationError(f"config file not found: {path}")
 
 
+def _warning_summary(reports):
+    """One line giving the count of the reports' warnings and the first of
+    them, or [] when there are none."""
+    flagged = [r for r in reports if r.warnings]
+    if not flagged:
+        return []
+    count = sum(len(r.warnings) for r in flagged)
+    return [f"warnings: {count}, first at t={flagged[0].t:.6g}: {flagged[0].warnings[0]}"]
+
+
 def cmd_simulate(args):
     cfg = _load_config(args.config)
     manifest = ExperimentManifest("simulate", args.seed, args.config)
     res = solver.run(cfg, dump_path=args.out + ".dump.bpf")
+    warnings = _warning_summary(res.reports)
     header = manifest.header_lines() + [
         f"config-line: n={cfg.n} L={cfg.box_length:g} beta={cfg.beta:g} dt={cfg.dt:g} "
-        f"t_end={cfg.t_end:g} k_energy={cfg.k_energy} init={cfg.init} eps={cfg.eps:g}"]
+        f"t_end={cfg.t_end:g} k_energy={cfg.k_energy} init={cfg.init} eps={cfg.eps:g}"
+    ] + warnings
     write_csv(args.out, header, NORM_REPORT_COLUMNS, [r.row() for r in res.reports])
+    for line in warnings:
+        print(line, file=sys.stderr)
     if args.checkpoints:
         os.makedirs(args.checkpoints, exist_ok=True)
         for i, (t, prof) in enumerate(res.checkpoints):
@@ -78,6 +92,8 @@ def cmd_simulate(args):
 
 
 def cmd_decay(args):
+    if not (0.0 < args.t_min < args.t_max and args.n_times >= 2):
+        raise ConfigurationError("need 0 < t-min < t-max and n-times >= 2")
     data = shell_field(Grid2D(args.n, args.L), args.j)
     times = np.geomspace(args.t_min, args.t_max, args.n_times)
     b311 = besov_norm(data, 3.0, 1.0, 1.0)
@@ -149,12 +165,15 @@ def cmd_diagnose(args):
                      transport.lhs[i], transport.rhs[i], transport.slack[i],
                      row["weighted2"], row["weighted3"], row["fhat_sup2"],
                      int(row["flagged"])])
+    warnings = _warning_summary(res.reports)
     header = ExperimentManifest("diagnose", args.seed).header_lines() + [
         f"k={args.k} energy_c={cert.c:.6g} energy_valid={cert.valid} "
-        f"transport_ok={transport.ok}"]
+        f"transport_ok={transport.ok}"] + warnings
     write_csv(args.out, header,
               ["t", "hk", "energy_envelope", "linf_omega", "transport_rhs",
                "transport_slack", "weighted2", "weighted3", "fhat_sup2", "flagged"], rows)
+    for line in warnings:
+        print(line, file=sys.stderr)
     print(f"energy c={cert.c:.4g} valid={cert.valid}; transport ok={transport.ok}; "
           f"wrote {args.out}")
     return EXIT_OK if (cert.valid and transport.ok) else EXIT_RUNTIME

@@ -14,17 +14,23 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .propagator import split_bound_amplitude, split_bound_exponent
-from .spectral import (
-    fhat_sup_weighted,
-    linf_norm,
-    sobolev_norm,
-    weighted_profile_norm,
-)
+from .spectral import ConfigurationError, linf_norm, sobolev_norm
 from .solver import (
     RunResult,
     linear_operator_field,
     omega_from_profile,
 )
+
+
+def _checkpoint_reports(result: RunResult):
+    """(t, profile, report) per retained checkpoint. Raises ValueError when
+    there are no checkpoints, or when the reports do not pair up with them."""
+    if not result.checkpoints:
+        raise ValueError("run result has no retained checkpoints")
+    if len(result.reports) != len(result.checkpoints):
+        raise ValueError(f"run result has {len(result.reports)} reports for "
+                         f"{len(result.checkpoints)} checkpoints")
+    return [(t, prof, rep) for (t, prof), rep in zip(result.checkpoints, result.reports)]
 
 
 # ---------------------------------------------------------------------------
@@ -47,16 +53,13 @@ def energy_certificate(result: RunResult, k: int) -> EnergyCertificate:
 
     The time integral uses the trapezoid rule at checkpoint resolution. The
     certificate fails only when the initial norm vanishes while later norms
-    do not (no finite c can dominate).
+    do not (no finite c can dominate). The H^k norm is read off the profile:
+    the free flow is unimodular, so the vorticity has the same norm.
     """
-    if not result.checkpoints:
-        raise ValueError("run result has no retained checkpoints")
-    beta = result.config.beta
     ts, hks, integrand = [], [], []
-    for (t, prof), rep in zip(result.checkpoints, result.reports):
-        omega = omega_from_profile(prof, beta)
+    for t, prof, rep in _checkpoint_reports(result):
         ts.append(t)
-        hks.append(sobolev_norm(omega, k))
+        hks.append(sobolev_norm(prof.field, k))
         integrand.append(rep.linf_du + rep.linf_omega)
     ts = np.asarray(ts)
     hks = np.asarray(hks)
@@ -102,16 +105,13 @@ class TransportReport:
 def linfty_transport_check(result: RunResult, tolerance: float = 0.01) -> TransportReport:
     """Check |omega(t)|_Linf <= |omega(0)|_Linf + int_0^t |beta L1 omega|_Linf ds
     at checkpoint resolution (trapezoid rule), with a relative tolerance
-    absorbing the integration error."""
-    if not result.checkpoints:
-        raise ValueError("run result has no retained checkpoints")
+    absorbing the integration error. |omega(t)|_Linf is the report's."""
     beta = result.config.beta
     ts, lhs, forcing = [], [], []
-    for t, prof in result.checkpoints:
-        omega = omega_from_profile(prof, beta)
+    for t, prof, rep in _checkpoint_reports(result):
         ts.append(t)
-        lhs.append(linf_norm(omega))
-        forcing.append(linf_norm(linear_operator_field(omega, beta)))
+        lhs.append(rep.linf_omega)
+        forcing.append(linf_norm(linear_operator_field(omega_from_profile(prof, beta), beta)))
     ts = np.asarray(ts)
     lhs = np.asarray(lhs)
     forcing = np.asarray(forcing)
@@ -128,22 +128,19 @@ def linfty_transport_check(result: RunResult, tolerance: float = 0.01) -> Transp
 # weighted norm series
 
 def weighted_norm_series(result: RunResult):
-    """Rows (t, weighted2, weighted3, fhat_sup2, flagged) per checkpoint;
-    flagged marks entries above 10x their initial value."""
-    if not result.checkpoints:
-        raise ValueError("run result has no retained checkpoints")
+    """Rows (t, weighted2, weighted3, fhat_sup2, flagged, warnings) per
+    checkpoint, read from its report; flagged marks entries above 10x their
+    initial value."""
     rows = []
     base = None
-    for t, prof in result.checkpoints:
-        warns: list = []
-        w2 = weighted_profile_norm(prof, 2, warns)
-        w3 = weighted_profile_norm(prof, 3, warns)
-        s2 = fhat_sup_weighted(prof)
+    for t, _, rep in _checkpoint_reports(result):
+        values = (rep.weighted2, rep.weighted3, rep.fhat_sup2)
         if base is None:
-            base = (w2, w3, s2)
-        flagged = any(b > 0 and v > 10.0 * b for v, b in zip((w2, w3, s2), base))
-        rows.append({"t": t, "weighted2": w2, "weighted3": w3,
-                     "fhat_sup2": s2, "flagged": flagged, "warnings": warns})
+            base = values
+        flagged = any(b > 0 and v > 10.0 * b for v, b in zip(values, base))
+        rows.append({"t": t, "weighted2": rep.weighted2, "weighted3": rep.weighted3,
+                     "fhat_sup2": rep.fhat_sup2, "flagged": flagged,
+                     "warnings": list(rep.warnings)})
     return rows
 
 
@@ -175,9 +172,9 @@ class BootstrapParams:
 
     def __post_init__(self):
         if not (0.0 < self.mu < 1.0):
-            raise ValueError("mu must lie in (0, 1)")
+            raise ConfigurationError("mu must lie in (0, 1)")
         if not (self.eps > 0.0 and self.k >= 1 and 0.0 < self.rho < 1.0):
-            raise ValueError("need eps > 0, k >= 1, rho in (0, 1)")
+            raise ConfigurationError("need eps > 0, k >= 1, rho in (0, 1)")
 
     @property
     def c_of_k(self) -> float:

@@ -19,6 +19,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .spectral import (
+    ConfigurationError,
     Profile,
     SpectralField2D,
     besov_norm,
@@ -214,14 +215,14 @@ def decay_curve(g: SpectralField2D, times) -> DecayFit:
 def split_bound_exponent(mu: float) -> float:
     """1/p = 1 + mu - 1/(1 + mu)."""
     if not 0.0 < mu < 1.0:
-        raise ValueError("mu must lie in (0, 1)")
+        raise ConfigurationError("mu must lie in (0, 1)")
     return 1.0 + mu - 1.0 / (1.0 + mu)
 
 
 def split_bound_amplitude(mu: float) -> float:
     """A(mu) = mu^(-(1-mu)^2 / (2 (1+mu)^2)); blows up as mu -> 0."""
     if not 0.0 < mu < 1.0:
-        raise ValueError("mu must lie in (0, 1)")
+        raise ConfigurationError("mu must lie in (0, 1)")
     return mu ** (-((1.0 - mu) ** 2) / (2.0 * (1.0 + mu) ** 2))
 
 
@@ -231,8 +232,8 @@ def split_decay_bound(f: Profile, t: float, N: float, mu: float, k: int) -> floa
         2^k N^-k |f|_{H^(3+k)}
         + t^(-1 + 2/p) N^(2 mu + 12/p) A(mu) (|D^3 f|_L2 + |D^3 x f|_L2).
     """
-    if t <= 0 or N <= 0 or k < 1:
-        raise ValueError("need t > 0, N > 0, k >= 1")
+    if not (t > 0 and N > 0 and k >= 1):
+        raise ConfigurationError("need t > 0, N > 0, k >= 1")
     inv_p = split_bound_exponent(mu)
     amp = split_bound_amplitude(mu)
     high = 2.0 ** k * N ** (-k) * sobolev_norm(f.field, 3 + k)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .propagator import symbol, symbol_grad, symbol_hess
-from .spectral import InputError
+from .spectral import ConfigurationError, InputError
 
 _SINGULAR_MARGIN = 1e-12
 
@@ -373,7 +373,7 @@ def certify_bound(inequality_id: str, n: int, seed=0,
     if inequality_id not in _REGISTRY:
         raise KeyError(f"unknown inequality id {inequality_id!r}")
     if n < 10 ** 4:
-        raise ValueError("need at least 1e4 samples for certification")
+        raise ConfigurationError("need at least 1e4 samples for certification")
     propose, codes_ok, check = _REGISTRY[inequality_id]
     rng = np.random.default_rng(seed)
     ok_codes = np.array(sorted(codes_ok), dtype=np.int8)

@@ -29,6 +29,7 @@ from .spectral import (
     l2_norm,
     linf_norm,
     read_field,
+    real_samples,
     require_mean_zero,
     shell_field,
     sobolev_norm,
@@ -203,11 +204,13 @@ def nonlinear_term(omega: SpectralField2D) -> SpectralField2D:
     return SpectralField2D(g, _hermitian_extension(half, g.n))
 
 
+def _sup_speed(u1h: SpectralField2D, u2h: SpectralField2D) -> float:
+    u1, u2 = real_samples(u1h), real_samples(u2h)
+    return float(np.sqrt((u1 ** 2 + u2 ** 2).max()))
+
+
 def max_speed(omega: SpectralField2D) -> float:
-    u1h, u2h = biot_savart(omega)
-    u1 = transform_inverse(u1h).samples
-    u2 = transform_inverse(u2h).samples
-    return float(np.sqrt(u1 ** 2 + u2 ** 2).max())
+    return _sup_speed(*biot_savart(omega))
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +340,17 @@ def linear_operator_field(omega: SpectralField2D, beta: float = 1.0) -> Spectral
 
 
 def velocity_sup_norms(omega: SpectralField2D):
-    """(|u|_Linf, |Du|_Linf) with Du the max over the four entries of grad u."""
+    """(|u|_Linf, |Du|_Linf) with Du the max over the four entries of grad u.
+
+    The six fields take one real inverse transform each, one at a time."""
     g = omega.grid
-    u1h, u2h = biot_savart(omega)
-    u1 = transform_inverse(u1h).samples
-    u2 = transform_inverse(u2h).samples
-    u_sup = float(np.sqrt(u1 ** 2 + u2 ** 2).max())
     ops = grid_operators(g)
+    u1h, u2h = biot_savart(omega)
+    u_sup = _sup_speed(u1h, u2h)
     du_sup = 0.0
     for uh in (u1h, u2h):
         for k in (ops.k1, ops.k2):
-            comp = transform_inverse(SpectralField2D(g, 1j * k * uh.modes)).samples
+            comp = real_samples(SpectralField2D(g, 1j * k * uh.modes))
             du_sup = max(du_sup, float(np.abs(comp).max()))
     return u_sup, du_sup
 
@@ -356,6 +359,7 @@ def make_report(state: SimState, cfg: SimConfig) -> NormReport:
     omega = omega_from_profile(state.profile, cfg.beta)
     u_sup, du_sup = velocity_sup_norms(omega)
     warnings: list = []
+    weighted2, weighted3 = weighted_profile_norm(state.profile, (2, 3), warnings)
     return NormReport(
         t=state.t,
         l2=l2_norm(omega),
@@ -364,8 +368,8 @@ def make_report(state: SimState, cfg: SimConfig) -> NormReport:
         linf_u=u_sup,
         linf_du=du_sup,
         besov311=besov_norm(omega, 3.0, 1.0, 1.0),
-        weighted2=weighted_profile_norm(state.profile, 2, warnings),
-        weighted3=weighted_profile_norm(state.profile, 3, warnings),
+        weighted2=weighted2,
+        weighted3=weighted3,
         fhat_sup2=fhat_sup_weighted(state.profile),
         warnings=warnings,
     )

@@ -12,6 +12,18 @@ wavenumbers xi in (2*pi/L) * {-n/2, ..., n/2 - 1}^2 (stored in FFT order).
 With this convention the L2 norm of the physical field equals
 (2*pi) * (sum |modes|^2 * dxi^2)^(1/2), which is how all spectral norms
 below are normalized.
+
+Real samples
+------------
+The physical samples of a spectrum F are the real part of its inverse
+transform, which is the inverse transform of the Hermitian part
+0.5 (F(xi) + conj F(-xi)). Here -xi is the negation on the lattice, on
+which the Nyquist wavenumber -n/2 is its own negative. real_samples forms
+the leading n//2 + 1 columns of the Hermitian part and runs one real
+inverse transform (irfft2) on them. This holds also when F is not
+Hermitian, as on the Nyquist row of a profile rotated to t > 0. The samples
+come out in FFT order; max and sum |.|^p norms do not depend on the order,
+so the norms skip the fftshift.
 """
 
 from __future__ import annotations
@@ -189,9 +201,33 @@ def transform_forward(f: RealField2D) -> SpectralField2D:
 
 def transform_inverse(f: SpectralField2D) -> RealField2D:
     """Fourier coefficients -> real physical samples."""
-    g = f.grid
-    samples = np.fft.fftshift(np.fft.ifft2(f.modes)) * grid_operators(g).inverse_scale
-    return RealField2D(g, samples.real)
+    return RealField2D(f.grid, np.fft.fftshift(real_samples(f)))
+
+
+def _hermitian_half(modes: np.ndarray) -> np.ndarray:
+    """Leading n//2 + 1 columns of the Hermitian part 0.5 (F(xi) + conj F(-xi))
+    of the n x n modes F."""
+    n = modes.shape[0]
+    r = n // 2
+    neg = np.empty((n, r + 1), dtype=complex)      # F(-xi) on the half spectrum
+    neg[0, 0] = modes[0, 0]
+    neg[1:, 0] = modes[:0:-1, 0]
+    neg[0, 1:] = modes[0, :r - 1:-1]
+    neg[1:, 1:] = modes[:0:-1, :r - 1:-1]
+    np.conj(neg, out=neg)
+    neg += modes[:, :r + 1]
+    neg *= 0.5
+    return neg
+
+
+def _half_samples(half: np.ndarray, g: Grid2D) -> np.ndarray:
+    return np.fft.irfft2(half, s=(g.n, g.n)) * grid_operators(g).inverse_scale
+
+
+def real_samples(f: SpectralField2D) -> np.ndarray:
+    """Real physical samples of f in FFT order (unshifted): the real part of
+    the inverse transform, by one irfft2 of the Hermitian half."""
+    return _half_samples(_hermitian_half(f.modes), f.grid)
 
 
 def zero_mean(f: SpectralField2D) -> SpectralField2D:
@@ -219,18 +255,19 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
     return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
 
 
+def _chi(s: np.ndarray) -> np.ndarray:
+    """Smoothstep cutoff: 1 on [0, 1], 0 on [2, inf)."""
+    return 1.0 - _smoothstep(s - 1.0)
+
+
 def lp_bump(r):
     """Radial bump phi with support [1/2, 2] and dyadic partition of unity.
 
-    Built as chi(r) - chi(2 r) from a smoothstep cutoff chi that is 1 on
-    [0, 1] and 0 on [2, inf), so sum_j phi(2^-j r) telescopes to 1 for r > 0.
+    Built as chi(r) - chi(2 r) from the cutoff chi, so sum_j phi(2^-j r)
+    telescopes to 1 for r > 0.
     """
     r = np.asarray(r, dtype=float)
-
-    def chi(s):
-        return 1.0 - _smoothstep(s - 1.0)
-
-    return chi(r) - chi(2.0 * r)
+    return _chi(r) - _chi(2.0 * r)
 
 
 def lp_project(f: SpectralField2D, j: int) -> SpectralField2D:
@@ -257,6 +294,11 @@ def lp_shell_range(grid: Grid2D) -> tuple[int, int]:
 # norms
 
 
+def _mag2(ops: GridOperators) -> np.ndarray:
+    """|xi|^2 on the full grid, from the cached wavenumber axes."""
+    return ops.k1 ** 2 + ops.k2 ** 2
+
+
 def l2_norm(f: SpectralField2D) -> float:
     g = f.grid
     return 2.0 * np.pi * g.dxi * float(np.linalg.norm(f.modes))
@@ -267,7 +309,7 @@ def sobolev_norm(f: SpectralField2D, k: int) -> float:
     if k < 0:
         raise ValueError("Sobolev index must be >= 0")
     g = f.grid
-    w = (1.0 + g.wavenumber_magnitude() ** 2) ** k
+    w = (1.0 + _mag2(grid_operators(g))) ** k
     total = float(np.sum(w * np.abs(f.modes) ** 2)) * g.dxi ** 2
     return 2.0 * np.pi * np.sqrt(total)
 
@@ -284,87 +326,104 @@ def homogeneous_sobolev_norm(f: SpectralField2D, s: float) -> float:
 
 
 def linf_norm(f: SpectralField2D) -> float:
-    return float(np.abs(transform_inverse(f).samples).max())
+    return float(np.abs(real_samples(f)).max())
+
+
+def _samples_lp_norm(samples: np.ndarray, p: float, dx: float) -> float:
+    s = np.abs(samples)
+    if np.isinf(p):
+        return float(s.max())
+    return float(np.sum(s ** p) * dx ** 2) ** (1.0 / p)
 
 
 def lp_phys_norm(f: SpectralField2D, p: float) -> float:
     """L^p norm of the physical-space field by Riemann sum (p may be inf)."""
-    s = np.abs(transform_inverse(f).samples)
-    if np.isinf(p):
-        return float(s.max())
-    return float(np.sum(s ** p) * f.grid.dx ** 2) ** (1.0 / p)
+    return _samples_lp_norm(real_samples(f), p, f.grid.dx)
 
 
 def besov_norm(f: SpectralField2D, s: float, p: float, q: float) -> float:
     """Homogeneous Besov norm: ell^q over shells of 2^(s j) |P_j f|_{L^p}.
 
     The shell sum is truncated to lp_shell_range, the dyadic range
-    resolvable on the grid.
+    resolvable on the grid. The shells are cut from the Hermitian half of f
+    (the bump is radial, so it commutes with taking the Hermitian part), and
+    each costs one irfft2; the bump of shell j is chi(r/2^j) - chi(r/2^(j-1)),
+    so consecutive shells share one cutoff.
     """
     if not (p >= 1 and q >= 1):
         raise ValueError("p, q must lie in [1, inf]")
-    j_min, j_max = lp_shell_range(f.grid)
+    g = f.grid
+    ops = grid_operators(g)
+    half = _hermitian_half(f.modes)
+    mag = np.hypot(ops.k1, ops.k2[:, :half.shape[1]])
+    j_min, j_max = lp_shell_range(g)
+    chi_below = _chi(mag / 2.0 ** (j_min - 1))
     terms = []
     for j in range(j_min, j_max + 1):
-        piece = lp_project(f, j)
-        if not np.any(piece.modes):
-            terms.append(0.0)
-            continue
-        terms.append(2.0 ** (s * j) * lp_phys_norm(piece, p))
+        chi = _chi(mag / 2.0 ** j)
+        piece = half * (chi - chi_below)
+        chi_below = chi
+        terms.append(2.0 ** (s * j) * _samples_lp_norm(_half_samples(piece, g), p, g.dx)
+                     if np.any(piece) else 0.0)
     terms = np.asarray(terms)
     if np.isinf(q):
         return float(terms.max(initial=0.0))
     return float(np.sum(terms ** q) ** (1.0 / q))
 
 
-def central_mass_fraction(f: SpectralField2D) -> float:
-    """Fraction of |f|^2 mass inside the central half-box."""
-    g = f.grid
-    s = transform_inverse(f).samples
-    x = g.x_coords()
-    inside = (np.abs(x)[:, None] <= g.box_length / 4.0) & \
-             (np.abs(x)[None, :] <= g.box_length / 4.0)
-    total = float(np.sum(s ** 2))
+def _fft_order_coords(g: Grid2D) -> np.ndarray:
+    """x_coords in FFT order, the order of unshifted samples."""
+    return np.fft.fftfreq(g.n) * g.n * g.dx
+
+
+def _central_mass(samples: np.ndarray, g: Grid2D) -> float:
+    """Fraction of the mass of FFT-ordered real samples in the central half-box."""
+    keep = np.abs(_fft_order_coords(g)) <= g.box_length / 4.0
+    total = float(np.sum(samples ** 2))
     if total == 0.0:
         return 1.0
-    return float(np.sum(s[inside] ** 2)) / total
+    return float(np.sum(samples[np.ix_(keep, keep)] ** 2)) / total
 
 
-def profile_gradient_modes(f: SpectralField2D) -> tuple[np.ndarray, np.ndarray]:
-    """Frequency-space gradient of fhat, computed as the transform of -i x f(x)
-    with x the centered box coordinate."""
-    g = f.grid
-    # the inverse transform, keeping the imaginary part of a non-real field
-    phys = np.fft.fftshift(np.fft.ifft2(f.modes)) * grid_operators(g).inverse_scale
-    x = g.x_coords()
-    scale = g.dx ** 2 / (2.0 * np.pi) ** 2
-    d1 = np.fft.fft2(np.fft.ifftshift(-1j * x[:, None] * phys)) * scale
-    d2 = np.fft.fft2(np.fft.ifftshift(-1j * x[None, :] * phys)) * scale
-    return d1, d2
+def central_mass_fraction(f: SpectralField2D) -> float:
+    """Fraction of |f|^2 mass inside the central half-box."""
+    return _central_mass(real_samples(f), f.grid)
 
 
-def weighted_profile_norm(f: Profile, l: int, warn_sink: list | None = None) -> float:
+def weighted_profile_norm(f: Profile, l, warn_sink: list | None = None):
     """|D^l x f|_{L^2} for l in {2, 3}: the L2 norm of |xi|^l grad_xi fhat.
+
+    `l` is one order or a tuple of orders; a tuple returns a tuple of norms,
+    which share one inverse transform and one |grad_xi fhat|^2. grad_xi fhat
+    is the transform of -i x f(x), with x the centered box coordinate and
+    the imaginary part of f(x) kept.
 
     Appends a boundary-contamination warning to warn_sink when less than 99%
     of the field's mass sits in the central half-box.
     """
-    if l not in (2, 3):
+    orders = tuple(l) if isinstance(l, tuple) else (l,)
+    if any(o not in (2, 3) for o in orders):
         raise ValueError("weight order must be 2 or 3")
     fld = f.field
-    if warn_sink is not None and central_mass_fraction(fld) < 0.99:
+    g = fld.grid
+    ops = grid_operators(g)
+    phys = np.fft.ifft2(fld.modes) * ops.inverse_scale
+    if warn_sink is not None and _central_mass(phys.real, g) < 0.99:
         warn_sink.append(f"boundary contamination: <99% mass in central half-box at t={f.t}")
-    d1, d2 = profile_gradient_modes(fld)
-    mag = fld.grid.wavenumber_magnitude()
-    w = mag ** (2 * l)
-    total = float(np.sum(w * (np.abs(d1) ** 2 + np.abs(d2) ** 2))) * fld.grid.dxi ** 2
-    return 2.0 * np.pi * np.sqrt(total)
+    x = _fft_order_coords(g)
+    scale = g.dx ** 2 / (2.0 * np.pi) ** 2
+    d1 = np.fft.fft2(-1j * x[:, None] * phys) * scale
+    d2 = np.fft.fft2(-1j * x[None, :] * phys) * scale
+    grad2 = np.abs(d1) ** 2 + np.abs(d2) ** 2
+    mag2 = _mag2(ops)
+    norms = tuple(2.0 * np.pi * np.sqrt(float(np.sum(mag2 ** o * grad2)) * g.dxi ** 2)
+                  for o in orders)
+    return norms if isinstance(l, tuple) else norms[0]
 
 
 def fhat_sup_weighted(f: Profile) -> float:
     """sup over modes of |xi|^2 |fhat(xi)| (in the fhat normalization above)."""
-    mag = f.field.grid.wavenumber_magnitude()
-    return float((mag ** 2 * np.abs(f.field.modes)).max())
+    return float((_mag2(grid_operators(f.field.grid)) * np.abs(f.field.modes)).max())
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,30 @@ class TestSimulate:
                      and not n.endswith(".dump.bpf")]
         assert leftovers == []
 
+    def test_warnings_reported(self, tmp_path, capsys):
+        # a vortex wider than the central half-box trips the boundary warning
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(CONFIG + "init_width = 4.0\n")
+        out, chk, diag = (str(tmp_path / name) for name in ("run.csv", "chk", "diag.csv"))
+        assert main(["simulate", "--config", str(cfg), "--out", out,
+                     "--checkpoints", chk]) == EXIT_OK
+        assert main(["diagnose", "--in", out, "--checkpoints", chk, "--out", diag,
+                     "--k", "3"]) == EXIT_OK
+        line = "warnings: 6, first at t=0: boundary contamination"
+        err = capsys.readouterr().err.splitlines()
+        assert [e.startswith(line) for e in err] == [True, True]
+        for path in (out, diag):
+            with open(path) as fh:
+                comments = [c for c in fh if c.startswith("# warnings")]
+            assert len(comments) == 1 and comments[0].startswith("# " + line)
+
+    def test_no_warnings_no_line(self, tmp_path, config_file, capsys):
+        out = str(tmp_path / "run.csv")
+        assert main(["simulate", "--config", config_file, "--out", out]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        with open(out) as fh:
+            assert not any(line.startswith("# warnings") for line in fh)
+
     def test_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("n = 32\nL = twenty\n")
@@ -96,8 +120,14 @@ def _truncated_field_config(tmp_path):
     (["resonance", "classify"], EXIT_CONFIG),
     (["resonance", "classify", "--xi", "1,1"], EXIT_CONFIG),
     (["simulate", "--config", _truncated_field_config], EXIT_RUNTIME),
+    (["resonance", "verify", "--n", "100"], EXIT_CONFIG),
+    (["bootstrap", "--mu", "2"], EXIT_CONFIG),
+    (["decay", "--n", "32", "--L", "20", "--t-min", "-1"], EXIT_CONFIG),
+    (["decay", "--n", "32", "--L", "20", "--t-min", "0"], EXIT_CONFIG),
+    (["decay", "--n", "32", "--L", "20", "--mu", "2"], EXIT_CONFIG),
 ], ids=["unknown-id", "partly-unknown-ids", "classify-no-vectors", "classify-no-eta",
-        "truncated-init-file"])
+        "truncated-init-file", "too-few-samples", "mu-out-of-range", "negative-t-min",
+        "zero-t-min", "decay-mu-out-of-range"])
 def test_bad_input_exit_codes(tmp_path, argv, code):
     argv = [a(tmp_path) if callable(a) else a for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == code

@@ -13,13 +13,21 @@ from bplab.diagnostics import (
     linfty_transport_check,
     weighted_norm_series,
 )
-from bplab.solver import SimConfig, run, velocity_sup_norms
+from bplab.solver import (
+    RunResult,
+    SimConfig,
+    omega_from_profile,
+    run,
+    velocity_sup_norms,
+)
 from bplab.spectral import (
     Grid2D,
     Profile,
     SpectralField2D,
     fhat_sup_weighted,
     linf_norm,
+    sobolev_norm,
+    weighted_profile_norm,
 )
 
 
@@ -113,6 +121,57 @@ class TestWeightedSeries:
                         output_stride=1)
         rows = weighted_norm_series(run(cfg))
         assert all(r["weighted2"] == 0.0 and r["weighted3"] == 0.0 for r in rows)
+
+
+class TestDiagnosticsReadReports:
+    """The diagnostics take their norms from the run's reports; these equal
+    the norms recomputed from the checkpoints."""
+
+    @pytest.fixture(scope="class")
+    def contaminated_run(self):
+        # a vortex pair wide enough to leave the central half-box
+        cfg = SimConfig(n=32, box_length=20.0, beta=1.0, dt=0.05, t_end=0.5,
+                        eps=0.5, init="pair", init_width=2.5, output_stride=2)
+        return run(cfg)
+
+    def test_weighted_series_matches_checkpoints(self, contaminated_run):
+        rows = weighted_norm_series(contaminated_run)
+        assert len(rows) == len(contaminated_run.checkpoints) == 6
+        for row, (t, prof) in zip(rows, contaminated_run.checkpoints):
+            warns = []
+            assert row["t"] == t
+            assert row["weighted2"] == weighted_profile_norm(prof, 2, warns)
+            assert row["weighted3"] == weighted_profile_norm(prof, 3)
+            assert row["fhat_sup2"] == fhat_sup_weighted(prof)
+            assert row["warnings"] == warns and len(warns) == 1
+
+    def test_transport_lhs_matches_checkpoints(self, contaminated_run):
+        rep = linfty_transport_check(contaminated_run)
+        beta = contaminated_run.config.beta
+        expect = [linf_norm(omega_from_profile(prof, beta))
+                  for _, prof in contaminated_run.checkpoints]
+        assert rep.lhs.tolist() == expect
+
+    def test_energy_norms_match_vorticity(self, contaminated_run):
+        cert = energy_certificate(contaminated_run, 3)
+        beta = contaminated_run.config.beta
+        expect = [sobolev_norm(omega_from_profile(prof, beta), 3)
+                  for _, prof in contaminated_run.checkpoints]
+        np.testing.assert_allclose(cert.hk_measured, expect, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("diagnostic", [
+        lambda res: energy_certificate(res, 3), linfty_transport_check, weighted_norm_series,
+    ], ids=["energy_certificate", "linfty_transport_check", "weighted_norm_series"])
+    @pytest.mark.parametrize("drop", ["report", "checkpoint"])
+    def test_unpaired_reports_rejected(self, contaminated_run, diagnostic, drop):
+        res = contaminated_run
+        reports, checkpoints = res.reports, res.checkpoints
+        if drop == "report":
+            reports = reports[:-1]
+        else:
+            checkpoints = checkpoints[:-1]
+        with pytest.raises(ValueError, match="reports for"):
+            diagnostic(RunResult(res.config, reports, checkpoints))
 
 
 class TestProfileSup:

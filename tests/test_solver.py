@@ -12,6 +12,7 @@ from bplab.solver import (
     dealias_mask,
     initial_vorticity,
     linear_operator_field,
+    make_report,
     max_speed,
     nonlinear_term,
     omega_from_profile,
@@ -22,12 +23,16 @@ from bplab.solver import (
     step,
 )
 from bplab.spectral import (
+    NORM_REPORT_COLUMNS,
     ConfigurationError,
     Grid2D,
     InputError,
     Profile,
     RealField2D,
     SpectralField2D,
+    central_mass_fraction,
+    lp_project,
+    lp_shell_range,
     transform_forward,
     transform_inverse,
     write_field,
@@ -258,6 +263,102 @@ class TestFullSpectrumEquivalence:
             step(SimState(t, prof), cfg)
         speed = 0.25 * cfg.grid.dx / err.value.suggested_dt
         assert speed == pytest.approx(max_speed(omega_from_profile(prof, cfg.beta)), rel=1e-12)
+
+
+def c2c_samples(modes, g):
+    """Centered physical samples by a complex inverse FFT, imaginary part kept."""
+    return np.fft.fftshift(np.fft.ifft2(modes)) * (2 * np.pi / g.dx) ** 2
+
+
+def reference_report(state, cfg):
+    """make_report's columns by complex transforms: one inverse per shell of
+    lp_project, six for the velocity norms, and one weighted-norm evaluation
+    per order, each with its own central-mass test."""
+    prof = state.profile
+    omega = omega_from_profile(prof, cfg.beta)
+    g, w = omega.grid, omega.modes
+    k1, k2 = g.wavenumbers()
+    mag = g.wavenumber_magnitude()
+    inv = np.divide(1.0, mag ** 2, out=np.zeros_like(mag), where=mag > 0)
+    u1h, u2h = 1j * k2 * inv * w, -1j * k1 * inv * w
+    u1, u2 = c2c_samples(u1h, g).real, c2c_samples(u2h, g).real
+    du = max(np.abs(c2c_samples(1j * k * uh, g).real).max()
+             for uh in (u1h, u2h) for k in (k1, k2))
+    j_min, j_max = lp_shell_range(g)
+    besov = sum(2.0 ** (3 * j) * np.abs(c2c_samples(lp_project(omega, j).modes, g).real).sum()
+                * g.dx ** 2 for j in range(j_min, j_max + 1))
+    x = g.x_coords()
+    phys = c2c_samples(prof.field.modes, g)
+    scale = g.dx ** 2 / (2 * np.pi) ** 2
+    inside = (np.abs(x)[:, None] <= g.box_length / 4) & (np.abs(x)[None, :] <= g.box_length / 4)
+    weighted, masses = [], []
+    for l in (2, 3):
+        s = c2c_samples(prof.field.modes, g).real
+        masses.append(np.sum(s[inside] ** 2) / np.sum(s ** 2))
+        d1 = np.fft.fft2(np.fft.ifftshift(-1j * x[:, None] * phys)) * scale
+        d2 = np.fft.fft2(np.fft.ifftshift(-1j * x[None, :] * phys)) * scale
+        total = np.sum(mag ** (2 * l) * (np.abs(d1) ** 2 + np.abs(d2) ** 2)) * g.dxi ** 2
+        weighted.append(2 * np.pi * np.sqrt(total))
+    row = {
+        "t": state.t,
+        "l2": 2 * np.pi * g.dxi * np.linalg.norm(w),
+        "hk": 2 * np.pi * np.sqrt(np.sum((1 + mag ** 2) ** cfg.k_energy * np.abs(w) ** 2)
+                                  * g.dxi ** 2),
+        "linf_omega": np.abs(c2c_samples(w, g).real).max(),
+        "linf_u": np.sqrt(u1 ** 2 + u2 ** 2).max(),
+        "linf_du": du,
+        "besov311": besov,
+        "weighted2": weighted[0],
+        "weighted3": weighted[1],
+        "fhat_sup2": (mag ** 2 * np.abs(prof.field.modes)).max(),
+    }
+    return row, masses[0]
+
+
+def windowed_vorticity(n, seed):
+    """Random samples under a Gaussian window, made mean-zero with the
+    window itself, so the mass stays central."""
+    g = Grid2D(n, 10.0)
+    x = g.x_coords()
+    window = np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / 2.0)
+    samples = np.random.default_rng(seed).normal(size=(n, n)) * window
+    samples -= samples.mean() / window.mean() * window
+    return zero_mean(transform_forward(RealField2D(g, samples)))
+
+
+class TestReportEquivalence:
+    """make_report on real transforms against the complex-transform formulas
+    above. The profile is rotated to t with beta = 1 and reported with
+    beta = 1.3, so neither it nor the vorticity is Hermitian on the Nyquist
+    row for t > 0. Plain random samples reach the box edge and trip the
+    boundary warning; windowed ones do not."""
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("t", [0.0, 0.7, 3.1])
+    @pytest.mark.parametrize("windowed", [False, True])
+    def test_columns(self, n, seed, t, windowed):
+        cfg = SimConfig(n=n, box_length=10.0, beta=1.3, k_energy=3)
+        w = windowed_vorticity(n, seed) if windowed else random_vorticity(n=n, seed=seed)
+        state = SimState(t, profile_from_omega(w, t, 1.0))
+        rep = make_report(state, cfg)
+        expect, mass = reference_report(state, cfg)
+        for col in NORM_REPORT_COLUMNS:
+            assert getattr(rep, col) == pytest.approx(expect[col], rel=1e-12, abs=0), col
+        assert central_mass_fraction(state.profile.field) == pytest.approx(mass, rel=1e-12)
+        assert (mass >= 0.99) == windowed
+        assert len(rep.warnings) == int(not windowed)
+        omega = omega_from_profile(state.profile, cfg.beta)
+        ref = c2c_samples(omega.modes, omega.grid).real
+        assert rel_err(transform_inverse(omega).samples, ref) <= 1e-12
+
+    def test_nyquist_row_is_not_hermitian(self):
+        n, r = 32, 16
+        prof = profile_from_omega(random_vorticity(n=n, seed=0), 0.7, 1.0)
+        omega = omega_from_profile(prof, 1.3)
+        for modes in (prof.field.modes, omega.modes):
+            row = modes[r]
+            assert np.abs(row[1:r] - np.conj(row[:r:-1])).max() > 1e-3 * np.abs(row).max()
 
 
 class TestStep:

@@ -25,6 +25,7 @@ from bplab.spectral import (
     lp_project,
     lp_shell_range,
     read_field,
+    real_samples,
     require_mean_zero,
     sobolev_norm,
     transform_forward,
@@ -144,6 +145,19 @@ class TestTransforms:
         phys = np.sum(f.samples ** 2) * g.dx ** 2
         spec = (2 * np.pi) ** 2 * np.sum(np.abs(fh.modes) ** 2) * g.dxi ** 2
         assert phys == pytest.approx(spec, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_real_samples_of_any_spectrum(self, n):
+        # a spectrum with no symmetry at all: the samples are the real part of
+        # the complex inverse transform, in FFT order
+        g = Grid2D(n, 3.0)
+        rng = np.random.default_rng(n)
+        modes = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        expect = (np.fft.ifft2(modes) * (2 * np.pi / g.dx) ** 2).real
+        got = real_samples(SpectralField2D(g, modes))
+        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+        assert np.array_equal(transform_inverse(SpectralField2D(g, modes)).samples,
+                              np.fft.fftshift(got))
 
     def test_require_mean_zero(self):
         g = Grid2D(16, 5.0)
@@ -269,6 +283,18 @@ class TestWeightedNorms:
         p = Profile(SpectralField2D(g, np.zeros((16, 16))), 0.0)
         with pytest.raises(ValueError):
             weighted_profile_norm(p, 4)
+        with pytest.raises(ValueError):
+            weighted_profile_norm(p, (2, 4))
+
+    def test_tuple_of_orders(self):
+        # one call for both orders gives the two single-order norms, and
+        # a single boundary warning
+        g = Grid2D(64, 4.0)
+        p = Profile(transform_forward(gaussian_field(g, width=2.0)), 0.3)
+        warns = []
+        both = weighted_profile_norm(p, (2, 3), warns)
+        assert both == (weighted_profile_norm(p, 2), weighted_profile_norm(p, 3))
+        assert len(warns) == 1
 
     def test_translation_modulation_growth(self):
         # translating by a multiplies fhat by exp(-i a xi1); the weighted norm

@@ -64,16 +64,14 @@ def criterion_2(seed=0):
     """Stationary phase: root count, gradient residuals, Hessian determinant."""
     def body():
         rng = substream(seed, "stphase")
-        max_count, worst_res = 0, 0.0
         r = np.sqrt(rng.uniform(0.01, 400.0, 100_000))
         th = rng.uniform(-np.pi, np.pi, 100_000)
         vs = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
-        for v in vs:
-            roots = propagator.stationary_points(v)
-            max_count = max(max_count, len(roots))
-            for xi in roots:
-                worst_res = max(worst_res, float(np.linalg.norm(
-                    propagator.phase_gradient(v, xi))))
+        roots, found = propagator.stationary_roots(vs)
+        max_count = int(found.sum(-1).max())
+        grad = propagator.phase_gradient(vs[:, None, :], roots)
+        res = np.sqrt(np.vecdot(grad, grad))     # np.linalg.norm of each 2-vector
+        worst_res = float(res[found].max(initial=0.0))
         # closed-form determinant vs finite differences at shell points
         fd_worst = 0.0
         for _ in range(100):

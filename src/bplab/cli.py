@@ -26,7 +26,7 @@ _cap_threads()
 import numpy as np
 
 from . import acceptance, diagnostics, propagator, resonance, solver
-from .harness import TOOL_VERSION, ExperimentManifest, substream_seed, write_csv
+from .harness import TOOL_VERSION, ExperimentManifest, substream_seed, write_csv, write_json
 from .spectral import (
     NORM_REPORT_COLUMNS,
     ConfigurationError,
@@ -127,10 +127,13 @@ def cmd_stphase(args):
 
 
 def _parse_vec(text):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigurationError(f"expected two comma-separated numbers, got {text!r}")
-    return np.array([float(p) for p in parts])
+    try:
+        v = np.array([float(p) for p in text.split(",")])
+    except ValueError:
+        v = None
+    if v is None or v.shape != (2,) or not np.all(np.isfinite(v)):
+        raise ConfigurationError(f"expected two finite comma-separated numbers, got {text!r}")
+    return v
 
 
 def _reconstruct_run(run_csv, checkpoint_dir):
@@ -246,6 +249,10 @@ def cmd_reproduce_all(args):
     if args.out:
         write_csv(args.out, ExperimentManifest("reproduce-all", args.seed).header_lines(),
                   ["criterion", "name", "verdict", "seconds"], rows)
+        records = [{"criterion": r.index, "name": r.name,
+                    "verdict": "PASS" if r.passed else "FAIL", "seconds": r.elapsed,
+                    "details": r.details} for r in results]
+        write_json(args.out + ".json", records)
     failures = [r.index for r in results if not r.passed]
     if failures:
         print(f"failed criteria: {failures}", file=sys.stderr)

@@ -1,8 +1,9 @@
-"""Reproducibility plumbing: named RNG substreams, atomic file and CSV
+"""Reproducibility plumbing: named RNG substreams, atomic file, CSV and JSON
 output, and experiment manifests for the command-line entry points."""
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 import zlib
@@ -49,6 +50,18 @@ def write_csv(path, header_lines, columns, rows) -> None:
     for row in rows:
         out.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
     atomic_write_text(path, "\n".join(out) + "\n")
+
+
+def _json_scalar(obj):
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+
+
+def write_json(path, obj) -> None:
+    """Atomically write obj as indented JSON; floats (numpy ones too) are
+    written with repr, so they read back exactly, and tuples become lists."""
+    atomic_write_text(path, json.dumps(obj, indent=1, default=_json_scalar) + "\n")
 
 
 @dataclass

@@ -49,9 +49,8 @@ class DecayFit:
 # ---------------------------------------------------------------------------
 # the symbol g(v) = v1/|v|^2 and its derivatives, at points v of shape (..., 2)
 #
-# Unpacking v.T yields the two coordinate arrays, or two scalars for a single
-# point, which keeps the per-point calls of the stationary-phase solver cheap;
-# transposing back restores the leading axes.
+# Unpacking v.T yields the two coordinate arrays (two scalars for a single
+# point); transposing back restores the leading axes.
 
 def symbol(v):
     """g(v) = v1/|v|^2."""
@@ -144,39 +143,51 @@ def phase_gradient(x_over_t, xi):
     return np.asarray(x_over_t, dtype=float) - symbol_grad(np.asarray(xi, dtype=float))
 
 
-def stationary_points(x_over_t, shell=(0.25, 4.0)):
-    """All roots of grad phi = 0 with |xi| in the given shell.
+def stationary_roots(x_over_t, shell=(0.25, 4.0)):
+    """The roots of grad phi = 0 for each x/t of a (..., 2) batch.
 
     In polar coordinates the gradient equation reads
     x/t = -(1/r^2) (cos 2theta, sin 2theta), which pins r = |x/t|^(-1/2)
-    and leaves two antipodal angles; a damped Newton polish removes the
-    residual floating error.
+    and leaves two antipodal angles; a damped Newton polish of the candidates
+    not yet converged removes the residual floating error. Returns the two
+    candidates, (..., 2, 2), and whether each converged with |xi| in the
+    shell, (..., 2); none is found for x/t zero, non-finite or with r outside.
     """
+    def length(a):  # rounds as np.linalg.norm of one 2-vector does (a BLAS dot)
+        return np.sqrt(np.vecdot(a, a))
+
     v = np.asarray(x_over_t, dtype=float)
-    vn = np.linalg.norm(v)
-    if vn == 0.0:
-        return []
-    r = vn ** -0.5
-    if not (shell[0] <= r <= shell[1]):
-        return []
-    half = 0.5 * np.arctan2(-v[1], -v[0])
-    roots = []
-    for theta in (half, half + np.pi):
-        xi = r * np.array([np.cos(theta), np.sin(theta)])
-        for _ in range(50):
-            g = phase_gradient(v, xi)
-            if np.linalg.norm(g) < 1e-13:
-                break
-            step = np.linalg.solve(-symbol_hess(xi), g)
-            # keep the iterate inside the shell
-            scale = 1.0
-            while np.linalg.norm(xi - scale * step) < shell[0] / 2:
-                scale *= 0.5
-            xi = xi - scale * step
-        if np.linalg.norm(phase_gradient(v, xi)) < 1e-10 and \
-                shell[0] <= np.linalg.norm(xi) <= shell[1]:
-            roots.append(xi)
-    return roots
+    lead, v = v.shape[:-1], v.reshape(-1, 2)
+    half = 0.5 * np.arctan2(-v[:, 1], -v[:, 0])
+    theta = np.stack([half, half + np.pi], -1).ravel()
+    v = np.repeat(v, 2, axis=0)                      # one row per candidate
+    with np.errstate(divide="ignore"):
+        r = length(v) ** -0.5
+    live = (shell[0] <= r) & (r <= shell[1])
+    xi = np.where(live, r, np.nan)[:, None] * np.stack([np.cos(theta), np.sin(theta)], -1)
+    active = np.flatnonzero(live)
+    for _ in range(50):
+        x = xi[active]
+        g = phase_gradient(v[active], x)
+        moving = ~(length(g) < 1e-13)
+        active, x, g = active[moving], x[moving], g[moving]
+        if active.size == 0:
+            break
+        step = np.linalg.solve(-symbol_hess(x), g[..., None])[..., 0]
+        # keep each iterate inside the shell
+        scale = np.ones(active.size)
+        while (short := length(x - scale[:, None] * step) < shell[0] / 2).any():
+            scale[short] *= 0.5
+        xi[active] = x - scale[:, None] * step
+    size = length(xi)
+    found = (length(phase_gradient(v, xi)) < 1e-10) & (shell[0] <= size) & (size <= shell[1])
+    return xi.reshape(lead + (2, 2)), found.reshape(lead + (2,))
+
+
+def stationary_points(x_over_t, shell=(0.25, 4.0)):
+    """The found roots of stationary_roots for one x/t, as a list of (2,) arrays."""
+    roots, found = stationary_roots(x_over_t, shell)
+    return list(roots[found])
 
 
 def hessian_det(xi) -> float:

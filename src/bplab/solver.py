@@ -395,6 +395,9 @@ def run(cfg: SimConfig, dump_path=None) -> RunResult:
         except StabilityError as exc:
             return RunResult(cfg, reports, checkpoints, aborted=True,
                              abort_reason=f"stability: {exc} (try dt={exc.suggested_dt:.3e})")
+        # the time of step i + 1 is (i + 1) dt, not a running sum of dt
+        t = (i + 1) * cfg.dt
+        state = SimState(t, Profile(state.profile.field, t), state.step_count)
         if not np.all(np.isfinite(state.profile.field.modes)):
             if dump_path is not None:
                 write_field(dump_path, transform_inverse(

@@ -1,7 +1,9 @@
+import json
 import os
 
 import pytest
 
+from bplab import acceptance
 from bplab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from bplab.spectral import Grid2D, RealField2D, write_field
 
@@ -125,9 +127,13 @@ def _truncated_field_config(tmp_path):
     (["decay", "--n", "32", "--L", "20", "--t-min", "-1"], EXIT_CONFIG),
     (["decay", "--n", "32", "--L", "20", "--t-min", "0"], EXIT_CONFIG),
     (["decay", "--n", "32", "--L", "20", "--mu", "2"], EXIT_CONFIG),
+    (["stphase", "--x-over-t", "a,b"], EXIT_CONFIG),
+    (["stphase", "--x-over-t", "1,nan"], EXIT_CONFIG),
+    (["stphase", "--x-over-t", "inf,0"], EXIT_CONFIG),
 ], ids=["unknown-id", "partly-unknown-ids", "classify-no-vectors", "classify-no-eta",
         "truncated-init-file", "too-few-samples", "mu-out-of-range", "negative-t-min",
-        "zero-t-min", "decay-mu-out-of-range"])
+        "zero-t-min", "decay-mu-out-of-range", "stphase-not-a-number", "stphase-nan",
+        "stphase-inf"])
 def test_bad_input_exit_codes(tmp_path, argv, code):
     argv = [a(tmp_path) if callable(a) else a for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == code
@@ -199,3 +205,16 @@ class TestReproduceAll:
         text = capsys.readouterr().out
         assert "criterion 11 [PASS]" in text
         assert len(read_noncomment(out)) == 2
+
+    def test_details_sidecar_round_trips(self, tmp_path):
+        out = str(tmp_path / "rep.csv")
+        assert main(["reproduce-all", "--only", "8", "11", "--out", out]) == EXIT_OK
+        with open(out + ".json") as fh:
+            records = json.load(fh)
+        assert [(r["criterion"], r["verdict"]) for r in records] == [(8, "PASS"), (11, "PASS")]
+        for rec, crit in zip(records, (acceptance.criterion_8, acceptance.criterion_11)):
+            want = crit()
+            assert rec["name"] == want.name
+            assert rec["details"] == want.details
+            assert isinstance(rec["seconds"], float)
+        assert not [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]

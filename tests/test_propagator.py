@@ -14,6 +14,7 @@ from bplab.propagator import (
     split_bound_exponent,
     split_decay_bound,
     stationary_points,
+    stationary_roots,
     symbol,
     symbol_grad,
     symbol_hess,
@@ -149,7 +150,101 @@ class TestSymbol:
                 assert np.allclose(fn(v[i]), batch[i], rtol=1e-14, atol=0)
 
 
+def per_point_roots(v, shell=(0.25, 4.0)):
+    """Oracle: the damped Newton polish run on one x/t at a time."""
+    v = np.asarray(v, dtype=float)
+    vn = np.linalg.norm(v)
+    if vn == 0.0:
+        return []
+    r = vn ** -0.5
+    if not (shell[0] <= r <= shell[1]):
+        return []
+    half = 0.5 * np.arctan2(-v[1], -v[0])
+    roots = []
+    for theta in (half, half + np.pi):
+        xi = r * np.array([np.cos(theta), np.sin(theta)])
+        for _ in range(50):
+            g = phase_gradient(v, xi)
+            if np.linalg.norm(g) < 1e-13:
+                break
+            step = np.linalg.solve(-symbol_hess(xi), g)
+            scale = 1.0
+            while np.linalg.norm(xi - scale * step) < shell[0] / 2:
+                scale *= 0.5
+            xi = xi - scale * step
+        if np.linalg.norm(phase_gradient(v, xi)) < 1e-10 and \
+                shell[0] <= np.linalg.norm(xi) <= shell[1]:
+            roots.append(xi)
+    return roots
+
+
+def directions(seed, n, lo=1 / 64, hi=64):
+    """x/t with |x/t| log-uniform over [lo, hi]; the default spans the
+    default shell's [1/16, 16] and beyond it on both sides."""
+    rng = np.random.default_rng(seed)
+    r = np.exp(rng.uniform(np.log(lo), np.log(hi), n))
+    th = rng.uniform(-np.pi, np.pi, n)
+    return np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
+
+
 class TestStationaryPhase:
+    EDGES = [(1 / 16, 0.0), (0.0, -1 / 16), (16.0, 0.0), (0.0, 16.0), (-1.0, 0.0),
+             (0.0, 0.0), (np.nan, 1.0), (1.0, np.nan), (np.inf, 0.0)]
+
+    def test_batch_matches_per_point_oracle(self):
+        vs = np.concatenate([directions(30, 10_000 - len(self.EDGES)), self.EDGES])
+        roots, found = stationary_roots(vs)
+        assert roots.shape == (len(vs), 2, 2) and found.shape == (len(vs), 2)
+        self.assert_matches_oracle(vs, roots, found)
+        # both inside the shell and outside it are exercised
+        counts = found.sum(-1)
+        assert (counts == 2).sum() > 1000 and (counts == 0).sum() > 1000
+        assert not found[-4:].any()                      # zero and non-finite x/t
+
+    def test_newton_steps_match_per_point_oracle(self):
+        # in the default shell the polar start already meets the 1e-13 stop;
+        # at large |x/t| its absolute residual does not, and Newton iterates
+        shell = (1e-3, 1e3)
+        vs = directions(32, 2000, lo=0.1, hi=1e5)
+        roots, found = stationary_roots(vs, shell)
+        assert found.all()
+        self.assert_matches_oracle(vs, roots, found, shell)
+
+    @staticmethod
+    def assert_matches_oracle(vs, roots, found, shell=(0.25, 4.0)):
+        for v, rr, ff in zip(vs, roots, found):
+            want = per_point_roots(v, shell)
+            assert len(want) == ff.sum()
+            for a, b in zip(want, rr[ff]):
+                assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(a)
+
+    def test_any_leading_shape(self):
+        # one point, a batch of points and a grid of points give the same values
+        vs = directions(31, 24)
+        roots, found = stationary_roots(vs)
+        grid_roots, grid_found = stationary_roots(vs.reshape(4, 6, 2))
+        assert np.array_equal(grid_found.reshape(24, 2), found)
+        assert np.array_equal(grid_roots.reshape(24, 2, 2), roots, equal_nan=True)
+        for v, rr, ff in zip(vs, roots, found):
+            one_roots, one_found = stationary_roots(v)
+            assert one_roots.shape == (2, 2) and one_found.shape == (2,)
+            assert np.array_equal(one_found, ff)
+            assert np.array_equal(one_roots, rr, equal_nan=True)
+            assert np.array_equal(np.reshape(stationary_points(v), (-1, 2)), rr[ff])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1 / 16, 16), st.floats(-np.pi, np.pi))
+    def test_found_roots_are_stationary(self, rho, angle):
+        v = rho * np.array([np.cos(angle), np.sin(angle)])
+        roots, found = stationary_roots(v)
+        for xi in roots[found]:
+            assert np.linalg.norm(phase_gradient(v, xi)) < 1e-10
+            assert abs(np.linalg.norm(xi) - np.linalg.norm(v) ** -0.5) \
+                <= 1e-12 * np.linalg.norm(xi)
+            assert hessian_det(xi) < 0.0
+        if found.all():
+            assert np.linalg.norm(roots[0] + roots[1]) <= 1e-12 * np.linalg.norm(roots[0])
+
     def test_axis_example(self):
         roots = stationary_points((-1.0, 0.0))
         got = sorted(tuple(np.round(r, 10)) for r in roots)

@@ -440,6 +440,17 @@ class TestRun:
         assert len(res.reports) == 3    # t = 0, 0.5, 1.0
         assert [t for t, _ in res.checkpoints] == pytest.approx([0.0, 0.5, 1.0])
 
+    def test_report_times_are_whole_steps(self):
+        # a running sum of dt = 0.01 would read 0.13999999999999999 and
+        # 0.20000000000000004 here
+        cfg = SimConfig(n=16, box_length=10.0, dt=0.01, t_end=0.3, eps=0.1,
+                        output_stride=2)
+        res = run(cfg)
+        want = [k * cfg.output_stride * cfg.dt for k in range(16)]
+        assert [r.t for r in res.reports] == want
+        assert [t for t, _ in res.checkpoints] == want
+        assert [prof.t for _, prof in res.checkpoints] == want
+
 
 class TestInitialData:
     @pytest.mark.parametrize("init", ["gaussian", "shell", "pair"])

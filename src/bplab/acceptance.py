@@ -316,8 +316,7 @@ def criterion_9(seed=0):
                                  output_stride=10 ** 6)
         state = solver.SimState(0.0, solver.profile_from_omega(
             zero_mean(transform_forward(w0_scaled)), 0.0, cfg_s.beta))
-        n_steps = int(round(cfg_s.t_end / cfg_s.dt))
-        for _ in range(n_steps):
+        for _ in range(cfg_s.n_steps):
             state = solver.step(state, cfg_s)
         got = transform_inverse(solver.omega_from_profile(state.profile, cfg_s.beta))
         t_ref, prof_ref = res_ref.checkpoints[-1]

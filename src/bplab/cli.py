@@ -49,6 +49,8 @@ EXIT_RUNTIME = 3
 
 
 def _load_config(path):
+    if path is None:
+        raise ConfigurationError("simulate needs --config")
     try:
         with open(path) as fh:
             return solver.parse_config(fh.read())

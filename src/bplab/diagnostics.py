@@ -23,10 +23,10 @@ from .solver import (
 
 
 def _checkpoint_reports(result: RunResult):
-    """(t, profile, report) per retained checkpoint. Raises ValueError when
+    """(t, profile, report) per checkpoint. Raises ValueError when
     there are no checkpoints, or when the reports do not pair up with them."""
     if not result.checkpoints:
-        raise ValueError("run result has no retained checkpoints")
+        raise ValueError("run result has no checkpoints")
     if len(result.reports) != len(result.checkpoints):
         raise ValueError(f"run result has {len(result.reports)} reports for "
                          f"{len(result.checkpoints)} checkpoints")

@@ -28,13 +28,19 @@ def substream_seed(seed: int, name: str) -> int:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
+    """Write via a temp file in the same directory, then rename into place.
+
+    mkstemp creates the temp file with mode 0600, which the rename keeps, so
+    it is given the mode that open() would: 0666 less the umask."""
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=d)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -4,12 +4,23 @@ The evolved unknown is the profile fhat(t) = exp(i beta t xi1/|xi|^2) what(t),
 so the linear dispersive term is applied exactly and classical RK4 only sees
 the transport nonlinearity. Products are formed in physical space with
 2/3-rule dealiasing; the velocity is recovered spectrally from the vorticity.
-RK4 runs on the half spectrum with real transforms, using the per-grid
-operators of spectral.grid_operators.
+
+RK4 runs on the block of the half spectrum that the 2/3 rule keeps, the
+kc = n//3 + 1 columns 0 .. n//3, with transforms pruned to it (Orszag,
+J. Atmos. Sci. 28 (1971) 1074). A pruned inverse is a complex ifft down the
+kc columns, then an irfft along the rows, which reads the columns kc .. n/2
+as zeros; a pruned forward is an rfft along the rows, then a complex fft down
+the kc columns. For a divergence-free u in 2D,
+    u.grad omega = d1 d2 (u2^2 - u1^2) + (d1^2 - d2^2)(u1 u2)
+(Basdevant, J. Comput. Phys. 50 (1983) 209), so a stage takes two inverse and
+two forward transforms. A step computes one phase exp, at its start; the
+later stage phases come from ratios cached per grid, beta and dt. Only the
+CFL check transforms the whole half spectrum.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,15 +75,22 @@ class SimConfig:
     init_width: float = 0.0       # 0 -> box_length / 16
     init_file: str | None = None
     nonlinear: bool = True
-    retain_checkpoints: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigurationError("dt must be positive")
-        if self.t_end < 0:
-            raise ConfigurationError("t_end must be >= 0")
+        if not 0 < self.dt < np.inf:
+            raise ConfigurationError("dt must be positive and finite")
+        if not 0 <= self.t_end < np.inf:
+            raise ConfigurationError("t_end must be >= 0 and finite")
         if self.output_stride < 1:
             raise ConfigurationError("output_stride must be >= 1")
+        steps = self.t_end / self.dt
+        if abs(steps - self.n_steps) > 1e-9 * steps:
+            raise ConfigurationError(
+                f"t_end={self.t_end} is not a whole number of steps of dt={self.dt}")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.t_end / self.dt))
 
     @property
     def grid(self) -> Grid2D:
@@ -94,7 +112,7 @@ class SimState:
 class RunResult:
     config: SimConfig
     reports: list
-    checkpoints: list          # (t, Profile) pairs, when retained
+    checkpoints: list          # (t, Profile) pairs, one per report
     aborted: bool = False
     abort_reason: str = ""
 
@@ -134,7 +152,7 @@ def _velocity_modes(w: np.ndarray, ops: GridOperators):
     """(u1hat, u2hat) = (i xi2, -i xi1) what/|xi|^2, so that curl u = omega.
 
     `w` holds the leading w.shape[1] columns of the spectrum: all n of them,
-    or the n//2 + 1 of the half spectrum."""
+    the n//2 + 1 of the half spectrum, or the n//3 + 1 of the kept block."""
     m = w.shape[1]
     a = w * ops.inv_mag2[:, :m]
     return 1j * ops.k2[:, :m] * a, -1j * ops.k1 * a
@@ -150,11 +168,9 @@ def biot_savart(omega: SpectralField2D):
 # ---------------------------------------------------------------------------
 # nonlinearity
 #
-# The solver works on the half spectrum: the leading n//2 + 1 columns of the
-# modes of a real field, which determine the rest by Hermitian symmetry.
-# Inverse transforms of those columns are exact real samples, so products can
-# be formed without the fftshifts of transform_inverse/transform_forward, as
-# a pointwise product commutes with the shift.
+# Physical samples on the block are unscaled: transform_inverse would multiply
+# them by inverse_scale, and the forward transform of a product of two of them
+# needs that factor exactly once.
 
 def dealias_mask(grid: Grid2D) -> np.ndarray:
     return grid_operators(grid).dealias_mask
@@ -164,44 +180,61 @@ def dealias(f: SpectralField2D) -> SpectralField2D:
     return SpectralField2D(f.grid, f.modes * dealias_mask(f.grid))
 
 
-def _hermitian_extension(half: np.ndarray, n: int) -> np.ndarray:
-    """Full n x n modes of the real field whose half spectrum is `half`."""
-    full = np.empty((n, n), dtype=complex)
-    m = n // 2 + 1
-    full[:, :m] = half
-    full[:, m:] = np.conj(half[-np.arange(n) % n, m - 2:0:-1])
-    return full
+@dataclass(frozen=True)
+class _BlockOperators:
+    """Multipliers on the kept block of the half spectrum, all read-only and
+    zero on the rows that the 2/3 rule drops."""
+
+    kc: int                  # kept columns, n//3 + 1
+    velocity: np.ndarray     # (2, n, kc): Biot-Savart (u1hat, u2hat) per unit what
+    basdevant: np.ndarray    # (2, n, kc): inverse_scale (xi1 xi2, xi1^2 - xi2^2)
 
 
-def _advection(w: np.ndarray, ops: GridOperators, extra=()):
-    """Half-spectrum coefficients of -u.grad omega, alias-free by the 2/3 rule,
-    for the half-spectrum vorticity modes `w`.
+@functools.lru_cache(maxsize=4)
+def _block_operators(grid: Grid2D) -> _BlockOperators:
+    ops = grid_operators(grid)
+    kc = grid.n // 3 + 1
+    mask = ops.dealias_mask[:, :kc].astype(float)
+    k1, k2 = ops.k1, ops.k2[:, :kc]
+    blk = _BlockOperators(
+        kc=kc,
+        velocity=np.stack(_velocity_modes(mask, ops)),
+        basdevant=ops.inverse_scale * mask * np.stack((k1 * k2, k1 ** 2 - k2 ** 2)))
+    blk.velocity.flags.writeable = False
+    blk.basdevant.flags.writeable = False
+    return blk
 
-    The half-spectrum arrays in `extra` ride in the same batched inverse
-    transform, and their physical samples are returned alongside. Samples
-    are unscaled: transform_inverse would multiply them by ops.inverse_scale,
-    and the forward transform of a product of two such samples needs that
-    factor exactly once.
-    """
-    n, m = w.shape[0], w.shape[1]
-    mask = ops.dealias_mask[:, :m]
-    wd = w * mask
-    u1, u2 = _velocity_modes(wd, ops)
-    d1 = 1j * ops.k1 * wd
-    d2 = 1j * ops.k2[:, :m] * wd
-    phys = np.fft.irfft2(np.stack((u1, u2, d1, d2) + tuple(extra)), s=(n, n))
-    advect = np.fft.rfft2(phys[0] * phys[2] + phys[1] * phys[3])
-    advect *= mask
-    advect *= -ops.inverse_scale
-    return advect, phys[4:]
+
+def _advection(w: np.ndarray, blk: _BlockOperators) -> np.ndarray:
+    """Block coefficients of -u.grad omega, alias-free by the 2/3 rule, for
+    the block vorticity modes `w`: in the Basdevant form,
+    inverse_scale (xi1 xi2 Ahat + (xi1^2 - xi2^2) Bhat) with A = u2^2 - u1^2
+    and B = u1 u2."""
+    n = w.shape[0]
+    u1, u2 = np.fft.irfft(np.fft.ifft(blk.velocity * w, axis=-2), n=n, axis=-1)
+    prod = np.empty((2, n, n))
+    np.subtract(u2 * u2, u1 * u1, out=prod[0])
+    np.multiply(u1, u2, out=prod[1])
+    a, b = np.fft.fft(np.fft.rfft(prod, axis=-1)[..., :blk.kc], axis=-2)
+    return blk.basdevant[0] * a + blk.basdevant[1] * b
+
+
+def _add_block(full: np.ndarray, block: np.ndarray) -> None:
+    """Add the block columns to the n x n modes `full`, and their Hermitian
+    mirror to the columns -1 .. -(kc - 1)."""
+    n, kc = block.shape
+    full[:, :kc] += block
+    full[:, n - kc + 1:] += np.conj(block[-np.arange(n) % n, kc - 1:0:-1])
 
 
 def nonlinear_term(omega: SpectralField2D) -> SpectralField2D:
     """Spectral coefficients of -u.grad omega, alias-free by the 2/3 rule."""
     require_mean_zero(omega)
     g = omega.grid
-    half, _ = _advection(omega.modes[:, :g.n // 2 + 1], grid_operators(g))
-    return SpectralField2D(g, _hermitian_extension(half, g.n))
+    blk = _block_operators(g)
+    full = np.zeros((g.n, g.n), dtype=complex)
+    _add_block(full, _advection(omega.modes[:, :blk.kc], blk))
+    return SpectralField2D(g, full)
 
 
 def _sup_speed(u1h: SpectralField2D, u2h: SpectralField2D) -> float:
@@ -228,70 +261,81 @@ def profile_from_omega(omega: SpectralField2D, t: float, beta: float) -> Profile
     return Profile(SpectralField2D(omega.grid, omega.modes * phase), t)
 
 
-def _cfl_velocity(w: np.ndarray, w_row: np.ndarray, ops: GridOperators):
-    """Half-spectrum velocity of the undealiased vorticity: half spectrum `w`,
-    full Nyquist row `w_row`. Its sup is max_speed of the full vorticity.
+@functools.lru_cache(maxsize=4)
+def _phase_ratios(grid: Grid2D, beta: float, dt: float):
+    """E(dt/2) and E(dt) on the block, E(s) = exp(-i beta s xi1/|xi|^2): the
+    factors that carry the phase at t to the later stage times."""
+    sym = grid_operators(grid).symbol[:, :_block_operators(grid).kc]
+    ratios = np.exp(-1j * beta * np.multiply.outer((0.5 * dt, dt), sym))
+    ratios.flags.writeable = False
+    return ratios
+
+
+def _cfl_speed(w: np.ndarray, w_neg: np.ndarray, ops: GridOperators) -> float:
+    """max_speed of the undealiased vorticity with half spectrum `w`, where
+    w_neg holds w(n/2, -j) for j = 1 .. n/2 - 1, which the half spectrum
+    lacks.
 
     On row n/2, xi1 is its own lattice negation, so the real part that
-    transform_inverse keeps pairs column j with column -j of the same row,
-    which the half spectrum does not hold: u1 sees the Hermitian part of the
-    row and u2 the anti-Hermitian part.
+    transform_inverse keeps pairs column j with column -j of the same row:
+    u1 sees the Hermitian part of the row and u2 the anti-Hermitian part.
     """
-    r = w.shape[0] // 2
-    pair = np.conj(w_row[:r:-1])             # conj w(n/2, -j) for j = 1 .. n/2 - 1
+    n = w.shape[0]
+    r = n // 2
+    pair = np.conj(w_neg)
     w_h, w_a = w.copy(), w.copy()
-    w_h[r, 1:r] = 0.5 * (w_row[1:r] + pair)
-    w_a[r, 1:r] = 0.5 * (w_row[1:r] - pair)
-    return _velocity_modes(w_h, ops)[0], _velocity_modes(w_a, ops)[1]
-
-
-def _stage_rhs(h: np.ndarray, phase: np.ndarray, ops: GridOperators, extra=()):
-    """d/dt of the half-spectrum profile modes h at the time s where
-    phase = exp(-i beta s xi1/|xi|^2); the samples of `extra` ride along."""
-    w = h * phase
-    require_mean_zero(w)
-    nl, samples = _advection(w, ops, extra)
-    return nl * np.conj(phase), samples
+    w_h[r, 1:r] = 0.5 * (w[r, 1:r] + pair)
+    w_a[r, 1:r] = 0.5 * (w[r, 1:r] - pair)
+    v1, v2 = np.fft.irfft2(np.stack((_velocity_modes(w_h, ops)[0],
+                                     _velocity_modes(w_a, ops)[1])), s=(n, n))
+    return float(np.sqrt(v1 ** 2 + v2 ** 2).max()) * ops.inverse_scale
 
 
 def _rk4_increment(f0: np.ndarray, t: float, cfg: SimConfig) -> np.ndarray:
-    """dt/6 (k1 + 2 k2 + 2 k3 + k4) on the half spectrum of the profile f0.
+    """dt/6 (k1 + 2 k2 + 2 k3 + k4) on the block of the profile f0.
 
-    One phase per distinct stage time: k2 and k3 share t + dt/2. Raises
+    Each stage is one _advection of the stage vorticity, rotated back to the
+    profile. The phase p0 at t is the step's one exp; the stage phases are
+    p0 E(dt/2) and p0 E(dt). The stages keep the mean mode of f0, since the
+    Basdevant symbols vanish there, so it is checked once. Raises
     StabilityError when dt violates the advective bound at time t.
     """
     g, dt = cfg.grid, cfg.dt
     r = g.n // 2
-    ops = grid_operators(g)
-    sym = ops.symbol[:, :r + 1]
-    p0, p_half, p1 = (np.exp(-1j * cfg.beta * s * sym) for s in (t, t + 0.5 * dt, t + dt))
-    h0 = f0[:, :r + 1]
-    w_row = f0[r] * np.exp(-1j * cfg.beta * t * ops.symbol[r])
-    k1, (v1, v2) = _stage_rhs(h0, p0, ops, _cfl_velocity(h0 * p0, w_row, ops))
-    speed = float(np.sqrt(v1 ** 2 + v2 ** 2).max()) * ops.inverse_scale
+    ops, blk = grid_operators(g), _block_operators(g)
+    p0 = np.exp(-1j * cfg.beta * t * ops.symbol[:, :r + 1])
+    w0 = f0[:, :r + 1] * p0
+    require_mean_zero(w0)
+    # the symbol on row n/2 is even in xi2, so column -j has the phase of column j
+    speed = _cfl_speed(w0, f0[r, :r:-1] * p0[r, 1:r], ops)
     if speed > 0:
         bound = 0.5 * g.dx / speed
         if dt > bound:
             raise StabilityError(
                 f"dt={dt} violates advective bound {bound:.3e}", suggested_dt=0.5 * bound)
-    k2, _ = _stage_rhs(h0 + 0.5 * dt * k1, p_half, ops)
-    k3, _ = _stage_rhs(h0 + 0.5 * dt * k2, p_half, ops)
-    k4, _ = _stage_rhs(h0 + dt * k3, p1, ops)
+    kc = blk.kc
+    h0, p0 = f0[:, :kc], p0[:, :kc]
+    p_half, p1 = p0 * _phase_ratios(g, cfg.beta, dt)
+    c_half = np.conj(p_half)
+    k1 = _advection(w0[:, :kc], blk) * np.conj(p0)
+    k2 = _advection((h0 + 0.5 * dt * k1) * p_half, blk) * c_half
+    k3 = _advection((h0 + 0.5 * dt * k2) * p_half, blk) * c_half
+    k4 = _advection((h0 + dt * k3) * p1, blk) * np.conj(p1)
     return dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def step(state: SimState, cfg: SimConfig) -> SimState:
     """One classical RK4 step on the profile modes.
 
-    RK4 runs on the half spectrum. The Hermitian extension of its dealiased
-    increment is added to the full profile, so the Nyquist row and column of
-    the profile stay as they were.
+    RK4 runs on the kept block of the half spectrum. Its increment is added
+    to the block columns and their Hermitian mirror; every other mode of the
+    profile, the Nyquist row and column included, stays as it was.
     """
     g = cfg.grid
     f0 = state.profile.field.modes
     fnew = f0.copy()
     if cfg.nonlinear:
-        fnew += _hermitian_extension(_rk4_increment(f0, state.t, cfg), g.n)
+        _add_block(fnew, _rk4_increment(f0, state.t, cfg))
     fnew[0, 0] = 0.0
     t = state.t + cfg.dt
     return SimState(t=t, profile=Profile(SpectralField2D(g, fnew), t),
@@ -385,9 +429,9 @@ def run(cfg: SimConfig, dump_path=None) -> RunResult:
     w0 = initial_vorticity(cfg)
     state = SimState(t=0.0, profile=profile_from_omega(w0, 0.0, cfg.beta))
     reports = [make_report(state, cfg)]
-    checkpoints = [(0.0, state.profile)] if cfg.retain_checkpoints else []
+    checkpoints = [(0.0, state.profile)]
     linf0 = reports[0].linf_omega
-    n_steps = int(round(cfg.t_end / cfg.dt))
+    n_steps = cfg.n_steps
     last_good = state
     for i in range(n_steps):
         try:
@@ -408,8 +452,7 @@ def run(cfg: SimConfig, dump_path=None) -> RunResult:
         if (i + 1) % cfg.output_stride == 0 or i == n_steps - 1:
             rep = make_report(state, cfg)
             reports.append(rep)
-            if cfg.retain_checkpoints:
-                checkpoints.append((state.t, state.profile))
+            checkpoints.append((state.t, state.profile))
             if linf0 > 0 and rep.linf_omega > 1e3 * linf0:
                 return RunResult(cfg, reports, checkpoints, aborted=True,
                                  abort_reason=f"blow-up guard at t={state.t}")

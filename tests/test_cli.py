@@ -130,10 +130,11 @@ def _truncated_field_config(tmp_path):
     (["stphase", "--x-over-t", "a,b"], EXIT_CONFIG),
     (["stphase", "--x-over-t", "1,nan"], EXIT_CONFIG),
     (["stphase", "--x-over-t", "inf,0"], EXIT_CONFIG),
+    (["simulate"], EXIT_CONFIG),
 ], ids=["unknown-id", "partly-unknown-ids", "classify-no-vectors", "classify-no-eta",
         "truncated-init-file", "too-few-samples", "mu-out-of-range", "negative-t-min",
         "zero-t-min", "decay-mu-out-of-range", "stphase-not-a-number", "stphase-nan",
-        "stphase-inf"])
+        "stphase-inf", "simulate-no-config"])
 def test_bad_input_exit_codes(tmp_path, argv, code):
     argv = [a(tmp_path) if callable(a) else a for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == code
@@ -218,3 +219,14 @@ class TestReproduceAll:
             assert rec["details"] == want.details
             assert isinstance(rec["seconds"], float)
         assert not [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_output_mode_follows_umask(self, tmp_path, umask, mode):
+        out = str(tmp_path / "rep.csv")
+        old = os.umask(umask)
+        try:
+            assert main(["reproduce-all", "--only", "8", "--out", out]) == EXIT_OK
+        finally:
+            os.umask(old)
+        for path in (out, out + ".json"):
+            assert os.stat(path).st_mode & 0o777 == mode

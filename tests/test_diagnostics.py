@@ -84,9 +84,7 @@ class TestEnergyCertificate:
         assert cs[1] >= cs[0]
 
     def test_requires_checkpoints(self, euler_run):
-        cfg = SimConfig(n=16, box_length=10.0, t_end=0.2, dt=0.1,
-                        retain_checkpoints=False)
-        res = run(cfg)
+        res = RunResult(euler_run.config, euler_run.reports, [])
         with pytest.raises(ValueError):
             energy_certificate(res, 2)
 

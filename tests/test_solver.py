@@ -31,6 +31,7 @@ from bplab.spectral import (
     RealField2D,
     SpectralField2D,
     central_mass_fraction,
+    grid_operators,
     lp_project,
     lp_shell_range,
     transform_forward,
@@ -70,6 +71,13 @@ class TestConfig:
     def test_invalid_timestep(self):
         with pytest.raises(ConfigurationError):
             SimConfig(dt=-0.1)
+
+    @pytest.mark.parametrize("dt, t_end", [(0.01, 0.025), (0.01, 0.0049), (0.02, np.inf),
+                                           (np.nan, 1.0), (0.01, np.nan)])
+    def test_t_end_must_be_whole_steps(self, dt, t_end):
+        with pytest.raises(ConfigurationError):
+            SimConfig(dt=dt, t_end=t_end)
+        assert SimConfig(dt=0.01, t_end=0.03).n_steps == 3
 
 
 class TestBiotSavart:
@@ -257,12 +265,78 @@ class TestFullSpectrumEquivalence:
     def test_cfl_speed_is_max_speed(self, t):
         # the profile is not rotated to time t, so the vorticity's Nyquist row
         # carries a phase that breaks its Hermitian symmetry
-        cfg = SimConfig(n=32, box_length=10.0, beta=1.3, dt=1e3)
+        cfg = SimConfig(n=32, box_length=10.0, beta=1.3, dt=1e3, t_end=1e3)
         prof = Profile(random_vorticity(seed=23), t)
         with pytest.raises(StabilityError) as err:
             step(SimState(t, prof), cfg)
         speed = 0.25 * cfg.grid.dx / err.value.suggested_dt
         assert speed == pytest.approx(max_speed(omega_from_profile(prof, cfg.beta)), rel=1e-12)
+
+
+def half_spectrum_advection(w, ops):
+    """-u.grad omega on the half spectrum `w`: one batched irfft2 of the
+    dealiased velocity and vorticity gradient, and one rfft2 of u.grad omega."""
+    n, m = w.shape
+    mask = ops.dealias_mask[:, :m]
+    wd = w * mask
+    a = wd * ops.inv_mag2[:, :m]
+    u1, u2 = 1j * ops.k2[:, :m] * a, -1j * ops.k1 * a
+    d1 = 1j * ops.k1 * wd
+    d2 = 1j * ops.k2[:, :m] * wd
+    phys = np.fft.irfft2(np.stack((u1, u2, d1, d2)), s=(n, n))
+    advect = np.fft.rfft2(phys[0] * phys[2] + phys[1] * phys[3])
+    return -ops.inverse_scale * advect * mask
+
+
+def half_spectrum_step(f0, t, cfg):
+    """One RK4 step of the profile modes f0 on the whole half spectrum, with an
+    exp per stage time; the Hermitian extension of the increment is added."""
+    n, dt = cfg.n, cfg.dt
+    m = n // 2 + 1
+    ops = grid_operators(cfg.grid)
+
+    def rhs(h, s):
+        phase = np.exp(-1j * cfg.beta * s * ops.symbol[:, :m])
+        return half_spectrum_advection(h * phase, ops) * np.conj(phase)
+
+    h0 = f0[:, :m]
+    a = rhs(h0, t)
+    b = rhs(h0 + 0.5 * dt * a, t + 0.5 * dt)
+    c = rhs(h0 + 0.5 * dt * b, t + 0.5 * dt)
+    d = rhs(h0 + dt * c, t + dt)
+    inc = dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+    out = f0.copy()
+    out[:, :m] += inc
+    out[:, m:] += np.conj(inc[-np.arange(n) % n, m - 2:0:-1])
+    out[0, 0] = 0.0
+    return out
+
+
+class TestHalfSpectrumEquivalence:
+    """The step on the kept block, with the Basdevant products and cached phase
+    ratios, against the half-spectrum step above. The increments are compared,
+    not the profiles, which they change only slightly."""
+
+    @pytest.mark.parametrize("n", [16, 64, 128, 256])
+    @pytest.mark.parametrize("t", [0.0, 0.7, 3.1, 15.0])
+    @pytest.mark.parametrize("init", ["pair", "random"])
+    def test_one_step(self, n, t, init):
+        cfg = SimConfig(n=n, box_length=50.0, beta=1.3, dt=0.01, init="pair", eps=0.5)
+        w = initial_vorticity(cfg) if init == "pair" else random_vorticity(n, 50.0, seed=n)
+        f0 = w.modes
+        got = step(SimState(t, Profile(w, t)), cfg).profile.field.modes
+        expect = half_spectrum_step(f0, t, cfg)
+        assert rel_err(got - f0, expect - f0) <= 1e-12
+
+    def test_chained_steps(self):
+        cfg = SimConfig(n=128, box_length=50.0, beta=1.0, dt=0.05, init="gaussian", eps=0.5)
+        state = SimState(0.0, profile_from_omega(initial_vorticity(cfg), 0.0, cfg.beta))
+        f0 = expect = state.profile.field.modes
+        for i in range(300):
+            expect = half_spectrum_step(expect, i * cfg.dt, cfg)
+            state = step(state, cfg)
+        got = state.profile.field.modes
+        assert rel_err(got - f0, expect - f0) <= 1e-12
 
 
 def c2c_samples(modes, g):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .propagator import symbol, symbol_grad, symbol_hess
+from .propagator import symbol, symbol_hess
 from .spectral import ConfigurationError, InputError
 
 _SINGULAR_MARGIN = 1e-12
@@ -62,11 +62,20 @@ def phase_arr(xi, eta):
 
 
 def grad_xi_arr(xi, eta):
-    return symbol_grad(xi) - symbol_grad(xi - eta)
+    """grad_xi Phi = g'(xi) - g'(xi-eta), read as the complex number
+    conj(eta (2xi-eta) / (xi^2 (xi-eta)^2)) since g'(v) = -1/conj(v)^2.
+
+    The factored form keeps full relative precision near eta = 2xi, where
+    the difference of the two g' terms cancels."""
+    x, e = _complex(xi), _complex(eta)
+    return _conj_vec(e * (2.0 * x - e) / (x * (x - e)) ** 2)
 
 
 def grad_eta_arr(xi, eta):
-    return symbol_grad(xi - eta) - symbol_grad(eta)
+    """grad_eta Phi = g'(xi-eta) - g'(eta) = conj(xi (xi-2eta) / (eta^2 (xi-eta)^2)),
+    exactly zero on the resonance xi = 2eta."""
+    x, e = _complex(xi), _complex(eta)
+    return _conj_vec(x * (x - 2.0 * e) / (e * (x - e)) ** 2)
 
 
 def grad_phase_magnitudes_arr(xi, eta):
@@ -81,6 +90,15 @@ def grad_phase_magnitudes_arr(xi, eta):
 def norm(v):
     """Euclidean length over the last axis of a (..., 2) array."""
     return np.hypot(v[..., 0], v[..., 1])
+
+
+def _complex(v):
+    return v[..., 0] + 1j * v[..., 1]
+
+
+def _conj_vec(z):
+    """conj(z) as a (..., 2) array."""
+    return np.stack([z.real, -z.imag], axis=-1)
 
 
 def _perp(v):

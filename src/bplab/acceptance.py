@@ -19,6 +19,7 @@ from .spectral import (
     Grid2D,
     RealField2D,
     SpectralField2D,
+    grid_operators,
     l2_norm,
     shell_field,
     transform_forward,
@@ -117,8 +118,9 @@ def criterion_3(seed=0):
                 u_l2.append(np.hypot(l2_norm(u1h), l2_norm(u2h)))
                 nl = solver.nonlinear_term(omega)
                 wd = solver.dealias(omega)
-                num = abs(float(np.sum(nl.modes * np.conj(wd.modes)).real))
-                den = float(np.sum(np.abs(wd.modes) ** 2))
+                weight = grid_operators(omega.grid).weight
+                num = abs(float(np.sum(weight * nl.modes * np.conj(wd.modes)).real))
+                den = float(np.sum(weight * np.abs(wd.modes) ** 2))
                 bracket = max(bracket, num / den if den > 0 else 0.0)
             u_drift = _rel_spread(u_l2)
             details[f"beta={beta:g}"] = {"w_drift": w_drift, "u_drift": u_drift,
@@ -217,10 +219,9 @@ def criterion_6(seed=0):
         harm = float(np.max(np.abs(hess[..., 0, 0] + hess[..., 1, 1])
                             / np.maximum(entry_scale, 1e-300)))
         lam = rng.uniform(0.1, 10.0, 1000) * np.where(rng.uniform(size=1000) < 0.5, 1, -1)
-        pairs_xi = np.stack([np.zeros_like(lam), 2 * lam], axis=-1)
-        pairs_eta = np.stack([np.zeros_like(lam), lam], axis=-1)
-        res_phase = float(np.max(np.abs(resonance.phase_arr(pairs_xi, pairs_eta))))
-        res_grad = float(np.max(resonance.norm(resonance.grad_eta_arr(pairs_xi, pairs_eta))))
+        spacetime = resonance.resonance_probe(lam)["spacetime"]
+        res_phase = float(np.max(spacetime["abs_phase"]))
+        res_grad = float(np.max(spacetime["grad_eta_norm"]))
         ok = sym_err < 1e-12 and mag_err < 1e-12 and harm < 1e-12 and \
             res_phase == 0.0 and res_grad == 0.0
         return ok, {"sym_err": sym_err, "mag_err": mag_err, "harmonicity": harm,
@@ -250,12 +251,10 @@ def criterion_8(seed=0):
     m = 0, and the pseudo-spectral product matches the convolution oracle."""
     def body():
         g = Grid2D(32, 2 * np.pi)
-        modes = np.zeros((32, 32), dtype=complex)
+        modes = np.zeros(g.half_shape, dtype=complex)
         rng = substream(seed, "null-structure")
         for j in (1, 2, 3):           # modes on the line through (1, 2)
-            amp = rng.normal() + 1j * rng.normal()
-            modes[j % 32, (2 * j) % 32] = amp
-            modes[(-j) % 32, (-2 * j) % 32] = np.conj(amp)
+            modes[j, 2 * j] = rng.normal() + 1j * rng.normal()
         line = SpectralField2D(g, modes)
         nl_line = solver.nonlinear_term(line)
         line_resid = float(np.abs(nl_line.modes).max()) / float(np.abs(modes).max())
@@ -269,18 +268,23 @@ def criterion_8(seed=0):
 
 def _convolution_oracle_error(rng):
     """Max deviation of nonlinear_term from the direct O(n^4) multiplier sum
-    on an 8x8 grid, relative to the output scale."""
+    on an 8x8 grid, relative to the output scale. The sum runs over the
+    whole lattice, whose modes are the half spectrum and its conjugate
+    mirror; it is compared on the half."""
     g = Grid2D(8, 2 * np.pi)
     samples = rng.normal(size=(8, 8))
     w = solver.dealias(zero_mean(transform_forward(RealField2D(g, samples))))
     got = solver.nonlinear_term(w)
+    full = np.zeros((8, 8), dtype=complex)
+    full[:, :5] = w.modes
+    full[:, 5:] = np.conj(w.modes[-np.arange(8) % 8, 3:0:-1])
     k = np.fft.fftfreq(8) * 8
     idx = [(int(a), int(b)) for a in k for b in k]
     kvec = {(int(a), int(b)): np.array([a, b], float) * g.dxi for a in k for b in k}
     expect = np.zeros((8, 8), dtype=complex)
-    keep = solver.dealias_mask(g)
+    keep = np.abs(k) <= 8 / 3
     for a, b in idx:
-        if not keep[a % 8, b % 8]:
+        if not (keep[a % 8] and keep[b % 8]):
             continue
         xi = kvec[(a, b)]
         total = 0.0 + 0.0j
@@ -291,10 +295,10 @@ def _convolution_oracle_error(rng):
                 continue
             eta = kvec[(c, d)]
             m = (xi[0] * (-eta[1]) + xi[1] * eta[0]) / (eta @ eta)
-            total += m * w.modes[(a - c) % 8, (b - d) % 8] * w.modes[c % 8, d % 8]
+            total += m * full[(a - c) % 8, (b - d) % 8] * full[c % 8, d % 8]
         expect[a % 8, b % 8] = -total * g.dxi ** 2
     scale = max(float(np.abs(expect).max()), 1e-300)
-    return float(np.abs(got.modes - expect).max()) / scale
+    return float(np.abs(got.modes - expect[:, :5]).max()) / scale
 
 
 def criterion_9(seed=0):

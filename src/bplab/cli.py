@@ -74,9 +74,7 @@ def cmd_simulate(args):
     res = solver.run(cfg, dump_path=args.out + ".dump.bpf")
     warnings = _warning_summary(res.reports)
     header = manifest.header_lines() + [
-        f"config-line: n={cfg.n} L={cfg.box_length:g} beta={cfg.beta:g} dt={cfg.dt:g} "
-        f"t_end={cfg.t_end:g} k_energy={cfg.k_energy} init={cfg.init} eps={cfg.eps:g}"
-    ] + warnings
+        f"config-line: {line}" for line in solver.format_config(cfg).splitlines()] + warnings
     write_csv(args.out, header, NORM_REPORT_COLUMNS, [r.row() for r in res.reports])
     for line in warnings:
         print(line, file=sys.stderr)
@@ -84,7 +82,7 @@ def cmd_simulate(args):
         os.makedirs(args.checkpoints, exist_ok=True)
         for i, (t, prof) in enumerate(res.checkpoints):
             omega = solver.omega_from_profile(prof, cfg.beta)
-            write_field(os.path.join(args.checkpoints, f"chk_{i:05d}_t={t:.6f}.bpf"),
+            write_field(os.path.join(args.checkpoints, f"chk_{i:05d}_t={float(t)!r}.bpf"),
                         transform_inverse(omega))
     if res.aborted:
         print(f"run aborted: {res.abort_reason}", file=sys.stderr)
@@ -141,10 +139,10 @@ def _parse_vec(text):
 def _reconstruct_run(run_csv, checkpoint_dir):
     with open(run_csv) as fh:
         text = fh.read()
-    m = re.search(r"config-line: (.+)", text)
-    if not m:
+    lines = re.findall(r"^# config-line: (.+)$", text, re.MULTILINE)
+    if not lines:
         raise InputError("run CSV lacks the config-line header")
-    cfg = solver.parse_config(m.group(1).replace(" ", "\n"))
+    cfg = solver.parse_config("\n".join(lines))
     checkpoints = []
     for name in sorted(os.listdir(checkpoint_dir)):
         mm = re.match(r"chk_\d+_t=([-0-9.eE+]+)\.bpf$", name)
@@ -266,13 +264,13 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="root RNG seed")
     common.add_argument("--out", default=None, help="output CSV path")
-    common.add_argument("--config", default=None, help="config file path")
 
     parser = argparse.ArgumentParser(prog="bplab", description=__doc__)
     parser.add_argument("--version", action="version", version=TOOL_VERSION)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", parents=[common], help="time-integrate a configured run")
+    p.add_argument("--config", default=None, help="config file path")
     p.add_argument("--checkpoints", default=None, help="directory for field checkpoints")
     p.set_defaults(fn=cmd_simulate)
 
@@ -324,7 +322,10 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:   # argparse: 2 for a bad argument, 0 after --help
+        return exc.code
     try:
         return args.fn(args)
     except (ConfigurationError,) as exc:

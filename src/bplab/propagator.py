@@ -78,12 +78,14 @@ def symbol_hess(v):
 
 
 def dispersion_symbol(grid) -> np.ndarray:
-    """xi1/|xi|^2 on the grid lattice, zero at the zero mode (cached, read-only)."""
+    """xi1/|xi|^2 on the half spectrum, zero at the zero mode and on the
+    Nyquist row (cached, read-only)."""
     return grid_operators(grid).symbol
 
 
 def apply_semigroup(f: SpectralField2D, t: float) -> SpectralField2D:
-    """Multiply modes by exp(-i t xi1/|xi|^2); unitary on L2."""
+    """Multiply modes by exp(-i t xi1/|xi|^2); unitary on L2. The symbol is
+    odd, so the result is again the half spectrum of a real field."""
     require_mean_zero(f)
     phase = np.exp(-1j * t * dispersion_symbol(f.grid))
     return SpectralField2D(f.grid, f.modes * phase)
@@ -148,8 +150,8 @@ def stationary_roots(x_over_t, shell=(0.25, 4.0)):
 
     In polar coordinates the gradient equation reads
     x/t = -(1/r^2) (cos 2theta, sin 2theta), which pins r = |x/t|^(-1/2)
-    and leaves two antipodal angles; a damped Newton polish of the candidates
-    not yet converged removes the residual floating error. Returns the two
+    and leaves two antipodal angles; a Newton polish of the candidates not
+    yet converged removes the residual floating error. Returns the two
     candidates, (..., 2, 2), and whether each converged with |xi| in the
     shell, (..., 2); none is found for x/t zero, non-finite or with r outside.
     """
@@ -173,12 +175,7 @@ def stationary_roots(x_over_t, shell=(0.25, 4.0)):
         active, x, g = active[moving], x[moving], g[moving]
         if active.size == 0:
             break
-        step = np.linalg.solve(-symbol_hess(x), g[..., None])[..., 0]
-        # keep each iterate inside the shell
-        scale = np.ones(active.size)
-        while (short := length(x - scale[:, None] * step) < shell[0] / 2).any():
-            scale[short] *= 0.5
-        xi[active] = x - scale[:, None] * step
+        xi[active] = x - np.linalg.solve(-symbol_hess(x), g[..., None])[..., 0]
     size = length(xi)
     found = (length(phase_gradient(v, xi)) < 1e-10) & (shell[0] <= size) & (size <= shell[1])
     return xi.reshape(lead + (2, 2)), found.reshape(lead + (2,))

@@ -15,7 +15,8 @@ the kc columns. For a divergence-free u in 2D,
 (Basdevant, J. Comput. Phys. 50 (1983) 209), so a stage takes two inverse and
 two forward transforms. A step computes one phase exp, at its start; the
 later stage phases come from ratios cached per grid, beta and dt. Only the
-CFL check transforms the whole half spectrum.
+CFL check, which is max_speed of the start vorticity, transforms the whole
+half spectrum.
 """
 
 from __future__ import annotations
@@ -145,17 +146,25 @@ def parse_config(text: str) -> SimConfig:
     return SimConfig(**kwargs)
 
 
+def format_config(cfg: SimConfig) -> str:
+    """The config text that parse_config reads back as cfg: one key=value
+    line per key, floats in repr; init_file only when it is set."""
+    lines = []
+    for key, kind in CONFIG_KEYS.items():
+        value = getattr(cfg, _KEY_TO_FIELD.get(key, key))
+        if value is not None:
+            lines.append(f"{key}={float(value)!r}" if kind is float else f"{key}={value}")
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # velocity recovery
 
 def _velocity_modes(w: np.ndarray, ops: GridOperators):
-    """(u1hat, u2hat) = (i xi2, -i xi1) what/|xi|^2, so that curl u = omega.
-
-    `w` holds the leading w.shape[1] columns of the spectrum: all n of them,
-    the n//2 + 1 of the half spectrum, or the n//3 + 1 of the kept block."""
-    m = w.shape[1]
-    a = w * ops.inv_mag2[:, :m]
-    return 1j * ops.k2[:, :m] * a, -1j * ops.k1 * a
+    """(u1hat, u2hat) = (i xi2, -i xi1) what/|xi|^2, so that curl u = omega
+    off the Nyquist row."""
+    a = w * ops.inv_mag2
+    return 1j * ops.k2 * a, -1j * ops.k1 * a
 
 
 def biot_savart(omega: SpectralField2D):
@@ -194,12 +203,13 @@ class _BlockOperators:
 def _block_operators(grid: Grid2D) -> _BlockOperators:
     ops = grid_operators(grid)
     kc = grid.n // 3 + 1
-    mask = ops.dealias_mask[:, :kc].astype(float)
-    k1, k2 = ops.k1, ops.k2[:, :kc]
+    mask = ops.dealias_mask.astype(float)
+    k1, k2 = ops.k1, ops.k2
     blk = _BlockOperators(
         kc=kc,
-        velocity=np.stack(_velocity_modes(mask, ops)),
-        basdevant=ops.inverse_scale * mask * np.stack((k1 * k2, k1 ** 2 - k2 ** 2)))
+        velocity=np.stack(_velocity_modes(mask, ops))[..., :kc].copy(),
+        basdevant=(ops.inverse_scale * mask
+                   * np.stack((k1 * k2, k1 ** 2 - k2 ** 2)))[..., :kc].copy())
     blk.velocity.flags.writeable = False
     blk.basdevant.flags.writeable = False
     return blk
@@ -219,31 +229,20 @@ def _advection(w: np.ndarray, blk: _BlockOperators) -> np.ndarray:
     return blk.basdevant[0] * a + blk.basdevant[1] * b
 
 
-def _add_block(full: np.ndarray, block: np.ndarray) -> None:
-    """Add the block columns to the n x n modes `full`, and their Hermitian
-    mirror to the columns -1 .. -(kc - 1)."""
-    n, kc = block.shape
-    full[:, :kc] += block
-    full[:, n - kc + 1:] += np.conj(block[-np.arange(n) % n, kc - 1:0:-1])
-
-
 def nonlinear_term(omega: SpectralField2D) -> SpectralField2D:
     """Spectral coefficients of -u.grad omega, alias-free by the 2/3 rule."""
     require_mean_zero(omega)
     g = omega.grid
     blk = _block_operators(g)
-    full = np.zeros((g.n, g.n), dtype=complex)
-    _add_block(full, _advection(omega.modes[:, :blk.kc], blk))
-    return SpectralField2D(g, full)
-
-
-def _sup_speed(u1h: SpectralField2D, u2h: SpectralField2D) -> float:
-    u1, u2 = real_samples(u1h), real_samples(u2h)
-    return float(np.sqrt((u1 ** 2 + u2 ** 2).max()))
+    out = np.zeros(g.half_shape, dtype=complex)
+    out[:, :blk.kc] = _advection(omega.modes[:, :blk.kc], blk)
+    return SpectralField2D(g, out)
 
 
 def max_speed(omega: SpectralField2D) -> float:
-    return _sup_speed(*biot_savart(omega))
+    """max |u| over the grid points."""
+    u1, u2 = (real_samples(u) for u in biot_savart(omega))
+    return float(np.sqrt((u1 ** 2 + u2 ** 2).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -271,43 +270,20 @@ def _phase_ratios(grid: Grid2D, beta: float, dt: float):
     return ratios
 
 
-def _cfl_speed(w: np.ndarray, w_neg: np.ndarray, ops: GridOperators) -> float:
-    """max_speed of the undealiased vorticity with half spectrum `w`, where
-    w_neg holds w(n/2, -j) for j = 1 .. n/2 - 1, which the half spectrum
-    lacks.
-
-    On row n/2, xi1 is its own lattice negation, so the real part that
-    transform_inverse keeps pairs column j with column -j of the same row:
-    u1 sees the Hermitian part of the row and u2 the anti-Hermitian part.
-    """
-    n = w.shape[0]
-    r = n // 2
-    pair = np.conj(w_neg)
-    w_h, w_a = w.copy(), w.copy()
-    w_h[r, 1:r] = 0.5 * (w[r, 1:r] + pair)
-    w_a[r, 1:r] = 0.5 * (w[r, 1:r] - pair)
-    v1, v2 = np.fft.irfft2(np.stack((_velocity_modes(w_h, ops)[0],
-                                     _velocity_modes(w_a, ops)[1])), s=(n, n))
-    return float(np.sqrt(v1 ** 2 + v2 ** 2).max()) * ops.inverse_scale
-
-
 def _rk4_increment(f0: np.ndarray, t: float, cfg: SimConfig) -> np.ndarray:
     """dt/6 (k1 + 2 k2 + 2 k3 + k4) on the block of the profile f0.
 
     Each stage is one _advection of the stage vorticity, rotated back to the
     profile. The phase p0 at t is the step's one exp; the stage phases are
     p0 E(dt/2) and p0 E(dt). The stages keep the mean mode of f0, since the
-    Basdevant symbols vanish there, so it is checked once. Raises
-    StabilityError when dt violates the advective bound at time t.
+    Basdevant symbols vanish there, so it is checked once, by max_speed.
+    Raises StabilityError when dt violates the advective bound at time t.
     """
     g, dt = cfg.grid, cfg.dt
-    r = g.n // 2
-    ops, blk = grid_operators(g), _block_operators(g)
-    p0 = np.exp(-1j * cfg.beta * t * ops.symbol[:, :r + 1])
-    w0 = f0[:, :r + 1] * p0
-    require_mean_zero(w0)
-    # the symbol on row n/2 is even in xi2, so column -j has the phase of column j
-    speed = _cfl_speed(w0, f0[r, :r:-1] * p0[r, 1:r], ops)
+    blk = _block_operators(g)
+    p0 = np.exp(-1j * cfg.beta * t * grid_operators(g).symbol)
+    w0 = f0 * p0
+    speed = max_speed(SpectralField2D(g, w0))
     if speed > 0:
         bound = 0.5 * g.dx / speed
         if dt > bound:
@@ -327,15 +303,15 @@ def _rk4_increment(f0: np.ndarray, t: float, cfg: SimConfig) -> np.ndarray:
 def step(state: SimState, cfg: SimConfig) -> SimState:
     """One classical RK4 step on the profile modes.
 
-    RK4 runs on the kept block of the half spectrum. Its increment is added
-    to the block columns and their Hermitian mirror; every other mode of the
-    profile, the Nyquist row and column included, stays as it was.
+    RK4 runs on the kept block of the half spectrum, and its increment is
+    added to the block columns; every other mode of the profile stays as it
+    was.
     """
     g = cfg.grid
     f0 = state.profile.field.modes
     fnew = f0.copy()
     if cfg.nonlinear:
-        _add_block(fnew, _rk4_increment(f0, state.t, cfg))
+        fnew[:, :_block_operators(g).kc] += _rk4_increment(f0, state.t, cfg)
     fnew[0, 0] = 0.0
     t = state.t + cfg.dt
     return SimState(t=t, profile=Profile(SpectralField2D(g, fnew), t),
@@ -386,17 +362,17 @@ def linear_operator_field(omega: SpectralField2D, beta: float = 1.0) -> Spectral
 def velocity_sup_norms(omega: SpectralField2D):
     """(|u|_Linf, |Du|_Linf) with Du the max over the four entries of grad u.
 
-    The six fields take one real inverse transform each, one at a time."""
+    div u = 0 and curl u = omega give d2 u2 = -d1 u1 and d1 u2 = omega + d2 u1,
+    so three fields carry the four entries; the second identity also keeps
+    the even xi1^2 of d1 u2 on the Nyquist row, where the odd factor k1 is 0.
+    Each field takes one real inverse transform, one at a time."""
     g = omega.grid
     ops = grid_operators(g)
-    u1h, u2h = biot_savart(omega)
-    u_sup = _sup_speed(u1h, u2h)
-    du_sup = 0.0
-    for uh in (u1h, u2h):
-        for k in (ops.k1, ops.k2):
-            comp = real_samples(SpectralField2D(g, 1j * k * uh.modes))
-            du_sup = max(du_sup, float(np.abs(comp).max()))
-    return u_sup, du_sup
+    u1 = biot_savart(omega)[0].modes
+    d2u1 = 1j * ops.k2 * u1
+    du_sup = max(float(np.abs(real_samples(SpectralField2D(g, d))).max())
+                 for d in (1j * ops.k1 * u1, d2u1, omega.modes + d2u1))
+    return max_speed(omega), du_sup
 
 
 def make_report(state: SimState, cfg: SimConfig) -> NormReport:
@@ -477,9 +453,13 @@ def scaling_transform(omega: RealField2D, lam: float) -> RealField2D:
         if total > 0 and float(np.sum(omega.samples[inside] ** 2)) / total < 0.99:
             raise ValueError("rescaled support does not fit the box")
     wh = transform_forward(omega)
-    k = 2.0 * np.pi * np.fft.fftfreq(g.n, d=g.dx)
-    x = g.x_coords()
-    # separable evaluation of the interpolant at lambda * x
-    E = np.exp(1j * np.outer(lam * x, k))        # (n_x, n_k)
-    vals = (E @ wh.modes @ E.T) * g.dxi ** 2
-    return RealField2D(g, vals.real / lam)
+    ops = grid_operators(g)
+    y = lam * g.x_coords()
+    # separable evaluation of the interpolant at lambda * x: the real part of
+    # the half sum with the column weights is the sum over the lattice; the
+    # Nyquist row enters as cos, the mean of its two aliases -n/2 and n/2
+    e1 = np.exp(1j * np.outer(y, 2.0 * np.pi * np.fft.fftfreq(g.n, d=g.dx)))
+    e1[:, g.n // 2] = e1[:, g.n // 2].real
+    e2 = np.exp(1j * np.outer(y, ops.k2[0]))
+    vals = (e1 @ (wh.modes * ops.weight) @ e2.T).real * g.dxi ** 2
+    return RealField2D(g, vals / lam)

@@ -10,20 +10,35 @@ The continuum pair used throughout is
 discretized on the centered box [-L/2, L/2)^2 with n points per axis and
 wavenumbers xi in (2*pi/L) * {-n/2, ..., n/2 - 1}^2 (stored in FFT order).
 With this convention the L2 norm of the physical field equals
-(2*pi) * (sum |modes|^2 * dxi^2)^(1/2), which is how all spectral norms
-below are normalized.
+(2*pi) * (sum |modes|^2 * dxi^2)^(1/2), the sum running over the whole
+lattice, which is how all spectral norms below are normalized.
 
-Real samples
-------------
-The physical samples of a spectrum F are the real part of its inverse
-transform, which is the inverse transform of the Hermitian part
-0.5 (F(xi) + conj F(-xi)). Here -xi is the negation on the lattice, on
-which the Nyquist wavenumber -n/2 is its own negative. real_samples forms
-the leading n//2 + 1 columns of the Hermitian part and runs one real
-inverse transform (irfft2) on them. This holds also when F is not
-Hermitian, as on the Nyquist row of a profile rotated to t > 0. The samples
-come out in FFT order; max and sum |.|^p norms do not depend on the order,
-so the norms skip the fftshift.
+Half spectrum
+-------------
+Every field is real, so its spectrum is Hermitian, F(-xi) = conj F(xi),
+and is fixed by the n x (n//2 + 1) half that rfft2 stores: all rows, and
+the columns xi2 = 0 .. n/2 (the last one at the Nyquist wavenumber). The
+other columns are the conjugate mirror of columns 1 .. n/2 - 1, so a sum
+over the lattice is the sum over the half with the column weight 1 on
+columns 0 and n/2 and 2 on the others; every norm below takes its weight
+from grid_operators. real_samples is one irfft2, which reads any half
+array as the half of its Hermitian extension: the columns 0 and n/2 enter
+through their Hermitian part along xi1.
+
+Nyquist wavenumber: on the lattice, -n/2 is its own negative. On the
+column n/2, irfft2 takes the Hermitian part along xi1, which is the mean
+of a multiplier over the two aliases xi2 = -n/2 and +n/2: odd factors of
+xi2 drop out there and even ones stay. The row n/2 has no such mean, since
+its mirror half is implicit, so the odd factor k1 is 0 on it, as usual for
+real fields (Trefethen, Spectral Methods in MATLAB, SIAM 2000, ch. 3): in
+the velocity, the derivatives and the dispersion symbol xi1/|xi|^2. Even
+factors such as |xi|^2 keep their value, and a product of two odd factors
+of xi1 is formed from an even one. So the free flow leaves the Nyquist row
+as it is, and a profile rotated to any t stays the half spectrum of a real
+field.
+
+The samples come out in FFT order; max and sum |.|^p norms do not depend
+on the order, so the norms skip the fftshift.
 """
 
 from __future__ import annotations
@@ -82,29 +97,27 @@ class Grid2D:
         """Centered physical coordinates along one axis, natural order."""
         return (np.arange(self.n) - self.n // 2) * self.dx
 
-    def wavenumbers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Meshgrids (xi1, xi2) in FFT order, 'ij' indexing."""
-        k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
-        return np.meshgrid(k, k, indexing="ij")
-
-    def wavenumber_magnitude(self) -> np.ndarray:
-        k1, k2 = self.wavenumbers()
-        return np.hypot(k1, k2)
+    @property
+    def half_shape(self) -> tuple[int, int]:
+        """Shape of the half spectrum, (n, n//2 + 1)."""
+        return self.n, self.n // 2 + 1
 
 
 @dataclass(frozen=True)
 class GridOperators:
-    """Fourier multipliers of one grid, in FFT order, all read-only.
+    """Fourier multipliers of one grid on the half spectrum, all read-only.
 
-    k1 has shape (n, 1) and k2 shape (1, n); they broadcast against the
-    (n, n) arrays. The leading n//2 + 1 columns of each array are the
-    multipliers on the half spectrum that real transforms store.
+    k1 has shape (n, 1), k2 and weight (1, n//2 + 1); the others are
+    (n, n//2 + 1). Column n/2 holds xi2 = -n/2, its place in the FFT order.
     """
 
-    k1: np.ndarray
+    k1: np.ndarray             # xi1, as an odd factor: 0 on the Nyquist row
     k2: np.ndarray
+    mag2: np.ndarray           # |xi|^2
+    mag: np.ndarray            # |xi|
     inv_mag2: np.ndarray       # 1/|xi|^2, zero at the zero mode
-    symbol: np.ndarray         # xi1/|xi|^2, zero at the zero mode
+    symbol: np.ndarray         # dispersion symbol k1/|xi|^2
+    weight: np.ndarray         # column weight of lattice sums: 1, 2, ..., 2, 1
     dealias_mask: np.ndarray   # 2/3 rule: |k_i| <= n/3 on the integer lattice
     inverse_scale: float       # (2 pi / dx)^2, the factor of transform_inverse
 
@@ -112,17 +125,23 @@ class GridOperators:
 @functools.lru_cache(maxsize=4)
 def grid_operators(grid: Grid2D) -> GridOperators:
     """The operator set of `grid`, built once; equal grids share one set."""
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
-    k1, k2 = k[:, None], k[None, :]
-    mag2 = k1 ** 2 + k2 ** 2
+    n, m = grid.half_shape
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.dx)
+    k1, k2 = k[:, None].copy(), k[None, :m]
+    k1[n // 2] = 0.0
+    mag2 = k[:, None] ** 2 + k2 ** 2
     inv_mag2 = np.zeros_like(mag2)
     nz = mag2 > 0
     inv_mag2[nz] = 1.0 / mag2[nz]
-    keep = np.abs(np.fft.fftfreq(grid.n) * grid.n) <= (2.0 / 3.0) * (grid.n / 2.0)
-    ops = GridOperators(k1=k1, k2=k2, inv_mag2=inv_mag2, symbol=k1 * inv_mag2,
-                        dealias_mask=keep[:, None] & keep[None, :],
+    weight = np.full((1, m), 2.0)
+    weight[0, [0, -1]] = 1.0
+    keep = np.abs(np.fft.fftfreq(n) * n) <= (2.0 / 3.0) * (n / 2.0)
+    ops = GridOperators(k1=k1, k2=k2, mag2=mag2, mag=np.hypot(k[:, None], k2),
+                        inv_mag2=inv_mag2, symbol=k1 * inv_mag2, weight=weight,
+                        dealias_mask=keep[:, None] & keep[None, :m],
                         inverse_scale=(2.0 * np.pi / grid.dx) ** 2)
-    for arr in (ops.k1, ops.k2, ops.inv_mag2, ops.symbol, ops.dealias_mask):
+    for arr in (ops.k1, ops.k2, ops.mag2, ops.mag, ops.inv_mag2, ops.symbol,
+                ops.weight, ops.dealias_mask):
         arr.flags.writeable = False
     return ops
 
@@ -143,16 +162,17 @@ class RealField2D:
 
 @dataclass
 class SpectralField2D:
-    """Complex Fourier coefficients indexed by the FFT-ordered lattice."""
+    """The half spectrum of a real field: complex Fourier coefficients of
+    shape (n, n//2 + 1), rows in FFT order."""
 
     grid: Grid2D
     modes: np.ndarray
 
     def __post_init__(self):
         self.modes = np.asarray(self.modes, dtype=complex)
-        if self.modes.shape != (self.grid.n, self.grid.n):
+        if self.modes.shape != self.grid.half_shape:
             raise ConfigurationError(
-                f"expected {self.grid.n}x{self.grid.n} modes, got {self.modes.shape}")
+                f"expected {self.grid.half_shape} modes, got {self.modes.shape}")
 
     def copy(self) -> "SpectralField2D":
         return SpectralField2D(self.grid, self.modes.copy())
@@ -192,42 +212,21 @@ class NormReport:
 
 
 def transform_forward(f: RealField2D) -> SpectralField2D:
-    """Physical samples -> Fourier coefficients (centered-box phase)."""
+    """Physical samples -> half spectrum (centered-box phase)."""
     g = f.grid
     scale = g.dx ** 2 / (2.0 * np.pi) ** 2
-    modes = np.fft.fft2(np.fft.ifftshift(f.samples)) * scale
-    return SpectralField2D(g, modes)
+    return SpectralField2D(g, np.fft.rfft2(np.fft.ifftshift(f.samples)) * scale)
 
 
 def transform_inverse(f: SpectralField2D) -> RealField2D:
-    """Fourier coefficients -> real physical samples."""
+    """Half spectrum -> real physical samples."""
     return RealField2D(f.grid, np.fft.fftshift(real_samples(f)))
 
 
-def _hermitian_half(modes: np.ndarray) -> np.ndarray:
-    """Leading n//2 + 1 columns of the Hermitian part 0.5 (F(xi) + conj F(-xi))
-    of the n x n modes F."""
-    n = modes.shape[0]
-    r = n // 2
-    neg = np.empty((n, r + 1), dtype=complex)      # F(-xi) on the half spectrum
-    neg[0, 0] = modes[0, 0]
-    neg[1:, 0] = modes[:0:-1, 0]
-    neg[0, 1:] = modes[0, :r - 1:-1]
-    neg[1:, 1:] = modes[:0:-1, :r - 1:-1]
-    np.conj(neg, out=neg)
-    neg += modes[:, :r + 1]
-    neg *= 0.5
-    return neg
-
-
-def _half_samples(half: np.ndarray, g: Grid2D) -> np.ndarray:
-    return np.fft.irfft2(half, s=(g.n, g.n)) * grid_operators(g).inverse_scale
-
-
 def real_samples(f: SpectralField2D) -> np.ndarray:
-    """Real physical samples of f in FFT order (unshifted): the real part of
-    the inverse transform, by one irfft2 of the Hermitian half."""
-    return _half_samples(_hermitian_half(f.modes), f.grid)
+    """Real physical samples of f in FFT order (unshifted), by one irfft2."""
+    g = f.grid
+    return np.fft.irfft2(f.modes, s=(g.n, g.n)) * grid_operators(g).inverse_scale
 
 
 def zero_mean(f: SpectralField2D) -> SpectralField2D:
@@ -238,7 +237,7 @@ def zero_mean(f: SpectralField2D) -> SpectralField2D:
 
 def require_mean_zero(f: SpectralField2D | np.ndarray, tol: float = 1e-12) -> None:
     """Raise InputError unless the zero mode is negligible. `f` is a field or
-    a modes array (full or half spectrum) with the zero mode at [0, 0]."""
+    a modes array with the zero mode at [0, 0]."""
     modes = f.modes if isinstance(f, SpectralField2D) else f
     scale = max(1.0, float(np.abs(modes).max(initial=0.0)))
     mean = complex(modes[0, 0])
@@ -272,13 +271,13 @@ def lp_bump(r):
 
 def lp_project(f: SpectralField2D, j: int) -> SpectralField2D:
     """Restrict to the dyadic shell |xi| ~ 2^j via the smooth bump."""
-    mag = f.grid.wavenumber_magnitude()
+    mag = grid_operators(f.grid).mag
     return SpectralField2D(f.grid, f.modes * lp_bump(mag / 2.0 ** j))
 
 
 def shell_field(grid: Grid2D, j: int = 0) -> SpectralField2D:
     """Mean-zero data whose modes are the bump of the dyadic shell |xi| ~ 2^j."""
-    return zero_mean(SpectralField2D(grid, lp_bump(grid.wavenumber_magnitude() / 2.0 ** j)))
+    return zero_mean(SpectralField2D(grid, lp_bump(grid_operators(grid).mag / 2.0 ** j)))
 
 
 def lp_shell_range(grid: Grid2D) -> tuple[int, int]:
@@ -294,35 +293,32 @@ def lp_shell_range(grid: Grid2D) -> tuple[int, int]:
 # norms
 
 
-def _mag2(ops: GridOperators) -> np.ndarray:
-    """|xi|^2 on the full grid, from the cached wavenumber axes."""
-    return ops.k1 ** 2 + ops.k2 ** 2
+def _lattice_l2(density: np.ndarray, g: Grid2D) -> float:
+    """2 pi (sum over the lattice of density dxi^2)^(1/2), for a density
+    |multiplier fhat|^2 given on the half spectrum."""
+    total = float(np.sum(grid_operators(g).weight * density)) * g.dxi ** 2
+    return 2.0 * np.pi * np.sqrt(total)
 
 
 def l2_norm(f: SpectralField2D) -> float:
-    g = f.grid
-    return 2.0 * np.pi * g.dxi * float(np.linalg.norm(f.modes))
+    return _lattice_l2(np.abs(f.modes) ** 2, f.grid)
 
 
 def sobolev_norm(f: SpectralField2D, k: int) -> float:
     """Inhomogeneous H^k norm via the symbol (1 + |xi|^2)^(k/2)."""
     if k < 0:
         raise ValueError("Sobolev index must be >= 0")
-    g = f.grid
-    w = (1.0 + _mag2(grid_operators(g))) ** k
-    total = float(np.sum(w * np.abs(f.modes) ** 2)) * g.dxi ** 2
-    return 2.0 * np.pi * np.sqrt(total)
+    w = (1.0 + grid_operators(f.grid).mag2) ** k
+    return _lattice_l2(w * np.abs(f.modes) ** 2, f.grid)
 
 
 def homogeneous_sobolev_norm(f: SpectralField2D, s: float) -> float:
     """|D^s f|_{L^2}; the zero mode is skipped (its symbol is singular)."""
-    g = f.grid
-    mag = g.wavenumber_magnitude()
+    mag = grid_operators(f.grid).mag
     w = np.zeros_like(mag)
     nz = mag > 0
     w[nz] = mag[nz] ** (2.0 * s)
-    total = float(np.sum(w * np.abs(f.modes) ** 2)) * g.dxi ** 2
-    return 2.0 * np.pi * np.sqrt(total)
+    return _lattice_l2(w * np.abs(f.modes) ** 2, f.grid)
 
 
 def linf_norm(f: SpectralField2D) -> float:
@@ -345,26 +341,22 @@ def besov_norm(f: SpectralField2D, s: float, p: float, q: float) -> float:
     """Homogeneous Besov norm: ell^q over shells of 2^(s j) |P_j f|_{L^p}.
 
     The shell sum is truncated to lp_shell_range, the dyadic range
-    resolvable on the grid. The shells are cut from the Hermitian half of f
-    (the bump is radial, so it commutes with taking the Hermitian part), and
-    each costs one irfft2; the bump of shell j is chi(r/2^j) - chi(r/2^(j-1)),
-    so consecutive shells share one cutoff.
+    resolvable on the grid. Each shell costs one irfft2; the bump of shell j
+    is chi(r/2^j) - chi(r/2^(j-1)), so consecutive shells share one cutoff.
     """
     if not (p >= 1 and q >= 1):
         raise ValueError("p, q must lie in [1, inf]")
     g = f.grid
-    ops = grid_operators(g)
-    half = _hermitian_half(f.modes)
-    mag = np.hypot(ops.k1, ops.k2[:, :half.shape[1]])
+    mag = grid_operators(g).mag
     j_min, j_max = lp_shell_range(g)
     chi_below = _chi(mag / 2.0 ** (j_min - 1))
     terms = []
     for j in range(j_min, j_max + 1):
         chi = _chi(mag / 2.0 ** j)
-        piece = half * (chi - chi_below)
+        piece = SpectralField2D(g, f.modes * (chi - chi_below))
         chi_below = chi
-        terms.append(2.0 ** (s * j) * _samples_lp_norm(_half_samples(piece, g), p, g.dx)
-                     if np.any(piece) else 0.0)
+        terms.append(2.0 ** (s * j) * _samples_lp_norm(real_samples(piece), p, g.dx)
+                     if np.any(piece.modes) else 0.0)
     terms = np.asarray(terms)
     if np.isinf(q):
         return float(terms.max(initial=0.0))
@@ -395,8 +387,8 @@ def weighted_profile_norm(f: Profile, l, warn_sink: list | None = None):
 
     `l` is one order or a tuple of orders; a tuple returns a tuple of norms,
     which share one inverse transform and one |grad_xi fhat|^2. grad_xi fhat
-    is the transform of -i x f(x), with x the centered box coordinate and
-    the imaginary part of f(x) kept.
+    is the transform of -i x f(x), with x the centered box coordinate; the
+    two real fields x_i f(x) take one batched rfft2.
 
     Appends a boundary-contamination warning to warn_sink when less than 99%
     of the field's mass sits in the central half-box.
@@ -404,26 +396,21 @@ def weighted_profile_norm(f: Profile, l, warn_sink: list | None = None):
     orders = tuple(l) if isinstance(l, tuple) else (l,)
     if any(o not in (2, 3) for o in orders):
         raise ValueError("weight order must be 2 or 3")
-    fld = f.field
-    g = fld.grid
-    ops = grid_operators(g)
-    phys = np.fft.ifft2(fld.modes) * ops.inverse_scale
-    if warn_sink is not None and _central_mass(phys.real, g) < 0.99:
+    g = f.field.grid
+    phys = real_samples(f.field)
+    if warn_sink is not None and _central_mass(phys, g) < 0.99:
         warn_sink.append(f"boundary contamination: <99% mass in central half-box at t={f.t}")
     x = _fft_order_coords(g)
-    scale = g.dx ** 2 / (2.0 * np.pi) ** 2
-    d1 = np.fft.fft2(-1j * x[:, None] * phys) * scale
-    d2 = np.fft.fft2(-1j * x[None, :] * phys) * scale
-    grad2 = np.abs(d1) ** 2 + np.abs(d2) ** 2
-    mag2 = _mag2(ops)
-    norms = tuple(2.0 * np.pi * np.sqrt(float(np.sum(mag2 ** o * grad2)) * g.dxi ** 2)
-                  for o in orders)
+    d1, d2 = np.fft.rfft2(np.stack((x[:, None] * phys, x[None, :] * phys)))
+    grad2 = (np.abs(d1) ** 2 + np.abs(d2) ** 2) * (g.dx ** 2 / (2.0 * np.pi) ** 2) ** 2
+    mag2 = grid_operators(g).mag2
+    norms = tuple(_lattice_l2(mag2 ** o * grad2, g) for o in orders)
     return norms if isinstance(l, tuple) else norms[0]
 
 
 def fhat_sup_weighted(f: Profile) -> float:
     """sup over modes of |xi|^2 |fhat(xi)| (in the fhat normalization above)."""
-    return float((_mag2(grid_operators(f.field.grid)) * np.abs(f.field.modes)).max())
+    return float((grid_operators(f.field.grid).mag2 * np.abs(f.field.modes)).max())
 
 
 # ---------------------------------------------------------------------------

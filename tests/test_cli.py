@@ -95,6 +95,31 @@ class TestSimulate:
         with open(out) as fh:
             assert not any(line.startswith("# warnings") for line in fh)
 
+    def test_handoff_is_exact(self, tmp_path):
+        # every config key and each checkpoint time reach diagnose unrounded,
+        # so it unwinds the profiles with the very beta and t of the run
+        cfg = tmp_path / "exact.cfg"
+        cfg.write_text(CONFIG.replace("beta = 1.0", "beta = 1.23456789")
+                       + "init_width = 1.3\noutput_stride = 3\nnonlinear = true\n")
+        out, chk, diag = (str(tmp_path / name) for name in ("run.csv", "chk", "diag.csv"))
+        assert main(["simulate", "--config", str(cfg), "--out", out,
+                     "--checkpoints", chk]) == EXIT_OK
+        with open(out) as fh:
+            header = [line for line in fh if line.startswith("# config-line: ")]
+        assert "# config-line: beta=1.23456789\n" in header
+        assert "# config-line: init_width=1.3\n" in header
+        assert "# config-line: output_stride=3\n" in header
+        assert any(name.endswith("_t=0.30000000000000004.bpf") for name in os.listdir(chk))
+        assert main(["diagnose", "--in", out, "--checkpoints", chk, "--out", diag,
+                     "--k", "3"]) == EXIT_OK
+        sim_rows = [line.strip().split(",") for line in read_noncomment(out)]
+        diag_rows = [line.strip().split(",") for line in read_noncomment(diag)]
+        col_s, col_d = sim_rows[0].index("weighted2"), diag_rows[0].index("weighted2")
+        assert len(sim_rows) == len(diag_rows) == 6      # header and t = 0 .. 0.5
+        for a, b in zip(sim_rows[1:], diag_rows[1:]):
+            assert float(a[0]) == float(b[0])
+            assert float(b[col_d]) == pytest.approx(float(a[col_s]), rel=1e-12, abs=0)
+
     def test_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("n = 32\nL = twenty\n")
@@ -131,10 +156,11 @@ def _truncated_field_config(tmp_path):
     (["stphase", "--x-over-t", "1,nan"], EXIT_CONFIG),
     (["stphase", "--x-over-t", "inf,0"], EXIT_CONFIG),
     (["simulate"], EXIT_CONFIG),
+    (["decay", "--config", "x.cfg"], EXIT_CONFIG),
 ], ids=["unknown-id", "partly-unknown-ids", "classify-no-vectors", "classify-no-eta",
         "truncated-init-file", "too-few-samples", "mu-out-of-range", "negative-t-min",
         "zero-t-min", "decay-mu-out-of-range", "stphase-not-a-number", "stphase-nan",
-        "stphase-inf", "simulate-no-config"])
+        "stphase-inf", "simulate-no-config", "decay-config"])
 def test_bad_input_exit_codes(tmp_path, argv, code):
     argv = [a(tmp_path) if callable(a) else a for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == code

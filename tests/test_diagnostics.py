@@ -50,13 +50,13 @@ class TestDecayNorms:
 
     def test_zero(self):
         g = Grid2D(16, 5.0)
-        w = SpectralField2D(g, np.zeros((16, 16)))
+        w = SpectralField2D(g, np.zeros(g.half_shape))
         assert (linf_norm(w),) + velocity_sup_norms(w) == (0.0, 0.0, 0.0)
 
     def test_single_shell_gradient_relation(self):
         # one Hermitian mode pair at |xi| = k: |Du| ~= |xi| |u| for that wave
         g = Grid2D(32, 2 * np.pi)
-        modes = np.zeros((32, 32), dtype=complex)
+        modes = np.zeros(g.half_shape, dtype=complex)
         modes[2, 0] = 1.0
         modes[-2, 0] = 1.0
         w = SpectralField2D(g, modes)
@@ -175,7 +175,7 @@ class TestDiagnosticsReadReports:
 class TestProfileSup:
     def test_single_mode_value(self):
         g = Grid2D(32, 2 * np.pi)
-        modes = np.zeros((32, 32), dtype=complex)
+        modes = np.zeros(g.half_shape, dtype=complex)
         modes[2, 0] = 0.7    # |xi| = 2
         p = Profile(SpectralField2D(g, modes), 0.0)
         assert fhat_sup_weighted(p) == pytest.approx(4.0 * 0.7)

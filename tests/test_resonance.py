@@ -251,9 +251,11 @@ class TestCertifyBound:
 class TestResonanceProbe:
     def test_lambda_grid(self):
         out = resonance_probe([1.0, -3.5, 0.25])
-        for row in out["spacetime"]:
-            assert row["abs_phase"] < 1e-14
-            assert row["grad_eta_norm"] < 1e-14
+        spacetime = out["spacetime"]
+        assert spacetime["lam"].tolist() == [1.0, -3.5, 0.25]
+        assert spacetime["abs_phase"].shape == spacetime["grad_eta_norm"].shape == (3,)
+        assert spacetime["abs_phase"].max() < 1e-14
+        assert spacetime["grad_eta_norm"].max() < 1e-14
         assert out["forward_exact"]
         assert out["converse_nonzero"]
 

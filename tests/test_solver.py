@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bplab.solver import (
+    CONFIG_KEYS,
     SimConfig,
     SimState,
     StabilityError,
     biot_savart,
     dealias,
     dealias_mask,
+    format_config,
     initial_vorticity,
     linear_operator_field,
     make_report,
@@ -39,6 +41,7 @@ from bplab.spectral import (
     write_field,
     zero_mean,
 )
+from halfspec import full_wavenumbers, hermitian_extension
 
 
 def random_vorticity(n=32, box_length=10.0, seed=0):
@@ -55,6 +58,25 @@ class TestConfig:
         assert cfg.box_length == 100.0
         assert cfg.beta == 0.5
         assert cfg.k_energy == 3
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.sampled_from([8, 64, 256]), box_length=st.floats(1e-3, 1e4),
+           beta=st.floats(-1e3, 1e3), dt=st.floats(1e-4, 1.0), steps=st.integers(0, 10 ** 4),
+           k_energy=st.integers(0, 8), output_stride=st.integers(1, 1000),
+           init=st.sampled_from(["gaussian", "shell", "pair", "file"]),
+           eps=st.floats(-10.0, 10.0), init_width=st.floats(0.0, 100.0),
+           init_file=st.none() | st.text("abc/._-XYZ 019", min_size=1).map(str.strip)
+           .filter(bool), nonlinear=st.booleans())
+    def test_format_parse_roundtrip(self, steps, **fields):
+        cfg = SimConfig(t_end=steps * fields["dt"], **fields)
+        text = format_config(cfg)
+        assert parse_config(text) == cfg
+        assert [line.split("=")[0] for line in text.splitlines()] == \
+            [k for k in CONFIG_KEYS if k != "init_file" or cfg.init_file is not None]
+
+    def test_format_writes_repr_floats(self):
+        text = format_config(SimConfig(beta=1.23456789, box_length=10.123456789))
+        assert "beta=1.23456789\n" in text and "L=10.123456789\n" in text
 
     def test_unknown_key(self):
         with pytest.raises(ConfigurationError):
@@ -82,16 +104,19 @@ class TestConfig:
 
 class TestBiotSavart:
     def test_sign_is_fixed_and_consistent(self):
-        # the fixed symbol (i xi2, -i xi1)/|xi|^2 has curl u = omega on every mode
+        # the fixed symbol (i xi2, -i xi1)/|xi|^2 has curl u = omega on every
+        # mode off the Nyquist row, where the odd factor k1 is 0
         w = random_vorticity(seed=2)
         u1, u2 = biot_savart(w)
-        k1, k2 = w.grid.wavenumbers()
-        curl = 1j * k1 * u2.modes - 1j * k2 * u1.modes
-        assert np.abs(curl - w.modes).max() < 1e-13 * np.abs(w.modes).max()
+        ops = grid_operators(w.grid)
+        curl = 1j * ops.k1 * u2.modes - 1j * ops.k2 * u1.modes
+        off = np.ones(w.modes.shape, dtype=bool)
+        off[16] = False
+        assert np.abs(curl - w.modes)[off].max() < 1e-13 * np.abs(w.modes).max()
 
     def test_zero(self):
         g = Grid2D(16, 5.0)
-        u1, u2 = biot_savart(SpectralField2D(g, np.zeros((16, 16))))
+        u1, u2 = biot_savart(SpectralField2D(g, np.zeros(g.half_shape)))
         assert np.all(u1.modes == 0) and np.all(u2.modes == 0)
 
     def test_curl_consistency_sine(self):
@@ -100,8 +125,8 @@ class TestBiotSavart:
         w = zero_mean(transform_forward(RealField2D(
             g, np.sin(2 * np.pi * x / 10.0)[:, None] * np.ones(32))))
         u1, u2 = biot_savart(w)
-        k1, k2 = g.wavenumbers()
-        curl = 1j * k1 * u2.modes - 1j * k2 * u1.modes
+        ops = grid_operators(g)
+        curl = 1j * ops.k1 * u2.modes - 1j * ops.k2 * u1.modes
         assert np.abs(curl - w.modes).max() < 1e-13
         # u depends only on x1
         u1p = transform_inverse(u1).samples
@@ -114,7 +139,7 @@ class TestBiotSavart:
     def test_divergence_free(self, seed):
         w = random_vorticity(seed=seed)
         u1, u2 = biot_savart(w)
-        k1, k2 = w.grid.wavenumbers()
+        k1, k2 = grid_operators(w.grid).k1, grid_operators(w.grid).k2
         div = k1 * u1.modes + k2 * u2.modes
         scale = max(np.abs(k1 * u1.modes).max(), np.abs(k2 * u2.modes).max())
         assert np.abs(div).max() < 1e-14 * scale
@@ -129,7 +154,7 @@ class TestBiotSavart:
 class TestNonlinearTerm:
     def test_zero(self):
         g = Grid2D(16, 5.0)
-        out = nonlinear_term(SpectralField2D(g, np.zeros((16, 16))))
+        out = nonlinear_term(SpectralField2D(g, np.zeros(g.half_shape)))
         assert np.all(out.modes == 0)
 
     def test_shear_annihilates(self):
@@ -144,11 +169,9 @@ class TestNonlinearTerm:
     def test_single_line_spectrum_annihilates(self):
         g = Grid2D(32, 2 * np.pi)
         rng = np.random.default_rng(3)
-        modes = np.zeros((32, 32), dtype=complex)
+        modes = np.zeros(g.half_shape, dtype=complex)
         for j in (1, 2, 3):
-            amp = rng.normal() + 1j * rng.normal()
-            modes[(2 * j) % 32, j % 32] = amp
-            modes[(-2 * j) % 32, (-j) % 32] = np.conj(amp)
+            modes[2 * j, j] = rng.normal() + 1j * rng.normal()
         out = nonlinear_term(SpectralField2D(g, modes))
         assert np.abs(out.modes).max() < 1e-12 * np.abs(modes).max()
 
@@ -156,8 +179,9 @@ class TestNonlinearTerm:
         w = random_vorticity(seed=5)
         nl = nonlinear_term(w)
         wd = dealias(w)
-        ip = float(np.sum(nl.modes * np.conj(wd.modes)).real)
-        assert abs(ip) < 1e-10 * float(np.sum(np.abs(wd.modes) ** 2))
+        weight = grid_operators(w.grid).weight
+        ip = float(np.sum(weight * nl.modes * np.conj(wd.modes)).real)
+        assert abs(ip) < 1e-10 * float(np.sum(weight * np.abs(wd.modes) ** 2))
 
     def test_matches_convolution_oracle(self):
         # direct O(n^4) sum of m(xi, eta) w(xi - eta) w(eta) d_eta^2 on 8x8
@@ -165,8 +189,9 @@ class TestNonlinearTerm:
         rng = np.random.default_rng(7)
         w = dealias(zero_mean(transform_forward(RealField2D(g, rng.normal(size=(8, 8))))))
         got = nonlinear_term(w)
+        full = hermitian_extension(w.modes)
         k = (np.fft.fftfreq(8) * 8).astype(int)
-        keep = dealias_mask(g)
+        keep = (np.abs(k)[:, None] <= 8 / 3) & (np.abs(k)[None, :] <= 8 / 3)
         expect = np.zeros((8, 8), dtype=complex)
         for ia, a in enumerate(k):
             for ib, b in enumerate(k):
@@ -182,40 +207,40 @@ class TestNonlinearTerm:
                             continue
                         eta = np.array([c, d], float) * g.dxi
                         m = (xi[0] * (-eta[1]) + xi[1] * eta[0]) / (eta @ eta)
-                        total += m * w.modes[(a - c) % 8, (b - d) % 8] * w.modes[ic, id_]
+                        total += m * full[(a - c) % 8, (b - d) % 8] * full[ic, id_]
                 expect[ia, ib] = -total * g.dxi ** 2
         scale = np.abs(expect).max()
-        assert np.abs(got.modes - expect).max() < 1e-10 * scale
+        assert np.abs(hermitian_extension(got.modes) - expect).max() < 1e-10 * scale
 
 
-def reference_nonlinear(omega):
-    """-u.grad omega on the full spectrum: complex transforms of the dealiased
-    velocity and vorticity gradient, product in physical space."""
-    g = omega.grid
-    k1, k2 = g.wavenumbers()
+def reference_nonlinear(w, g):
+    """-u.grad omega on the full spectrum `w` of the grid g: complex
+    transforms of the dealiased velocity and vorticity gradient, product in
+    physical space."""
+    k1, k2 = full_wavenumbers(g)
     mag2 = k1 ** 2 + k2 ** 2
     inv = np.divide(1.0, mag2, out=np.zeros_like(mag2), where=mag2 > 0)
     lattice = np.abs(np.fft.fftfreq(g.n) * g.n) <= g.n / 3.0
     mask = lattice[:, None] & lattice[None, :]
-    wd = omega.modes * mask
+    wd = w * mask
 
     def phys(modes):
-        return transform_inverse(SpectralField2D(g, modes)).samples
+        return c2c_samples(modes, g).real
 
     advect = phys(1j * k2 * inv * wd) * phys(1j * k1 * wd) \
         + phys(-1j * k1 * inv * wd) * phys(1j * k2 * wd)
-    return -transform_forward(RealField2D(g, advect)).modes * mask
+    return -np.fft.fft2(np.fft.ifftshift(advect)) * (g.dx / (2 * np.pi)) ** 2 * mask
 
 
 def reference_step(f0, t, cfg):
     """Classical RK4 on the full profile modes, 8 phases per step."""
-    k1, k2 = cfg.grid.wavenumbers()
+    k1, k2 = full_wavenumbers(cfg.grid)
     mag2 = k1 ** 2 + k2 ** 2
     sym = np.divide(k1, mag2, out=np.zeros_like(mag2), where=mag2 > 0)
 
     def rhs(f, s):
-        omega = SpectralField2D(cfg.grid, f * np.exp(-1j * cfg.beta * s * sym))
-        return reference_nonlinear(omega) * np.exp(1j * cfg.beta * s * sym)
+        omega = f * np.exp(-1j * cfg.beta * s * sym)
+        return reference_nonlinear(omega, cfg.grid) * np.exp(1j * cfg.beta * s * sym)
 
     dt = cfg.dt
     a = rhs(f0, t)
@@ -232,57 +257,60 @@ def rel_err(got, expect):
 
 
 class TestFullSpectrumEquivalence:
-    """The half-spectrum step against the full-spectrum reference above, on
-    random fields whose Nyquist row and column carry O(1) mass."""
+    """The half-spectrum step against the full-spectrum reference above, fed
+    the Hermitian extension, on random fields whose Nyquist row and column
+    carry O(1) mass."""
 
     @pytest.mark.parametrize("n", [16, 64])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_nonlinear_term(self, n, seed):
         w = random_vorticity(n=n, seed=seed)
-        assert rel_err(nonlinear_term(w).modes, reference_nonlinear(w)) <= 1e-12
+        expect = reference_nonlinear(hermitian_extension(w.modes), w.grid)
+        assert rel_err(hermitian_extension(nonlinear_term(w).modes), expect) <= 1e-12
 
     def test_fifty_steps(self):
         cfg = SimConfig(n=32, box_length=10.0, beta=1.0, dt=0.05)
         w0 = random_vorticity(seed=21)
         w0 = SpectralField2D(w0.grid, 0.3 * w0.modes)
         state = SimState(0.0, profile_from_omega(w0, 0.0, cfg.beta))
-        expect = state.profile.field.modes
+        expect = hermitian_extension(state.profile.field.modes)
         for i in range(50):
             expect = reference_step(expect, i * cfg.dt, cfg)
             state = step(state, cfg)
         assert state.step_count == 50
-        assert rel_err(state.profile.field.modes, expect) <= 1e-12
+        assert rel_err(hermitian_extension(state.profile.field.modes), expect) <= 1e-12
 
     def test_nyquist_row_and_column_kept(self):
+        # the step changes only the kept block: row n/2 and the columns
+        # kc = n//3 + 1 .. n/2 stay as they were
         cfg = SimConfig(n=32, box_length=10.0, beta=1.0, dt=0.05)
         state = SimState(0.0, Profile(random_vorticity(seed=22), 0.0))
         f0 = state.profile.field.modes
         f1 = step(state, cfg).profile.field.modes
-        assert np.array_equal(f1[16], f0[16]) and np.array_equal(f1[:, 16], f0[:, 16])
-        assert not np.array_equal(f1, f0)
+        assert np.array_equal(f1[16], f0[16]) and np.array_equal(f1[:, 11:], f0[:, 11:])
+        assert not np.array_equal(f1[:, :11], f0[:, :11])
 
     @pytest.mark.parametrize("t", [0.0, 0.7, 3.1])
     def test_cfl_speed_is_max_speed(self, t):
-        # the profile is not rotated to time t, so the vorticity's Nyquist row
-        # carries a phase that breaks its Hermitian symmetry
+        # the step's advective bound is max_speed of the vorticity at time t
         cfg = SimConfig(n=32, box_length=10.0, beta=1.3, dt=1e3, t_end=1e3)
         prof = Profile(random_vorticity(seed=23), t)
         with pytest.raises(StabilityError) as err:
             step(SimState(t, prof), cfg)
-        speed = 0.25 * cfg.grid.dx / err.value.suggested_dt
-        assert speed == pytest.approx(max_speed(omega_from_profile(prof, cfg.beta)), rel=1e-12)
+        speed = max_speed(omega_from_profile(prof, cfg.beta))
+        assert err.value.suggested_dt == 0.5 * (0.5 * cfg.grid.dx / speed)
 
 
 def half_spectrum_advection(w, ops):
     """-u.grad omega on the half spectrum `w`: one batched irfft2 of the
     dealiased velocity and vorticity gradient, and one rfft2 of u.grad omega."""
-    n, m = w.shape
-    mask = ops.dealias_mask[:, :m]
+    n = w.shape[0]
+    mask = ops.dealias_mask
     wd = w * mask
-    a = wd * ops.inv_mag2[:, :m]
-    u1, u2 = 1j * ops.k2[:, :m] * a, -1j * ops.k1 * a
+    a = wd * ops.inv_mag2
+    u1, u2 = 1j * ops.k2 * a, -1j * ops.k1 * a
     d1 = 1j * ops.k1 * wd
-    d2 = 1j * ops.k2[:, :m] * wd
+    d2 = 1j * ops.k2 * wd
     phys = np.fft.irfft2(np.stack((u1, u2, d1, d2)), s=(n, n))
     advect = np.fft.rfft2(phys[0] * phys[2] + phys[1] * phys[3])
     return -ops.inverse_scale * advect * mask
@@ -296,7 +324,7 @@ def half_spectrum_step(f0, t, cfg):
     ops = grid_operators(cfg.grid)
 
     def rhs(h, s):
-        phase = np.exp(-1j * cfg.beta * s * ops.symbol[:, :m])
+        phase = np.exp(-1j * cfg.beta * s * ops.symbol)
         return half_spectrum_advection(h * phase, ops) * np.conj(phase)
 
     h0 = f0[:, :m]
@@ -323,19 +351,19 @@ class TestHalfSpectrumEquivalence:
     def test_one_step(self, n, t, init):
         cfg = SimConfig(n=n, box_length=50.0, beta=1.3, dt=0.01, init="pair", eps=0.5)
         w = initial_vorticity(cfg) if init == "pair" else random_vorticity(n, 50.0, seed=n)
-        f0 = w.modes
-        got = step(SimState(t, Profile(w, t)), cfg).profile.field.modes
+        f0 = hermitian_extension(w.modes)
+        got = hermitian_extension(step(SimState(t, Profile(w, t)), cfg).profile.field.modes)
         expect = half_spectrum_step(f0, t, cfg)
         assert rel_err(got - f0, expect - f0) <= 1e-12
 
     def test_chained_steps(self):
         cfg = SimConfig(n=128, box_length=50.0, beta=1.0, dt=0.05, init="gaussian", eps=0.5)
         state = SimState(0.0, profile_from_omega(initial_vorticity(cfg), 0.0, cfg.beta))
-        f0 = expect = state.profile.field.modes
+        f0 = expect = hermitian_extension(state.profile.field.modes)
         for i in range(300):
             expect = half_spectrum_step(expect, i * cfg.dt, cfg)
             state = step(state, cfg)
-        got = state.profile.field.modes
+        got = hermitian_extension(state.profile.field.modes)
         assert rel_err(got - f0, expect - f0) <= 1e-12
 
 
@@ -345,29 +373,31 @@ def c2c_samples(modes, g):
 
 
 def reference_report(state, cfg):
-    """make_report's columns by complex transforms: one inverse per shell of
-    lp_project, six for the velocity norms, and one weighted-norm evaluation
-    per order, each with its own central-mass test."""
-    prof = state.profile
-    omega = omega_from_profile(prof, cfg.beta)
-    g, w = omega.grid, omega.modes
-    k1, k2 = g.wavenumbers()
-    mag = g.wavenumber_magnitude()
+    """make_report's columns by complex transforms of the Hermitian
+    extensions: one inverse per shell of lp_project, six for the velocity
+    norms, and one weighted-norm evaluation per order, each with its own
+    central-mass test."""
+    omega = omega_from_profile(state.profile, cfg.beta)
+    g, w = omega.grid, hermitian_extension(omega.modes)
+    prof = hermitian_extension(state.profile.field.modes)
+    k1, k2 = full_wavenumbers(g)
+    mag = np.hypot(k1, k2)
     inv = np.divide(1.0, mag ** 2, out=np.zeros_like(mag), where=mag > 0)
     u1h, u2h = 1j * k2 * inv * w, -1j * k1 * inv * w
     u1, u2 = c2c_samples(u1h, g).real, c2c_samples(u2h, g).real
     du = max(np.abs(c2c_samples(1j * k * uh, g).real).max()
              for uh in (u1h, u2h) for k in (k1, k2))
     j_min, j_max = lp_shell_range(g)
-    besov = sum(2.0 ** (3 * j) * np.abs(c2c_samples(lp_project(omega, j).modes, g).real).sum()
-                * g.dx ** 2 for j in range(j_min, j_max + 1))
+    besov = sum(2.0 ** (3 * j) * np.abs(c2c_samples(
+        hermitian_extension(lp_project(omega, j).modes), g).real).sum() * g.dx ** 2
+        for j in range(j_min, j_max + 1))
     x = g.x_coords()
-    phys = c2c_samples(prof.field.modes, g)
+    phys = c2c_samples(prof, g)
     scale = g.dx ** 2 / (2 * np.pi) ** 2
     inside = (np.abs(x)[:, None] <= g.box_length / 4) & (np.abs(x)[None, :] <= g.box_length / 4)
     weighted, masses = [], []
     for l in (2, 3):
-        s = c2c_samples(prof.field.modes, g).real
+        s = c2c_samples(prof, g).real
         masses.append(np.sum(s[inside] ** 2) / np.sum(s ** 2))
         d1 = np.fft.fft2(np.fft.ifftshift(-1j * x[:, None] * phys)) * scale
         d2 = np.fft.fft2(np.fft.ifftshift(-1j * x[None, :] * phys)) * scale
@@ -384,7 +414,7 @@ def reference_report(state, cfg):
         "besov311": besov,
         "weighted2": weighted[0],
         "weighted3": weighted[1],
-        "fhat_sup2": (mag ** 2 * np.abs(prof.field.modes)).max(),
+        "fhat_sup2": (mag ** 2 * np.abs(prof)).max(),
     }
     return row, masses[0]
 
@@ -401,10 +431,9 @@ def windowed_vorticity(n, seed):
 
 
 class TestReportEquivalence:
-    """make_report on real transforms against the complex-transform formulas
-    above. The profile is rotated to t with beta = 1 and reported with
-    beta = 1.3, so neither it nor the vorticity is Hermitian on the Nyquist
-    row for t > 0. Plain random samples reach the box edge and trip the
+    """make_report on the half spectrum against the complex-transform
+    formulas above. The profile is rotated to t with beta = 1 and reported
+    with beta = 1.3. Plain random samples reach the box edge and trip the
     boundary warning; windowed ones do not."""
 
     @pytest.mark.parametrize("n", [32, 64])
@@ -423,16 +452,19 @@ class TestReportEquivalence:
         assert (mass >= 0.99) == windowed
         assert len(rep.warnings) == int(not windowed)
         omega = omega_from_profile(state.profile, cfg.beta)
-        ref = c2c_samples(omega.modes, omega.grid).real
+        ref = c2c_samples(hermitian_extension(omega.modes), omega.grid).real
         assert rel_err(transform_inverse(omega).samples, ref) <= 1e-12
 
-    def test_nyquist_row_is_not_hermitian(self):
-        n, r = 32, 16
-        prof = profile_from_omega(random_vorticity(n=n, seed=0), 0.7, 1.0)
-        omega = omega_from_profile(prof, 1.3)
-        for modes in (prof.field.modes, omega.modes):
-            row = modes[r]
-            assert np.abs(row[1:r] - np.conj(row[:r:-1])).max() > 1e-3 * np.abs(row).max()
+    def test_rotated_fields_stay_real(self):
+        # rotated to t, the profile and the vorticity are each the half
+        # spectrum of their real samples: the round trip through them is exact
+        for t in (0.7, 3.1):
+            prof = profile_from_omega(random_vorticity(n=32, seed=0), t, 1.0)
+            omega = omega_from_profile(prof, 1.3)
+            for f in (prof.field, omega):
+                back = transform_forward(transform_inverse(f)).modes
+                assert rel_err(back, f.modes) <= 1e-14
+                assert f.modes[16, 0].imag == 0.0
 
 
 class TestStep:
@@ -440,7 +472,7 @@ class TestStep:
         cfg = SimConfig(n=16, box_length=10.0, dt=0.1, t_end=1.0, eps=0.0)
         g = cfg.grid
         state = SimState(0.0, profile_from_omega(
-            SpectralField2D(g, np.zeros((16, 16))), 0.0, cfg.beta))
+            SpectralField2D(g, np.zeros(g.half_shape)), 0.0, cfg.beta))
         out = step(state, cfg)
         assert np.all(out.profile.field.modes == 0)
         assert out.t == pytest.approx(0.1)
@@ -487,8 +519,9 @@ class TestStep:
         # the dispersive term never exchanges L2 mass: Re<L1 w, w> = 0
         w = random_vorticity(seed=11)
         lw = linear_operator_field(w, beta=1.0)
-        ip = float(np.sum(lw.modes * np.conj(w.modes)).real)
-        assert abs(ip) < 1e-16 * float(np.sum(np.abs(w.modes) ** 2))
+        weight = grid_operators(w.grid).weight
+        ip = float(np.sum(weight * lw.modes * np.conj(w.modes)).real)
+        assert abs(ip) < 1e-16 * float(np.sum(weight * np.abs(w.modes) ** 2))
 
 
 class TestRun:

@@ -18,6 +18,7 @@ from bplab.spectral import (
     besov_norm,
     central_mass_fraction,
     grid_operators,
+    homogeneous_sobolev_norm,
     l2_norm,
     linf_norm,
     lp_bump,
@@ -36,6 +37,7 @@ from bplab.spectral import (
 )
 from bplab.harness import write_csv
 from bplab.propagator import dispersion_symbol
+from halfspec import full_wavenumbers, hermitian_extension
 
 
 def random_field(grid, seed=0, scale=1.0):
@@ -53,8 +55,9 @@ class TestGrid:
     def test_wavenumber_spacing(self):
         g = Grid2D(16, 10.0)
         assert g.dxi == pytest.approx(2 * np.pi / 10.0)
-        k1, _ = g.wavenumbers()
+        k1 = grid_operators(g).k1
         assert k1[1, 0] - k1[0, 0] == pytest.approx(g.dxi)
+        assert g.half_shape == (16, 9)
 
     @pytest.mark.parametrize("n", [7, 12, 4, 0])
     def test_rejects_bad_sizes(self, n):
@@ -77,22 +80,29 @@ class TestGridOperators:
         assert dispersion_symbol(Grid2D(32, 10.0)) is grid_operators(Grid2D(32, 10.0)).symbol
 
     def test_values(self):
+        # the half spectrum's columns 0 .. n/2 of the whole lattice; the odd
+        # factor k1 and the symbol are 0 on the Nyquist row
         g = Grid2D(16, 5.0)
         ops = grid_operators(g)
-        k1, k2 = g.wavenumbers()
+        k1, k2 = (k[:, :9] for k in full_wavenumbers(g))
         nz = (k1 != 0) | (k2 != 0)
-        mag2 = k1[nz] ** 2 + k2[nz] ** 2
-        assert np.array_equal(np.broadcast_to(ops.k1, (16, 16)), k1)
-        assert np.array_equal(np.broadcast_to(ops.k2, (16, 16)), k2)
+        mag2 = k1 ** 2 + k2 ** 2
+        odd1 = np.where(np.arange(16)[:, None] == 8, 0.0, k1)
+        assert np.array_equal(np.broadcast_to(ops.k1, (16, 9)), odd1)
+        assert np.array_equal(np.broadcast_to(ops.k2, (16, 9)), k2)
+        assert np.array_equal(ops.mag2, mag2) and np.array_equal(ops.mag, np.hypot(k1, k2))
         assert ops.inv_mag2[0, 0] == 0.0 and ops.symbol[0, 0] == 0.0
-        assert np.allclose(ops.inv_mag2[nz], 1.0 / mag2, rtol=1e-15, atol=0)
-        assert np.allclose(ops.symbol[nz], k1[nz] / mag2, rtol=1e-15, atol=0)
+        assert np.allclose(ops.inv_mag2[nz], 1.0 / mag2[nz], rtol=1e-15, atol=0)
+        assert np.allclose(ops.symbol[nz], odd1[nz] / mag2[nz], rtol=1e-15, atol=0)
+        assert not ops.symbol[8].any()
+        assert ops.weight.tolist() == [[1.0] + [2.0] * 7 + [1.0]]
         assert ops.inverse_scale == pytest.approx((2 * np.pi / g.dx) ** 2, rel=1e-15)
 
     def test_arrays_are_read_only(self):
         g = Grid2D(32, 10.0)
         ops = grid_operators(g)
-        for arr in (ops.k1, ops.k2, ops.inv_mag2, ops.symbol, ops.dealias_mask):
+        for arr in (ops.k1, ops.k2, ops.mag2, ops.mag, ops.inv_mag2, ops.symbol,
+                    ops.weight, ops.dealias_mask):
             with pytest.raises(ValueError):
                 arr[0, 0] = 1
         sym = dispersion_symbol(g)
@@ -112,9 +122,10 @@ class TestTransforms:
         x = g.x_coords()
         f = RealField2D(g, np.cos(2 * np.pi * x / 10.0)[:, None] * np.ones(32))
         fh = transform_forward(f)
+        assert fh.modes.shape == (32, 17)
         nz = np.abs(fh.modes) > 1e-12
         assert nz.sum() == 2
-        k1, k2 = g.wavenumbers()
+        k1, k2 = (k[:, :17] for k in full_wavenumbers(g))
         assert set(np.round(k1[nz] * 10 / (2 * np.pi)).astype(int)) == {-1, 1}
         assert np.allclose(k2[nz], 0.0)
 
@@ -136,28 +147,34 @@ class TestTransforms:
             for b in range(8):
                 phase = np.exp(-1j * (k[a] * x[:, None] + k[b] * x[None, :]))
                 expect[a, b] = np.sum(f.samples * phase) * g.dx ** 2 / (2 * np.pi) ** 2
-        assert np.abs(fh.modes - expect).max() < 1e-12
+        assert np.abs(hermitian_extension(fh.modes) - expect).max() < 1e-12
 
     def test_parseval(self):
         g = Grid2D(64, 9.0)
         f = random_field(g, seed=3)
         fh = transform_forward(f)
         phys = np.sum(f.samples ** 2) * g.dx ** 2
-        spec = (2 * np.pi) ** 2 * np.sum(np.abs(fh.modes) ** 2) * g.dxi ** 2
+        spec = (2 * np.pi) ** 2 * np.sum(np.abs(hermitian_extension(fh.modes)) ** 2) * g.dxi ** 2
         assert phys == pytest.approx(spec, rel=1e-12)
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_real_samples_of_any_spectrum(self, n):
-        # a spectrum with no symmetry at all: the samples are the real part of
-        # the complex inverse transform, in FFT order
+        # a half array with no symmetry at all: the samples are the real field
+        # whose spectrum is its Hermitian extension, in FFT order
         g = Grid2D(n, 3.0)
         rng = np.random.default_rng(n)
-        modes = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        expect = (np.fft.ifft2(modes) * (2 * np.pi / g.dx) ** 2).real
+        modes = rng.normal(size=g.half_shape) + 1j * rng.normal(size=g.half_shape)
+        expect = np.fft.ifft2(hermitian_extension(modes)) * (2 * np.pi / g.dx) ** 2
+        assert np.abs(expect.imag).max() <= 1e-12 * np.abs(expect).max()
         got = real_samples(SpectralField2D(g, modes))
-        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+        assert np.abs(got - expect.real).max() <= 1e-12 * np.abs(expect).max()
         assert np.array_equal(transform_inverse(SpectralField2D(g, modes)).samples,
                               np.fft.fftshift(got))
+
+    def test_rejects_full_spectrum(self):
+        g = Grid2D(16, 5.0)
+        with pytest.raises(ConfigurationError):
+            SpectralField2D(g, np.zeros((16, 16)))
 
     def test_require_mean_zero(self):
         g = Grid2D(16, 5.0)
@@ -180,7 +197,7 @@ class TestLittlewoodPaley:
 
     def test_disjoint_shells_annihilate(self):
         g = Grid2D(64, 40.0)
-        f = zero_mean(SpectralField2D(g, lp_bump(g.wavenumber_magnitude()).astype(complex)))
+        f = zero_mean(SpectralField2D(g, lp_bump(grid_operators(g).mag)))
         for dj in (2, 3, -2):
             out = lp_project(f, dj)
             assert np.abs(out.modes).max() < 1e-15
@@ -194,7 +211,7 @@ class TestLittlewoodPaley:
 
     def test_single_mode_weight(self):
         g = Grid2D(32, 2 * np.pi)
-        modes = np.zeros((32, 32), dtype=complex)
+        modes = np.zeros(g.half_shape, dtype=complex)
         modes[1, 0] = 1.0   # |xi| = 1 = 2^0
         f = SpectralField2D(g, modes)
         out = lp_project(f, 0)
@@ -205,9 +222,9 @@ class TestLittlewoodPaley:
 class TestNorms:
     def test_sobolev_zero_and_single_mode(self):
         g = Grid2D(32, 2 * np.pi)
-        assert sobolev_norm(SpectralField2D(g, np.zeros((32, 32))), 3) == 0.0
+        assert sobolev_norm(SpectralField2D(g, np.zeros(g.half_shape)), 3) == 0.0
         # Hermitian pair at |xi| = 1 with unit L2 mass
-        modes = np.zeros((32, 32), dtype=complex)
+        modes = np.zeros(g.half_shape, dtype=complex)
         modes[1, 0] = 1.0
         modes[-1, 0] = 1.0
         f = SpectralField2D(g, modes)
@@ -218,10 +235,12 @@ class TestNorms:
         g = Grid2D(16, 7.0)
         f = transform_forward(random_field(g, seed=5))
         k = 3
-        mag2 = g.wavenumber_magnitude() ** 2
+        k1, k2 = full_wavenumbers(g)
+        mag2 = k1 ** 2 + k2 ** 2
+        full = hermitian_extension(f.modes)
         total = 0.0
         for idx in np.ndindex(16, 16):
-            total += (1 + mag2[idx]) ** k * abs(f.modes[idx]) ** 2 * g.dxi ** 2
+            total += (1 + mag2[idx]) ** k * abs(full[idx]) ** 2 * g.dxi ** 2
         assert sobolev_norm(f, k) == pytest.approx(2 * np.pi * np.sqrt(total), rel=1e-12)
 
     def test_sobolev_monotone_in_k(self):
@@ -246,12 +265,12 @@ class TestNorms:
 
     def test_besov_zero(self):
         g = Grid2D(32, 10.0)
-        assert besov_norm(SpectralField2D(g, np.zeros((32, 32))), 3, 1, 1) == 0.0
+        assert besov_norm(SpectralField2D(g, np.zeros(g.half_shape)), 3, 1, 1) == 0.0
 
     def test_besov_single_shell(self):
         # shell-at-j=0 data: only the neighboring bump weights contribute
         g = Grid2D(128, 80.0)
-        f = zero_mean(SpectralField2D(g, lp_bump(g.wavenumber_magnitude()).astype(complex)))
+        f = zero_mean(SpectralField2D(g, lp_bump(grid_operators(g).mag)))
         got = besov_norm(f, 3.0, 1.0, 1.0)
         j_min, j_max = lp_shell_range(g)
         expect = sum(2.0 ** (3 * j) * lp_phys_norm(lp_project(f, j), 1.0)
@@ -265,7 +284,7 @@ class TestNorms:
 class TestWeightedNorms:
     def test_zero_profile(self):
         g = Grid2D(32, 10.0)
-        p = Profile(SpectralField2D(g, np.zeros((32, 32))), 0.0)
+        p = Profile(SpectralField2D(g, np.zeros(g.half_shape)), 0.0)
         assert weighted_profile_norm(p, 2) == 0.0
 
     @pytest.mark.parametrize("l,expect", [(2, np.sqrt(6 * np.pi)),
@@ -280,7 +299,7 @@ class TestWeightedNorms:
 
     def test_invalid_order(self):
         g = Grid2D(16, 5.0)
-        p = Profile(SpectralField2D(g, np.zeros((16, 16))), 0.0)
+        p = Profile(SpectralField2D(g, np.zeros(g.half_shape)), 0.0)
         with pytest.raises(ValueError):
             weighted_profile_norm(p, 4)
         with pytest.raises(ValueError):
@@ -329,6 +348,41 @@ def test_norm_homogeneity(c, seed):
     for norm in (l2_norm, lambda h: sobolev_norm(h, 2), linf_norm,
                  lambda h: besov_norm(h, 3, 1, 1)):
         assert norm(scaled) == pytest.approx(abs(c) * norm(f), rel=1e-11, abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n=st.sampled_from([8, 16, 32]),
+       box=st.floats(1.0, 50.0))
+def test_half_spectrum_norms_are_lattice_sums(seed, n, box):
+    # each norm on the half spectrum, with its column weights, against the
+    # sum over the whole lattice of the complex transform of the samples
+    g = Grid2D(n, box)
+    x = g.x_coords()
+    samples = np.random.default_rng(seed).normal(size=(n, n))
+    f = transform_forward(RealField2D(g, samples))
+    scale = g.dx ** 2 / (2 * np.pi) ** 2
+    full = np.fft.fft2(np.fft.ifftshift(samples)) * scale
+    k1, k2 = full_wavenumbers(g)
+    mag2 = k1 ** 2 + k2 ** 2
+
+    def lattice_norm(density):
+        return 2 * np.pi * np.sqrt(np.sum(density) * g.dxi ** 2)
+
+    parseval = np.sqrt(np.sum(samples ** 2) * g.dx ** 2)
+    assert l2_norm(f) == pytest.approx(lattice_norm(np.abs(full) ** 2), rel=1e-12)
+    assert l2_norm(f) == pytest.approx(parseval, rel=1e-12)
+    assert sobolev_norm(f, 3) == pytest.approx(
+        lattice_norm((1 + mag2) ** 3 * np.abs(full) ** 2), rel=1e-12)
+    for s in (0.5, 3.0):
+        assert homogeneous_sobolev_norm(f, s) == pytest.approx(
+            lattice_norm(mag2 ** s * np.abs(full) ** 2), rel=1e-12)
+    xs = np.fft.ifftshift(x)
+    d1 = np.fft.fft2(xs[:, None] * np.fft.ifftshift(samples)) * scale
+    d2 = np.fft.fft2(xs[None, :] * np.fft.ifftshift(samples)) * scale
+    got = weighted_profile_norm(Profile(f, 0.0), (2, 3))
+    for l, norm in zip((2, 3), got):
+        want = lattice_norm(mag2 ** l * (np.abs(d1) ** 2 + np.abs(d2) ** 2))
+        assert norm == pytest.approx(want, rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)

@@ -20,6 +20,7 @@ from .propagator import symbol, symbol_hess
 from .spectral import ConfigurationError, InputError
 
 _SINGULAR_MARGIN = 1e-12
+CHUNK = 16_384          # pairs per classify-and-check slice of certify_bound
 
 
 class SamplerError(RuntimeError):
@@ -81,9 +82,10 @@ def grad_eta_arr(xi, eta):
 def grad_phase_magnitudes_arr(xi, eta):
     """The product identities |grad_xi Phi| = |eta-2xi||eta|/(|xi-eta|^2 |xi|^2)
     and |grad_eta Phi| = |xi-2eta||xi|/(|xi-eta|^2 |eta|^2)."""
+    nxi, neta = norm(xi), norm(eta)
     d2 = norm(xi - eta) ** 2
-    g_xi = norm(eta - 2.0 * xi) * norm(eta) / (d2 * norm(xi) ** 2)
-    g_eta = norm(xi - 2.0 * eta) * norm(xi) / (d2 * norm(eta) ** 2)
+    g_xi = norm(eta - 2.0 * xi) * neta / (d2 * nxi ** 2)
+    g_eta = norm(xi - 2.0 * eta) * nxi / (d2 * neta ** 2)
     return g_xi, g_eta
 
 
@@ -200,14 +202,17 @@ class RegionLabel:
 def _classify_masks(xi, eta):
     """Vectorized region classification after the |eta| <= |xi-eta| swap.
 
-    Returns (codes, xi_n, eta_n, swapped) where codes indexes Region by
-    [R1_Case1, R1_Case2A, R1_Case2B, R2, R3, Unclassified].
+    Returns (codes, eta_n, swapped, norms) where codes indexes Region by
+    [R1_Case1, R1_Case2A, R1_Case2B, R2, R3, Unclassified] and norms holds
+    the lengths (|xi|, |eta_n|, |xi - 2 eta_n|) that the region predicates
+    compare, for the bound checks to reuse.
     """
+    diff = xi - eta
     nxi = norm(xi)
     neta = norm(eta)
-    ndiff = norm(xi - eta)
+    ndiff = norm(diff)
     swap = neta > ndiff
-    eta_n = np.where(swap[..., None], xi - eta, eta)
+    eta_n = np.where(swap[..., None], diff, eta)
     neta_n = np.where(swap, ndiff, neta)
     ndiff_n = np.where(swap, neta, ndiff)
 
@@ -216,16 +221,11 @@ def _classify_masks(xi, eta):
     dist2 = norm(xi - 2.0 * eta_n)
     case1 = dist2 >= neta_n / 1000.0
     suba = np.abs(xi[..., 0]) >= np.abs(eta_n[..., 0]) / 100.0
-
-    codes = np.full(nxi.shape, 5, dtype=np.int8)            # Unclassified
-    codes[in_r1 & case1] = 0
-    codes[in_r1 & ~case1 & suba] = 1
-    codes[in_r1 & ~case1 & ~suba] = 2
-    r2 = ~in_r1 & (nxi <= neta_n / 100.0)
-    r3 = ~in_r1 & ~r2 & (nxi >= 100.0 * neta_n)
-    codes[r2] = 3
-    codes[r3] = 4
-    return codes, xi, eta_n, swap
+    r2 = nxi <= neta_n / 100.0
+    r3 = nxi >= 100.0 * neta_n
+    codes = np.where(in_r1, np.where(case1, 0, np.where(suba, 1, 2)),
+                     np.where(r2, 3, np.where(r3, 4, 5)))
+    return codes, eta_n, swap, (nxi, neta_n, dist2)
 
 
 _REGION_BY_CODE = [Region.R1_CASE1, Region.R1_CASE2A, Region.R1_CASE2B,
@@ -239,8 +239,8 @@ def classify_region(p: FreqPair) -> RegionLabel:
     """
     xi = p.xi_arr[None, :]
     eta = p.eta_arr[None, :]
-    codes, xi_n, eta_n, swap = _classify_masks(xi, eta)
-    xi0, eta0 = xi_n[0], eta_n[0]
+    codes, eta_n, swap, _ = _classify_masks(xi, eta)
+    xi0, eta0 = xi[0], eta_n[0]
     nxi = np.linalg.norm(xi0)
     neta = np.linalg.norm(eta0)
     ndiff = np.linalg.norm(xi0 - eta0)
@@ -306,47 +306,46 @@ def _propose_case2b(rng, n):
     return 2.0 * eta + delta, eta
 
 
-def _check_a(xi, eta):
-    lhs = np.abs(phase_arr(xi, eta))
-    rhs = (0.6 * np.abs(xi[..., 0]) - 0.002 * np.abs(eta[..., 0])) / norm(eta) ** 2
-    margin = lhs - rhs
-    const = np.full_like(lhs, np.nan)
-    return margin, const
+# Each check takes an in-region batch (xi, eta_n) with the lengths
+# (|xi|, |eta_n|, |xi - 2 eta_n|) that _classify_masks computed for it.
 
-
-def _check_b(xi, eta):
+def _check_a(xi, eta, nxi, neta, dist2):
     lhs = np.abs(phase_arr(xi, eta))
-    rhs = np.abs(xi[..., 0]) / (2.0 * norm(eta) ** 2)
+    rhs = (0.6 * np.abs(xi[..., 0]) - 0.002 * np.abs(eta[..., 0])) / neta ** 2
     return lhs - rhs, np.full_like(lhs, np.nan)
 
 
-def _check_c(xi, eta):
+def _check_b(xi, eta, nxi, neta, dist2):
+    lhs = np.abs(phase_arr(xi, eta))
+    rhs = np.abs(xi[..., 0]) / (2.0 * neta ** 2)
+    return lhs - rhs, np.full_like(lhs, np.nan)
+
+
+def _check_c(xi, eta, nxi, neta, dist2):
     d_eta2 = grad_eta_arr(xi, eta)[..., 1]
-    neta = norm(eta)
     rhs = np.abs(eta[..., 0]) * neta / (4.0 * norm(xi - eta) ** 4)
     return np.abs(d_eta2) - rhs, np.full_like(rhs, np.nan)
 
 
-def _check_d(xi, eta):
+def _check_d(xi, eta, nxi, neta, dist2):
     cross = np.abs(xi[..., 0] * (-eta[..., 1]) + xi[..., 1] * eta[..., 0])
-    base = np.abs(eta[..., 0]) * norm(eta)
+    base = np.abs(eta[..., 0]) * neta
     ratio = np.where(base > 0, cross / base, np.nan)
     margin = np.minimum(cross - 0.5 * base, 4.0 * base - cross)
     return margin, ratio
 
 
-def _check_e(xi, eta):
+def _check_e(xi, eta, nxi, neta, dist2):
     gx = norm(grad_xi_arr(xi, eta))
     ge = norm(grad_eta_arr(xi, eta))
-    pred = (norm(eta - 2.0 * xi) * norm(eta) ** 3) / \
-           (norm(xi - 2.0 * eta) * norm(xi) ** 3)
+    pred = (norm(eta - 2.0 * xi) * neta ** 3) / (dist2 * nxi ** 3)
     quot = gx / ge
     rel = np.abs(quot - pred) / np.abs(pred)
     return 1e-10 - rel, quot
 
 
-def _check_f(xi, eta):
-    nxi, neta, nd = norm(xi), norm(eta), norm(xi - eta)
+def _check_f(xi, eta, nxi, neta, dist2):
+    nd = norm(xi - eta)
     m1 = np.minimum(nxi - 1.999 * neta, 2.001 * neta - nxi)
     m2 = np.minimum(nd - 0.999 * neta, 1.001 * neta - nd)
     return np.minimum(m1, m2), np.full_like(nxi, np.nan)
@@ -371,13 +370,13 @@ def evaluate_bound(inequality_id: str, p: FreqPair):
     _, codes_ok, check = _REGISTRY[inequality_id]
     xi = p.xi_arr[None, :]
     eta = p.eta_arr[None, :]
-    codes, xi_n, eta_n, _ = _classify_masks(xi, eta)
+    codes, eta_n, _, norms = _classify_masks(xi, eta)
     if int(codes[0]) not in codes_ok:
         names = ", ".join(_REGION_BY_CODE[c].value for c in sorted(codes_ok))
         raise InputError(
             f"pair classifies as {_REGION_BY_CODE[int(codes[0])].value}, "
             f"but inequality {inequality_id!r} is certified on {names}")
-    margin, const = check(xi_n, eta_n)
+    margin, const = check(xi, eta_n, *norms)
     return float(margin[0]), float(const[0])
 
 
@@ -387,6 +386,15 @@ def certify_bound(inequality_id: str, n: int, seed=0,
     samples. Proposals are conditioned toward the region (the thin Case-2 sets
     are unreachable by uniform draws); acceptance is still by the exact region
     predicates, so the conditioning only changes the sampling density.
+
+    Each batch of proposals is drawn whole, then classified and checked in
+    slices of CHUNK pairs, so the temporaries stay cache-sized; the checks
+    reuse the lengths the classification computed, and classification stops
+    at the n-th accepted sample. Ids a, b, d and f are real arithmetic and
+    give the same report for any slicing. Ids c and e go through
+    grad_eta_arr/grad_xi_arr, whose complex arithmetic numpy rounds
+    differently in its SIMD body than in its scalar tail, so their
+    worst_margin and constants depend on the slice lengths at the last bits.
     """
     if inequality_id not in _REGISTRY:
         raise KeyError(f"unknown inequality id {inequality_id!r}")
@@ -394,7 +402,7 @@ def certify_bound(inequality_id: str, n: int, seed=0,
         raise ConfigurationError("need at least 1e4 samples for certification")
     propose, codes_ok, check = _REGISTRY[inequality_id]
     rng = np.random.default_rng(seed)
-    ok_codes = np.array(sorted(codes_ok), dtype=np.int8)
+    in_region = np.isin(np.arange(len(_REGION_BY_CODE)), sorted(codes_ok))
     accepted = 0
     proposed = 0
     violations = 0
@@ -403,27 +411,31 @@ def certify_bound(inequality_id: str, n: int, seed=0,
     while accepted < n:
         m = min(batch, 4 * (n - accepted) + 1000)
         xi, eta = propose(rng, m)
-        codes, xi_n, eta_n, _ = _classify_masks(xi, eta)
-        keep = np.isin(codes, ok_codes)
         proposed += m
-        take = min(int(keep.sum()), n - accepted)
-        if proposed > 10 * batch and accepted + take == 0:
+        before = accepted
+        for start in range(0, m, CHUNK):
+            if accepted == n:
+                break
+            xi_c = xi[start:start + CHUNK]
+            codes, eta_n, _, norms = _classify_masks(xi_c, eta[start:start + CHUNK])
+            idx = np.flatnonzero(in_region[codes])[:n - accepted]
+            if idx.size == 0:
+                continue
+            # np.take gathers (m, 2) rows far faster than fancy indexing
+            margin, const = check(np.take(xi_c, idx, axis=0), np.take(eta_n, idx, axis=0),
+                                  *(v[idx] for v in norms))
+            violations += int(np.count_nonzero(margin < 0.0))
+            worst = min(worst, float(margin.min()))
+            finite = const[np.isfinite(const)]
+            if finite.size:
+                lo = min(lo, float(finite.min()))
+                hi = max(hi, float(finite.max()))
+            accepted += idx.size
+        if accepted == 0 and proposed > 10 * batch:
             raise SamplerError(
                 f"acceptance below threshold for {inequality_id!r}: "
                 f"0/{proposed} proposals in region")
-        if take == 0:
-            continue
-        idx = np.flatnonzero(keep)[:take]
-        margin, const = check(xi_n[idx], eta_n[idx])
-        violations += int(np.sum(margin < 0.0))
-        if margin.size:
-            worst = min(worst, float(margin.min()))
-        finite = const[np.isfinite(const)]
-        if finite.size:
-            lo = min(lo, float(finite.min()))
-            hi = max(hi, float(finite.max()))
-        accepted += take
-        if accepted < n and accepted / max(proposed, 1) < min_acceptance:
+        if before < accepted < n and accepted / proposed < min_acceptance:
             raise SamplerError(
                 f"acceptance {accepted / proposed:.2e} below {min_acceptance:.0e} "
                 f"for {inequality_id!r}")

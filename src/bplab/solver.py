@@ -241,7 +241,12 @@ def nonlinear_term(omega: SpectralField2D) -> SpectralField2D:
 
 def max_speed(omega: SpectralField2D) -> float:
     """max |u| over the grid points."""
-    u1, u2 = (real_samples(u) for u in biot_savart(omega))
+    return _sup_speed(*biot_savart(omega))
+
+
+def _sup_speed(u1: SpectralField2D, u2: SpectralField2D) -> float:
+    """max |u| over the grid points of the velocity (u1hat, u2hat)."""
+    u1, u2 = real_samples(u1), real_samples(u2)
     return float(np.sqrt((u1 ** 2 + u2 ** 2).max()))
 
 
@@ -368,11 +373,12 @@ def velocity_sup_norms(omega: SpectralField2D):
     Each field takes one real inverse transform, one at a time."""
     g = omega.grid
     ops = grid_operators(g)
-    u1 = biot_savart(omega)[0].modes
+    u = biot_savart(omega)
+    u1 = u[0].modes
     d2u1 = 1j * ops.k2 * u1
     du_sup = max(float(np.abs(real_samples(SpectralField2D(g, d))).max())
                  for d in (1j * ops.k1 * u1, d2u1, omega.modes + d2u1))
-    return max_speed(omega), du_sup
+    return _sup_speed(*u), du_sup
 
 
 def make_report(state: SimState, cfg: SimConfig) -> NormReport:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bplab import solver
 from bplab.diagnostics import (
     BootstrapParams,
     bootstrap_conditions,
@@ -16,6 +17,8 @@ from bplab.diagnostics import (
 from bplab.solver import (
     RunResult,
     SimConfig,
+    biot_savart,
+    max_speed,
     omega_from_profile,
     run,
     velocity_sup_norms,
@@ -23,11 +26,14 @@ from bplab.solver import (
 from bplab.spectral import (
     Grid2D,
     Profile,
+    RealField2D,
     SpectralField2D,
     fhat_sup_weighted,
     linf_norm,
     sobolev_norm,
+    transform_forward,
     weighted_profile_norm,
+    zero_mean,
 )
 
 
@@ -62,6 +68,21 @@ class TestDecayNorms:
         w = SpectralField2D(g, modes)
         u_sup, du_sup = velocity_sup_norms(w)
         assert du_sup == pytest.approx(2.0 * u_sup, rel=1e-10)
+
+    def test_one_velocity_per_call(self, monkeypatch):
+        g = Grid2D(32, 10.0)
+        rng = np.random.default_rng(4)
+        w = zero_mean(transform_forward(RealField2D(g, rng.normal(size=(32, 32)))))
+        calls = []
+
+        def counted(omega):
+            calls.append(omega)
+            return biot_savart(omega)
+        monkeypatch.setattr(solver, "biot_savart", counted)
+        u_sup, _ = velocity_sup_norms(w)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert u_sup == max_speed(w)
 
 
 class TestEnergyCertificate:

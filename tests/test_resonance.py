@@ -3,6 +3,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bplab import resonance
+from bplab.cli import EXIT_RUNTIME, main
 from bplab.resonance import (
     BoundCheckReport,
     FreqPair,
@@ -21,6 +23,7 @@ from bplab.resonance import (
     second_derivs,
 )
 from bplab.spectral import InputError
+from certify_oracle import whole_batch_certify
 
 coords = st.floats(-10.0, 10.0, allow_nan=False)
 
@@ -246,6 +249,66 @@ class TestCertifyBound:
         a = certify_bound("d", 10_000, seed=5)
         b = certify_bound("d", 10_000, seed=5)
         assert a == b
+
+
+class TestChunkedCertification:
+    """certify_bound against the whole-batch oracle: 60 000 samples in
+    batches of 25 000 span three batches, each ending on a partial chunk,
+    and the last one is cut at the n-th accepted sample."""
+
+    N, BATCH = 60_000, 25_000
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("iid", list("abcdef"))
+    def test_matches_whole_batch_oracle(self, iid, seed):
+        got = certify_bound(iid, self.N, seed=seed, batch=self.BATCH)
+        want = whole_batch_certify(iid, self.N, seed=seed, batch=self.BATCH)
+        assert (got.samples, got.violations) == (want.samples, want.violations)
+        fields = ("worst_margin", "constant_min", "empirical_constant")
+        g, w = ([getattr(rep, f) for f in fields] for rep in (got, want))
+        if iid in "abdf":           # real arithmetic: bitwise for any slicing
+            assert np.array_equal(g, w, equal_nan=True)
+        else:                       # complex gradients round by array length
+            assert g == pytest.approx(w, rel=1e-12, abs=1e-15, nan_ok=True)
+
+
+def _propose_outside(in_region_first):
+    """Proposals for id a (Case 2) that all land in R3, xi >> eta, except the
+    first of each batch when in_region_first: ((0, 2), (0, 1)), Case 2A."""
+    def propose(rng, m):
+        xi = np.tile([1e6, 0.0], (m, 1))
+        eta = np.tile([0.0, 1.0], (m, 1))
+        if in_region_first:
+            xi[0] = (0.0, 2.0)
+        return xi, eta
+    return propose
+
+
+class TestSamplerStarvation:
+    @pytest.fixture
+    def patch_a(self, monkeypatch):
+        def patch(in_region_first):
+            _, codes_ok, check = resonance._REGISTRY["a"]
+            monkeypatch.setitem(resonance._REGISTRY, "a",
+                                (_propose_outside(in_region_first), codes_ok, check))
+        return patch
+
+    def test_none_accepted_in_ten_batches(self, patch_a):
+        patch_a(False)
+        with pytest.raises(resonance.SamplerError, match="0/11000 proposals"):
+            certify_bound("a", 10_000, batch=1000)
+
+    def test_acceptance_below_minimum(self, patch_a):
+        patch_a(True)
+        with pytest.raises(resonance.SamplerError, match="acceptance 1.00e-03 below"):
+            certify_bound("a", 10_000, batch=1000, min_acceptance=0.01)
+
+    def test_cli_exit_code(self, patch_a, tmp_path, capsys):
+        patch_a(False)
+        argv = ["resonance", "verify", "--id", "a", "--n", "10000",
+                "--out", str(tmp_path / "v.csv")]
+        assert main(argv) == EXIT_RUNTIME
+        assert "runtime error" in capsys.readouterr().err
 
 
 class TestResonanceProbe:

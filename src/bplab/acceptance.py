@@ -207,7 +207,7 @@ def criterion_6(seed=0):
                 for s in range(0, len(xi), chunk)]
         sym_err, mag_err, harm = (max(col) for col in zip(*errs))
         lam = rng.uniform(0.1, 10.0, 1000) * np.where(rng.uniform(size=1000) < 0.5, 1, -1)
-        spacetime = resonance.resonance_probe(lam)["spacetime"]
+        spacetime = resonance.resonance_probe(lam)
         res_phase = float(np.max(spacetime["abs_phase"]))
         res_grad = float(np.max(spacetime["grad_eta_norm"]))
         ok = sym_err < 1e-12 and mag_err < 1e-12 and harm < 1e-12 and \

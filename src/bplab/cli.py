@@ -194,7 +194,7 @@ def cmd_resonance(args):
         return EXIT_OK
     ids = resonance.INEQUALITY_IDS if args.id == "all" else args.id
     unknown = sorted(set(ids) - set(resonance.INEQUALITY_IDS))
-    if unknown:
+    if unknown or not ids:
         raise ConfigurationError(f"unknown inequality id(s) {''.join(unknown)!r}; "
                                  f"known: {''.join(resonance.INEQUALITY_IDS)}")
     rows = []
@@ -239,6 +239,10 @@ def cmd_bootstrap(args):
 
 def cmd_reproduce_all(args):
     only = set(args.only) if args.only else None
+    count = len(acceptance.ALL_CRITERIA)
+    unknown = sorted((only or set()) - set(range(1, count + 1)))
+    if unknown:
+        raise ConfigurationError(f"unknown criterion index(es) {unknown}; known: 1 .. {count}")
     results = acceptance.run_all(seed=args.seed, only=only)
     rows = []
     for r in results:
@@ -264,17 +268,21 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="root RNG seed")
     common.add_argument("--out", default=None, help="output CSV path")
+    # simulate, decay and diagnose always write their CSV
+    writes = argparse.ArgumentParser(add_help=False)
+    writes.add_argument("--seed", type=int, default=0, help="root RNG seed")
+    writes.add_argument("--out", required=True, help="output CSV path")
 
     parser = argparse.ArgumentParser(prog="bplab", description=__doc__)
     parser.add_argument("--version", action="version", version=TOOL_VERSION)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[common], help="time-integrate a configured run")
+    p = sub.add_parser("simulate", parents=[writes], help="time-integrate a configured run")
     p.add_argument("--config", default=None, help="config file path")
     p.add_argument("--checkpoints", default=None, help="directory for field checkpoints")
     p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("decay", parents=[common], help="measure linear dispersive decay")
+    p = sub.add_parser("decay", parents=[writes], help="measure linear dispersive decay")
     p.add_argument("--n", type=int, default=256)
     p.add_argument("--L", type=float, default=200.0)
     p.add_argument("--j", type=int, default=0, help="dyadic shell index of the data")
@@ -290,7 +298,7 @@ def build_parser():
     p.add_argument("--x-over-t", required=True, help="comma-separated 2-vector")
     p.set_defaults(fn=cmd_stphase)
 
-    p = sub.add_parser("diagnose", parents=[common], help="post-process a finished run")
+    p = sub.add_parser("diagnose", parents=[writes], help="post-process a finished run")
     p.add_argument("--in", dest="infile", required=True, help="run CSV from simulate")
     p.add_argument("--checkpoints", required=True, help="checkpoint directory")
     p.add_argument("--k", type=int, default=4)
@@ -328,11 +336,10 @@ def main(argv=None):
         return exc.code
     try:
         return args.fn(args)
-    except (ConfigurationError,) as exc:
+    except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InputError, resonance.SamplerError, solver.StabilityError,
-            propagator.QuadratureError) as exc:
+    except (InputError, resonance.SamplerError, solver.StabilityError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .propagator import split_bound_amplitude, split_bound_exponent
 from .spectral import ConfigurationError, linf_norm, sobolev_norm
@@ -99,13 +98,17 @@ class TransportReport:
     rhs: np.ndarray                # |omega(0)|_Linf + int |beta L1 omega|_Linf
     slack: np.ndarray
     ok: bool
-    tolerance: float = 0.01
+    tolerance: float               # relative slack allowed, TRANSPORT_TOLERANCE
 
 
-def linfty_transport_check(result: RunResult, tolerance: float = 0.01) -> TransportReport:
+TRANSPORT_TOLERANCE = 0.01
+
+
+def linfty_transport_check(result: RunResult) -> TransportReport:
     """Check |omega(t)|_Linf <= |omega(0)|_Linf + int_0^t |beta L1 omega|_Linf ds
-    at checkpoint resolution (trapezoid rule), with a relative tolerance
-    absorbing the integration error. |omega(t)|_Linf is the report's."""
+    at checkpoint resolution (trapezoid rule), with the relative tolerance
+    TRANSPORT_TOLERANCE absorbing the integration error. |omega(t)|_Linf is
+    the report's."""
     beta = result.config.beta
     ts, lhs, forcing = [], [], []
     for t, prof, rep in _checkpoint_reports(result):
@@ -120,8 +123,8 @@ def linfty_transport_check(result: RunResult, tolerance: float = 0.01) -> Transp
     rhs = lhs[0] + cumint
     slack = rhs - lhs
     scale = max(lhs[0], float(lhs.max()))
-    ok = bool(np.all(slack >= -tolerance * scale))
-    return TransportReport(ts, lhs, rhs, slack, ok, tolerance)
+    ok = bool(np.all(slack >= -TRANSPORT_TOLERANCE * scale))
+    return TransportReport(ts, lhs, rhs, slack, ok, TRANSPORT_TOLERANCE)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +187,7 @@ class BootstrapParams:
 def _log_poly_in_eps(terms, log_eps):
     """log of sum of coeff * eps^expo for (coeff, expo) pairs, in log space."""
     logs = [np.log(c) + e * log_eps for c, e in terms]
-    return float(logsumexp(logs))
+    return float(np.logaddexp.reduce(logs))
 
 
 def bootstrap_conditions(params: BootstrapParams):
@@ -231,20 +234,15 @@ def bootstrap_feasibility(params: BootstrapParams):
     return feasible, report
 
 
-def bootstrap_search(M: float, k_grid=None, log10_eps_grid=None, mu_grid=None):
-    """Scan a desk-scale box for a feasible (k, eps, mu) at the given M.
+def bootstrap_search(M: float):
+    """Scan a desk-scale box of (k, eps, mu) for a feasible point at the given
+    M: k in 8 .. 64, eps in 1e-20 .. 1e-320 and mu in 0.3 .. 0.01.
 
     Returns the first feasible BootstrapParams, or None.
     """
-    if k_grid is None:
-        k_grid = [8, 16, 24, 32, 48, 64]
-    if log10_eps_grid is None:
-        log10_eps_grid = [-20, -40, -80, -160, -320]
-    if mu_grid is None:
-        mu_grid = [0.3, 0.1, 0.03, 0.01]
-    for k in k_grid:
-        for le in log10_eps_grid:
-            for mu in mu_grid:
+    for k in (8, 16, 24, 32, 48, 64):
+        for le in (-20, -40, -80, -160, -320):
+            for mu in (0.3, 0.1, 0.03, 0.01):
                 params = BootstrapParams(M=M, k=k, eps=10.0 ** le, mu=mu)
                 feasible, _ = bootstrap_feasibility(params)
                 if feasible:

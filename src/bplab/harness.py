@@ -75,10 +75,9 @@ class ExperimentManifest:
     name: str
     seed: int = 0
     config_path: str | None = None
-    tool_version: str = TOOL_VERSION
 
     def header_lines(self) -> list:
-        lines = [f"tool={self.tool_version}", f"experiment={self.name}", f"seed={self.seed}"]
+        lines = [f"tool={TOOL_VERSION}", f"experiment={self.name}", f"seed={self.seed}"]
         if self.config_path:
             lines.append(f"config={self.config_path}")
         return lines

@@ -2,10 +2,9 @@
 
 The linear operator has Fourier symbol -i xi1/|xi|^2, so the semigroup acts
 as the unimodular multiplier exp(-i t xi1/|xi|^2). Besides the grid-based
-multiplier we provide a direct oscillatory-integral evaluation on dyadic
-shells, a stationary-phase analysis of the frequency-space phase
-phi(xi) = (x/t).xi - xi1/|xi|^2, and the split high/low frequency sup-norm
-bound used to convert weighted L2 control into pointwise decay.
+multiplier we provide a stationary-phase analysis of the frequency-space
+phase phi(xi) = (x/t).xi - xi1/|xi|^2, and the split high/low frequency
+sup-norm bound used to convert weighted L2 control into pointwise decay.
 
 The real symbol g(xi) = xi1/|xi|^2, its gradient and its Hessian are defined
 here once, vectorized; the resonance phase is built from them.
@@ -16,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .spectral import (
     ConfigurationError,
@@ -26,15 +24,10 @@ from .spectral import (
     grid_operators,
     homogeneous_sobolev_norm,
     linf_norm,
-    lp_bump,
     require_mean_zero,
     sobolev_norm,
     weighted_profile_norm,
 )
-
-
-class QuadratureError(RuntimeError):
-    """Oscillatory quadrature failed to reach the requested tolerance."""
 
 
 @dataclass
@@ -77,64 +70,12 @@ def symbol_hess(v):
     return np.array([[d11, d12], [d12, d22]]).T
 
 
-def dispersion_symbol(grid) -> np.ndarray:
-    """xi1/|xi|^2 on the half spectrum, zero at the zero mode and on the
-    Nyquist row (cached, read-only)."""
-    return grid_operators(grid).symbol
-
-
 def apply_semigroup(f: SpectralField2D, t: float) -> SpectralField2D:
     """Multiply modes by exp(-i t xi1/|xi|^2); unitary on L2. The symbol is
     odd, so the result is again the half spectrum of a real field."""
     require_mean_zero(f)
-    phase = np.exp(-1j * t * dispersion_symbol(f.grid))
+    phase = np.exp(-1j * t * grid_operators(f.grid).symbol)
     return SpectralField2D(f.grid, f.modes * phase)
-
-
-# ---------------------------------------------------------------------------
-# oscillatory integral oracle
-
-def _shell_integral(x, t, j, n_r, n_theta):
-    """Tensor Gauss-Legendre quadrature of the shell integral in polar form."""
-    r_lo, r_hi = 2.0 ** (j - 1), 2.0 ** (j + 1)
-    gr, wr = leggauss(n_r)
-    gth, wth = leggauss(n_theta)
-    r = 0.5 * (r_hi - r_lo) * gr + 0.5 * (r_hi + r_lo)
-    wr = wr * 0.5 * (r_hi - r_lo)
-    th = np.pi * gth
-    wth = wth * np.pi
-    rr, tt = np.meshgrid(r, th, indexing="ij")
-    c, s = np.cos(tt), np.sin(tt)
-    phase = x[0] * rr * c + x[1] * rr * s - t * c / rr
-    vals = lp_bump(rr / 2.0 ** j) * np.exp(1j * phase) * rr
-    return np.einsum("i,j,ij->", wr, wth, vals)
-
-
-def oscillatory_quadrature(x, t, j, tol=1e-8, max_panels=4096):
-    """Direct evaluation of integral phi(2^-j xi) exp(i x.xi - i t xi1/|xi|^2) dxi.
-
-    Panel counts grow with the oscillation count of the phase over the shell;
-    the rule is refined until two successive evaluations agree to `tol`.
-    """
-    x = np.asarray(x, dtype=float)
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    r_hi = 2.0 ** (j + 1)
-    r_lo = 2.0 ** (j - 1)
-    # phase range estimate across the shell drives the initial resolution
-    osc = (np.linalg.norm(x) * (r_hi - r_lo) + t * (1.0 / r_lo - 1.0 / r_hi)) / (2.0 * np.pi)
-    osc_th = (np.linalg.norm(x) * r_hi + t / r_lo) / np.pi
-    n_r = max(16, int(4 * osc) + 8)
-    n_theta = max(32, int(4 * osc_th) + 8)
-    prev = _shell_integral(x, t, j, n_r, n_theta)
-    while n_r <= max_panels and n_theta <= max_panels:
-        n_r, n_theta = int(n_r * 1.6) + 1, int(n_theta * 1.6) + 1
-        cur = _shell_integral(x, t, j, n_r, n_theta)
-        if abs(cur - prev) < tol:
-            return cur
-        prev = cur
-    raise QuadratureError(f"no convergence at {n_r}x{n_theta} points; last delta "
-                          f"{abs(cur - prev):.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +147,7 @@ def decay_curve(g: SpectralField2D, times) -> DecayFit:
         raise ValueError("times must be positive and increasing, >= 2 entries")
     sups = np.array([linf_norm(apply_semigroup(g, t)) for t in times])
     if np.any(sups <= 0):
-        raise ValueError("sup-norm vanished; cannot fit a power law")
+        raise ConfigurationError("sup-norm vanished: the data has no modes on the grid")
     logs, logt = np.log(sups), np.log(times)
     slope, intercept = np.polyfit(logt, logs, 1)
     fit = slope * logt + intercept

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .propagator import symbol, symbol_hess
+from .propagator import symbol
 from .spectral import ConfigurationError, InputError
 
 _SINGULAR_MARGIN = 1e-12
@@ -103,10 +103,6 @@ def _conj_vec(z):
     return np.stack([z.real, -z.imag], axis=-1)
 
 
-def _perp(v):
-    return np.stack([-v[..., 1], v[..., 0]], axis=-1)
-
-
 def _null_form_arr(xi, eta):
     return (xi[..., 0] * (-eta[..., 1]) + xi[..., 1] * eta[..., 0]) / \
         (eta[..., 0] ** 2 + eta[..., 1] ** 2)
@@ -115,10 +111,6 @@ def _null_form_arr(xi, eta):
 # ---------------------------------------------------------------------------
 # scalar API
 
-def phase(p: FreqPair) -> float:
-    return float(phase_arr(p.xi_arr, p.eta_arr))
-
-
 def null_form(p: FreqPair):
     """(m, mbar) with m = xi.eta_perp/|eta|^2 and mbar(xi,eta) = m(xi, xi-eta),
     which reduces to -xi.eta_perp/|xi-eta|^2."""
@@ -126,58 +118,6 @@ def null_form(p: FreqPair):
     m = float(_null_form_arr(xi, eta))
     mbar = float(_null_form_arr(xi, xi - eta))
     return m, mbar
-
-
-def grad_phase(p: FreqPair):
-    """(grad_xi Phi, grad_eta Phi) as 2-vectors."""
-    xi, eta = p.xi_arr, p.eta_arr
-    return grad_xi_arr(xi, eta), grad_eta_arr(xi, eta)
-
-
-def grad_phase_magnitudes(p: FreqPair):
-    """(|grad_xi Phi|, |grad_eta Phi|) from the product identities."""
-    g_xi, g_eta = grad_phase_magnitudes_arr(p.xi_arr, p.eta_arr)
-    return float(g_xi), float(g_eta)
-
-
-def second_derivs(p: FreqPair):
-    """Second derivative bundle {\"xi_xi\", \"eta_eta\", \"xi_eta\"} of Phi.
-
-    eta_eta and xi_xi are trace-free (harmonicity); the mixed block satisfies
-    d_xi1 d_eta1 Phi = -d_xi2 d_eta2 Phi for the same reason.
-    """
-    xi, eta = p.xi_arr, p.eta_arr
-    return {
-        "xi_xi": symbol_hess(xi) - symbol_hess(xi - eta),
-        "eta_eta": -symbol_hess(xi - eta) - symbol_hess(eta),
-        "xi_eta": symbol_hess(xi - eta),
-    }
-
-
-def null_form_derivs(p: FreqPair):
-    """Gradients of m and mbar in both arguments.
-
-    grad_xi m = eta_perp/|eta|^2 (xi-independent);
-    grad_eta m = -xi_perp/|eta|^2 - 2 (eta/|eta|^2) m;
-    the mbar entries follow by the chain rule from mbar(xi,eta) = m(xi, xi-eta).
-    """
-    xi, eta = p.xi_arr, p.eta_arr
-
-    def grads(a, b):
-        m = _null_form_arr(a, b)
-        b2 = b[0] ** 2 + b[1] ** 2
-        gx = _perp(b) / b2
-        ge = -_perp(a) / b2 - 2.0 * (b / b2) * m
-        return gx, ge
-
-    gxm, gem = grads(xi, eta)
-    gxm2, gem2 = grads(xi, xi - eta)
-    return {
-        "grad_xi_m": gxm,
-        "grad_eta_m": gem,
-        "grad_xi_mbar": gxm2 + gem2,
-        "grad_eta_mbar": -gem2,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +210,9 @@ class BoundCheckReport:
     empirical_constant: float      # largest finite ratio seen, nan if none
 
 
-def annulus(rng, n, r_lo=0.1, r_hi=10.0):
-    """n points uniform in area on the annulus r_lo <= |v| <= r_hi, shape (n, 2)."""
-    r = np.sqrt(rng.uniform(r_lo ** 2, r_hi ** 2, n))
+def annulus(rng, n):
+    """n points uniform in area on the annulus 0.1 <= |v| <= 10, shape (n, 2)."""
+    r = np.sqrt(rng.uniform(0.1 ** 2, 10.0 ** 2, n))
     th = rng.uniform(-np.pi, np.pi, n)
     return np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
 
@@ -362,24 +302,6 @@ _REGISTRY = {
 INEQUALITY_IDS = tuple(_REGISTRY)
 
 
-def evaluate_bound(inequality_id: str, p: FreqPair):
-    """Margin of a registered inequality at a single pair; the pair must lie
-    in the inequality's region."""
-    if inequality_id not in _REGISTRY:
-        raise KeyError(f"unknown inequality id {inequality_id!r}")
-    _, codes_ok, check = _REGISTRY[inequality_id]
-    xi = p.xi_arr[None, :]
-    eta = p.eta_arr[None, :]
-    codes, eta_n, _, norms = _classify_masks(xi, eta)
-    if int(codes[0]) not in codes_ok:
-        names = ", ".join(_REGION_BY_CODE[c].value for c in sorted(codes_ok))
-        raise InputError(
-            f"pair classifies as {_REGION_BY_CODE[int(codes[0])].value}, "
-            f"but inequality {inequality_id!r} is certified on {names}")
-    margin, const = check(xi, eta_n, *norms)
-    return float(margin[0]), float(const[0])
-
-
 def certify_bound(inequality_id: str, n: int, seed=0,
                   batch: int = 200_000, min_acceptance: float = 1e-6) -> BoundCheckReport:
     """Monte-Carlo certification of a registered inequality over n in-region
@@ -447,23 +369,12 @@ def certify_bound(inequality_id: str, n: int, seed=0,
 # ---------------------------------------------------------------------------
 # resonance sets
 
-def resonance_probe(lam_grid, n_random: int = 1000, seed=0):
-    """Verify spacetime resonances at (xi, eta) = ((0, 2 lam), (0, lam)) for
-    each lam of lam_grid, and the characterization grad_eta Phi = 0 <=>
-    xi = 2 eta on random probes. "spacetime" holds the arrays lam, |Phi|
-    and |grad_eta Phi| over lam_grid."""
+def resonance_probe(lam_grid):
+    """The spacetime resonances (xi, eta) = ((0, 2 lam), (0, lam)) for each lam
+    of lam_grid: the arrays lam, |Phi| and |grad_eta Phi| over lam_grid."""
     lam = np.asarray(lam_grid, dtype=float)
     if np.any(lam == 0):
         raise ValueError("lambda must be nonzero")
     eta = np.stack([np.zeros_like(lam), lam], axis=-1)
-    spacetime = {"lam": lam, "abs_phase": np.abs(phase_arr(2.0 * eta, eta)),
-                 "grad_eta_norm": norm(grad_eta_arr(2.0 * eta, eta))}
-    rng = np.random.default_rng(seed)
-    eta = annulus(rng, n_random)
-    xi = annulus(rng, n_random)
-    sep = norm(xi - 2.0 * eta) > 1e-6 * norm(eta)
-    ok = (norm(xi - eta) > 1e-9)
-    ge = norm(grad_eta_arr(xi[sep & ok], eta[sep & ok]))
-    forward = norm(grad_eta_arr(2.0 * eta[:50], eta[:50]))
-    return {"spacetime": spacetime, "forward_exact": bool(forward.max() < 1e-14),
-            "converse_nonzero": bool(np.all(ge > 0.0))}
+    return {"lam": lam, "abs_phase": np.abs(phase_arr(2.0 * eta, eta)),
+            "grad_eta_norm": norm(grad_eta_arr(2.0 * eta, eta))}

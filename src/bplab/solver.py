@@ -51,7 +51,7 @@ from .spectral import (
     write_field,
     zero_mean,
 )
-from .propagator import dispersion_symbol
+from .propagator import apply_semigroup
 
 
 class StabilityError(RuntimeError):
@@ -60,6 +60,9 @@ class StabilityError(RuntimeError):
     def __init__(self, message, suggested_dt):
         super().__init__(message)
         self.suggested_dt = suggested_dt
+
+
+_INITS = ("gaussian", "shell", "pair", "file")
 
 
 @dataclass
@@ -84,6 +87,9 @@ class SimConfig:
             raise ConfigurationError("t_end must be >= 0 and finite")
         if self.output_stride < 1:
             raise ConfigurationError("output_stride must be >= 1")
+        if self.init not in _INITS:
+            raise ConfigurationError(
+                f"unknown init {self.init!r}; known: {', '.join(_INITS)}")
         steps = self.t_end / self.dt
         if abs(steps - self.n_steps) > 1e-9 * steps:
             raise ConfigurationError(
@@ -181,12 +187,8 @@ def biot_savart(omega: SpectralField2D):
 # them by inverse_scale, and the forward transform of a product of two of them
 # needs that factor exactly once.
 
-def dealias_mask(grid: Grid2D) -> np.ndarray:
-    return grid_operators(grid).dealias_mask
-
-
 def dealias(f: SpectralField2D) -> SpectralField2D:
-    return SpectralField2D(f.grid, f.modes * dealias_mask(f.grid))
+    return SpectralField2D(f.grid, f.modes * grid_operators(f.grid).dealias_mask)
 
 
 @dataclass(frozen=True)
@@ -254,15 +256,13 @@ def _sup_speed(u1: SpectralField2D, u2: SpectralField2D) -> float:
 # time stepping
 
 def omega_from_profile(profile: Profile, beta: float) -> SpectralField2D:
-    sym = dispersion_symbol(profile.field.grid)
-    phase = np.exp(-1j * beta * profile.t * sym)
-    return SpectralField2D(profile.field.grid, profile.field.modes * phase)
+    """The vorticity at profile.t: the free flow run forward by beta t."""
+    return apply_semigroup(profile.field, beta * profile.t)
 
 
 def profile_from_omega(omega: SpectralField2D, t: float, beta: float) -> Profile:
-    sym = dispersion_symbol(omega.grid)
-    phase = np.exp(+1j * beta * t * sym)
-    return Profile(SpectralField2D(omega.grid, omega.modes * phase), t)
+    """The profile of the vorticity omega at t: the free flow run back by beta t."""
+    return Profile(apply_semigroup(omega, -(beta * t)), t)
 
 
 @functools.lru_cache(maxsize=4)
@@ -331,18 +331,18 @@ def initial_vorticity(cfg: SimConfig) -> SpectralField2D:
     x = g.x_coords()
     X, Y = np.meshgrid(x, x, indexing="ij")
     a = cfg.width
-    if cfg.init in ("gaussian", "gaussian-vortex"):
+    if cfg.init == "gaussian":
         r2 = (X ** 2 + Y ** 2) / (2.0 * a ** 2)
         # mean-zero radial vortex (second radial moment of a Gaussian)
         samples = cfg.eps * (1.0 - r2) * np.exp(-r2)
-    elif cfg.init in ("shell", "shell-bump"):
+    elif cfg.init == "shell":
         return SpectralField2D(g, cfg.eps * shell_field(g).modes)
-    elif cfg.init in ("pair", "vortex-pair"):
+    elif cfg.init == "pair":
         d = 2.0 * a
         rp = ((X - d) ** 2 + Y ** 2) / (2.0 * a ** 2)
         rm = ((X + d) ** 2 + Y ** 2) / (2.0 * a ** 2)
         samples = cfg.eps * (np.exp(-rp) - np.exp(-rm))
-    elif cfg.init == "file":
+    else:                     # "file"
         if not cfg.init_file:
             raise ConfigurationError("init=file requires init_file")
         fld = read_field(cfg.init_file)
@@ -350,8 +350,6 @@ def initial_vorticity(cfg: SimConfig) -> SpectralField2D:
         if abs(wh.mean_mode()) > 1e-10 * max(1.0, float(np.abs(wh.modes).max())):
             raise InputError("field file has nonzero mean vorticity")
         return zero_mean(wh)
-    else:
-        raise ConfigurationError(f"unknown init descriptor {cfg.init!r}")
     return zero_mean(transform_forward(RealField2D(g, samples)))
 
 
@@ -360,7 +358,7 @@ def initial_vorticity(cfg: SimConfig) -> SpectralField2D:
 
 def linear_operator_field(omega: SpectralField2D, beta: float = 1.0) -> SpectralField2D:
     """beta L1 omega, with symbol -i beta xi1/|xi|^2."""
-    sym = dispersion_symbol(omega.grid)
+    sym = grid_operators(omega.grid).symbol
     return SpectralField2D(omega.grid, -1j * beta * sym * omega.modes)
 
 

@@ -1,4 +1,4 @@
-"""Periodic grids, FFT transforms, Littlewood-Paley projections and norms.
+"""Periodic grids, FFT transforms, Littlewood-Paley shells and norms.
 
 Conventions
 -----------
@@ -235,13 +235,12 @@ def zero_mean(f: SpectralField2D) -> SpectralField2D:
     return out
 
 
-def require_mean_zero(f: SpectralField2D | np.ndarray, tol: float = 1e-12) -> None:
-    """Raise InputError unless the zero mode is negligible. `f` is a field or
-    a modes array with the zero mode at [0, 0]."""
-    modes = f.modes if isinstance(f, SpectralField2D) else f
-    scale = max(1.0, float(np.abs(modes).max(initial=0.0)))
-    mean = complex(modes[0, 0])
-    if abs(mean) > tol * scale:
+def require_mean_zero(f: SpectralField2D) -> None:
+    """Raise InputError unless the zero mode is negligible: at most 1e-12 of
+    the largest mode, or of 1."""
+    scale = max(1.0, float(np.abs(f.modes).max(initial=0.0)))
+    mean = f.mean_mode()
+    if abs(mean) > 1e-12 * scale:
         raise InputError(f"field has nonzero mean mode {mean:.3e}")
 
 
@@ -267,12 +266,6 @@ def lp_bump(r):
     """
     r = np.asarray(r, dtype=float)
     return _chi(r) - _chi(2.0 * r)
-
-
-def lp_project(f: SpectralField2D, j: int) -> SpectralField2D:
-    """Restrict to the dyadic shell |xi| ~ 2^j via the smooth bump."""
-    mag = grid_operators(f.grid).mag
-    return SpectralField2D(f.grid, f.modes * lp_bump(mag / 2.0 ** j))
 
 
 def shell_field(grid: Grid2D, j: int = 0) -> SpectralField2D:
@@ -332,11 +325,6 @@ def _samples_lp_norm(samples: np.ndarray, p: float, dx: float) -> float:
     return float(np.sum(s ** p) * dx ** 2) ** (1.0 / p)
 
 
-def lp_phys_norm(f: SpectralField2D, p: float) -> float:
-    """L^p norm of the physical-space field by Riemann sum (p may be inf)."""
-    return _samples_lp_norm(real_samples(f), p, f.grid.dx)
-
-
 def besov_norm(f: SpectralField2D, s: float, p: float, q: float) -> float:
     """Homogeneous Besov norm: ell^q over shells of 2^(s j) |P_j f|_{L^p}.
 
@@ -375,11 +363,6 @@ def _central_mass(samples: np.ndarray, g: Grid2D) -> float:
     if total == 0.0:
         return 1.0
     return float(np.sum(samples[np.ix_(keep, keep)] ** 2)) / total
-
-
-def central_mass_fraction(f: SpectralField2D) -> float:
-    """Fraction of |f|^2 mass inside the central half-box."""
-    return _central_mass(real_samples(f), f.grid)
 
 
 def weighted_profile_norm(f: Profile, l, warn_sink: list | None = None):

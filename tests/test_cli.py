@@ -5,7 +5,8 @@ import pytest
 
 from bplab import acceptance
 from bplab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from bplab.spectral import Grid2D, RealField2D, write_field
+from bplab.solver import parse_config
+from bplab.spectral import ConfigurationError, Grid2D, RealField2D, write_field
 
 CONFIG = """\
 # small smoke-test run
@@ -141,6 +142,13 @@ def _truncated_field_config(tmp_path):
     return str(cfg)
 
 
+def _config_only_run_csv(tmp_path):
+    """A run CSV whose header holds a config but whose checkpoints are not there."""
+    path = tmp_path / "run.csv"
+    path.write_text("# config-line: n=32\nt,l2\n")
+    return str(path)
+
+
 @pytest.mark.parametrize("argv, code", [
     (["resonance", "verify", "--id", "z"], EXIT_CONFIG),
     (["resonance", "verify", "--id", "dz"], EXIT_CONFIG),
@@ -157,13 +165,49 @@ def _truncated_field_config(tmp_path):
     (["stphase", "--x-over-t", "inf,0"], EXIT_CONFIG),
     (["simulate"], EXIT_CONFIG),
     (["decay", "--config", "x.cfg"], EXIT_CONFIG),
+    (["diagnose", "--in", lambda p: str(p / "missing.csv"), "--checkpoints", str],
+     EXIT_RUNTIME),
+    (["diagnose", "--in", str, "--checkpoints", str], EXIT_RUNTIME),
+    (["diagnose", "--in", _config_only_run_csv, "--checkpoints", lambda p: str(p / "chk")],
+     EXIT_RUNTIME),
+    (["decay", "--j", "40", "--n", "32", "--L", "20"], EXIT_CONFIG),
+    (["reproduce-all", "--only", "99"], EXIT_CONFIG),
+    (["resonance", "verify", "--id", ""], EXIT_CONFIG),
 ], ids=["unknown-id", "partly-unknown-ids", "classify-no-vectors", "classify-no-eta",
         "truncated-init-file", "too-few-samples", "mu-out-of-range", "negative-t-min",
         "zero-t-min", "decay-mu-out-of-range", "stphase-not-a-number", "stphase-nan",
-        "stphase-inf", "simulate-no-config", "decay-config"])
+        "stphase-inf", "simulate-no-config", "decay-config", "diagnose-in-missing",
+        "diagnose-in-directory", "diagnose-checkpoints-missing", "decay-empty-shell",
+        "unknown-criterion", "empty-id"])
 def test_bad_input_exit_codes(tmp_path, argv, code):
     argv = [a(tmp_path) if callable(a) else a for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == code
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["decay", "--n", "32", "--L", "20"], EXIT_CONFIG),
+    (["simulate", "--config", "run.cfg"], EXIT_CONFIG),
+    (["diagnose", "--in", "run.csv", "--checkpoints", "chk"], EXIT_CONFIG),
+    (["decay", "--n", "32", "--L", "20", "--out", lambda p: str(p / "no-dir" / "out.csv")],
+     EXIT_RUNTIME),
+], ids=["decay-no-out", "simulate-no-out", "diagnose-no-out", "out-directory-missing"])
+def test_bad_output_exit_codes(tmp_path, capsys, argv, code):
+    # --out is required wherever a CSV is always written; an OSError is one line
+    argv = [a(tmp_path) if callable(a) else a for a in argv]
+    assert main(argv) == code
+    if code == EXIT_RUNTIME:
+        assert capsys.readouterr().err.startswith("runtime error: ")
+
+
+@pytest.mark.parametrize("alias", ["gaussian-vortex", "shell-bump", "vortex-pair"])
+def test_init_aliases_refused(tmp_path, alias):
+    # only the documented init values gaussian, shell, pair and file are accepted
+    with pytest.raises(ConfigurationError):
+        parse_config(f"init={alias}")
+    cfg = tmp_path / "alias.cfg"
+    cfg.write_text(CONFIG.replace("init = gaussian", f"init = {alias}"))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) \
+        == EXIT_CONFIG
 
 
 class TestStphase:

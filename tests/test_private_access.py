@@ -19,8 +19,9 @@ def _is_private(name):
     return name.startswith("_") and not name.startswith("__")
 
 
-def private_reach_ins(source):
-    """(line, '<module>._name') for each private access to a bplab module."""
+def references(source, modules=MODULES):
+    """(line, module, name) for each use of a name of one of `modules`:
+    `from .<module> import name`, or `<module>.name` after `from . import <module>`."""
     tree = ast.parse(source)
     aliases = {}                      # local name -> bplab module name
     found = []
@@ -28,15 +29,20 @@ def private_reach_ins(source):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             if node.module is None:
                 aliases.update({a.asname or a.name: a.name
-                                for a in node.names if a.name in MODULES})
-            elif node.module in MODULES:
-                found += [(node.lineno, f"{node.module}.{a.name}")
-                          for a in node.names if _is_private(a.name)]
+                                for a in node.names if a.name in modules})
+            elif node.module in modules:
+                found += [(node.lineno, node.module, a.name) for a in node.names]
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and _is_private(node.attr) \
-                and isinstance(node.value, ast.Name) and node.value.id in aliases:
-            found.append((node.lineno, f"{aliases[node.value.id]}.{node.attr}"))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in aliases:
+            found.append((node.lineno, aliases[node.value.id], node.attr))
     return found
+
+
+def private_reach_ins(source):
+    """(line, '<module>._name') for each private access to a bplab module."""
+    return [(line, f"{module}.{name}") for line, module, name in references(source)
+            if _is_private(name)]
 
 
 def test_scanner_finds_each_form():

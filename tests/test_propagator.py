@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from bplab.propagator import (
     apply_semigroup,
     decay_curve,
     hessian_det,
-    oscillatory_quadrature,
     phase_gradient,
     split_bound_amplitude,
     split_bound_exponent,
@@ -28,7 +26,6 @@ from bplab.spectral import (
     grid_operators,
     l2_norm,
     linf_norm,
-    lp_bump,
     transform_forward,
     zero_mean,
 )
@@ -75,33 +72,6 @@ class TestSemigroup:
         flow_then_deriv = SpectralField2D(f.grid, 1j * k1 * flow_then_deriv.modes)
         diff = np.abs(deriv_then_flow.modes - flow_then_deriv.modes).max()
         assert diff < 1e-15 * np.abs(deriv_then_flow.modes).max()
-
-
-class TestOscillatoryQuadrature:
-    def test_static_value_matches_radial_oracle(self):
-        # at t = 0, x = 0 the integral is the bump's area: 2 pi int phi(r) r dr
-        expect = 2 * np.pi * quad(lambda r: lp_bump(r) * r, 0.5, 2.0)[0]
-        got = oscillatory_quadrature(np.zeros(2), 0.0, 0)
-        assert got.imag == pytest.approx(0.0, abs=1e-10)
-        assert got.real == pytest.approx(expect, rel=1e-8)
-
-    @pytest.mark.parametrize("j", [-2, -1, 0, 1, 2])
-    def test_scaling_identity(self, j):
-        x = np.array([0.7, -0.4])
-        t = 5.0
-        lhs = oscillatory_quadrature(x, t, j)
-        rhs = 4.0 ** j * oscillatory_quadrature(2.0 ** j * x, 2.0 ** -j * t, 0)
-        assert abs(lhs - rhs) < 1e-6 * max(1.0, abs(rhs))
-
-    def test_sup_decays(self):
-        xs = [np.array([a, b]) for a in (-1.5, 0.0, 1.5) for b in (-1.0, 0.5)]
-        sup20 = max(abs(oscillatory_quadrature(x * 20.0, 20.0, 0)) for x in xs)
-        sup40 = max(abs(oscillatory_quadrature(x * 40.0, 40.0, 0)) for x in xs)
-        assert sup40 <= 0.6 * sup20
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            oscillatory_quadrature(np.zeros(2), -1.0, 0)
 
 
 class TestSymbol:

@@ -10,7 +10,6 @@ from bplab.solver import (
     StabilityError,
     biot_savart,
     dealias,
-    dealias_mask,
     format_config,
     initial_vorticity,
     linear_operator_field,
@@ -32,9 +31,7 @@ from bplab.spectral import (
     Profile,
     RealField2D,
     SpectralField2D,
-    central_mass_fraction,
     grid_operators,
-    lp_project,
     lp_shell_range,
     transform_forward,
     transform_inverse,
@@ -42,6 +39,7 @@ from bplab.spectral import (
     zero_mean,
 )
 from halfspec import full_wavenumbers, hermitian_extension
+from lp_oracle import central_mass_fraction, lp_project
 
 
 def random_vorticity(n=32, box_length=10.0, seed=0):
@@ -640,7 +638,7 @@ class TestScalingTransform:
 
 def test_dealias_mask_two_thirds():
     g = Grid2D(32, 10.0)
-    mask = dealias_mask(g)
+    mask = grid_operators(g).dealias_mask
     k = np.fft.fftfreq(32) * 32
     for i, ki in enumerate(k):
         assert mask[i, 0] == (abs(ki) <= 32 / 3)

@@ -16,14 +16,11 @@ from bplab.spectral import (
     RealField2D,
     SpectralField2D,
     besov_norm,
-    central_mass_fraction,
     grid_operators,
     homogeneous_sobolev_norm,
     l2_norm,
     linf_norm,
     lp_bump,
-    lp_phys_norm,
-    lp_project,
     lp_shell_range,
     read_field,
     real_samples,
@@ -36,8 +33,8 @@ from bplab.spectral import (
     zero_mean,
 )
 from bplab.harness import write_csv
-from bplab.propagator import dispersion_symbol
 from halfspec import full_wavenumbers, hermitian_extension
+from lp_oracle import central_mass_fraction, lp_phys_norm, lp_project
 
 
 def random_field(grid, seed=0, scale=1.0):
@@ -77,7 +74,6 @@ class TestGrid:
 class TestGridOperators:
     def test_equal_grids_share_one_set(self):
         assert grid_operators(Grid2D(32, 10.0)) is grid_operators(Grid2D(32, 10.0))
-        assert dispersion_symbol(Grid2D(32, 10.0)) is grid_operators(Grid2D(32, 10.0)).symbol
 
     def test_values(self):
         # the half spectrum's columns 0 .. n/2 of the whole lattice; the odd
@@ -105,10 +101,10 @@ class TestGridOperators:
                     ops.weight, ops.dealias_mask):
             with pytest.raises(ValueError):
                 arr[0, 0] = 1
-        sym = dispersion_symbol(g)
+        sym = ops.symbol
         with pytest.raises(ValueError):
             sym *= 2.0
-        assert np.array_equal(dispersion_symbol(g), sym)
+        assert np.array_equal(grid_operators(g).symbol, sym)
 
 
 class TestTransforms:

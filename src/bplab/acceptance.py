@@ -269,7 +269,7 @@ def criterion_8(seed=0):
         line = SpectralField2D(g, modes)
         nl_line = solver.nonlinear_term(line)
         line_resid = float(np.abs(nl_line.modes).max()) / float(np.abs(modes).max())
-        m_parallel = resonance.null_form(resonance.FreqPair((2.0, 0.0), (1.0, 0.0)))[0]
+        m_parallel = resonance.null_form(resonance.FreqPair((2.0, 0.0), (1.0, 0.0)))
         oracle_err = _convolution_oracle_error(substream(seed, "conv-oracle"))
         ok = line_resid < 1e-12 and m_parallel == 0.0 and oracle_err < 1e-10
         return ok, {"line_residual": line_resid, "m_parallel": m_parallel,

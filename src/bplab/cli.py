@@ -33,8 +33,6 @@ from .spectral import (
     Grid2D,
     InputError,
     Profile,
-    besov_norm,
-    linf_norm,
     read_field,
     shell_field,
     transform_forward,
@@ -96,14 +94,12 @@ def cmd_decay(args):
         raise ConfigurationError("need 0 < t-min < t-max and n-times >= 2")
     data = shell_field(Grid2D(args.n, args.L), args.j)
     times = np.geomspace(args.t_min, args.t_max, args.n_times)
-    b311 = besov_norm(data, 3.0, 1.0, 1.0)
     prof = Profile(data, 0.0)
-    rows = []
-    for t in times:
-        sup = linf_norm(propagator.apply_semigroup(data, t))
-        bound = propagator.split_decay_bound(prof, t, args.N, args.mu, args.k)
-        rows.append([float(t), sup, b311, float(t) * sup, bound])
+    bounds = [propagator.split_decay_bound(prof, t, args.N, args.mu, args.k)
+              for t in times.tolist()]
     fit = propagator.decay_curve(data, times)
+    rows = [[t, sup, fit.besov311, t * sup, bound]
+            for t, sup, bound in zip(times.tolist(), fit.sup_norms.tolist(), bounds)]
     header = ExperimentManifest("decay", args.seed).header_lines() + [
         f"fitted exponent={fit.exponent:.6f} constant={fit.constant:.6g} c_emp={fit.c_emp:.6g}"]
     write_csv(args.out, header, ["t", "sup_norm", "besov311", "t_times_sup", "bound_lemma52"],
@@ -114,7 +110,8 @@ def cmd_decay(args):
 
 def cmd_stphase(args):
     v = _parse_vec(args.x_over_t)
-    roots = propagator.stationary_points(v)
+    roots, found = propagator.stationary_roots(v)
+    roots = roots[found]
     print(f"x/t = ({v[0]:g}, {v[1]:g}): {len(roots)} stationary point(s)")
     for xi in roots:
         print(f"  xi = ({xi[0]:+.12f}, {xi[1]:+.12f})  "
@@ -186,13 +183,16 @@ def cmd_resonance(args):
     if args.action == "classify":
         if args.xi is None or args.eta is None:
             raise ConfigurationError("resonance classify needs --xi and --eta")
+        if args.out is not None:
+            raise ConfigurationError("resonance classify writes no file; --out is for verify")
         pair = resonance.FreqPair(tuple(_parse_vec(args.xi)), tuple(_parse_vec(args.eta)))
         label = resonance.classify_region(pair)
         print(f"region = {label.region.value} (swapped={label.swapped})")
         for name, val in label.margins.items():
             print(f"  {name}: {val:+.6g}")
         return EXIT_OK
-    ids = resonance.INEQUALITY_IDS if args.id == "all" else args.id
+    # each id once, in order of first appearance
+    ids = resonance.INEQUALITY_IDS if args.id == "all" else tuple(dict.fromkeys(args.id))
     unknown = sorted(set(ids) - set(resonance.INEQUALITY_IDS))
     if unknown or not ids:
         raise ConfigurationError(f"unknown inequality id(s) {''.join(unknown)!r}; "
@@ -265,12 +265,12 @@ def cmd_reproduce_all(args):
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="root RNG seed")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="root RNG seed")
+    common = argparse.ArgumentParser(add_help=False, parents=[seeded])
     common.add_argument("--out", default=None, help="output CSV path")
-    # simulate, decay and diagnose always write their CSV
-    writes = argparse.ArgumentParser(add_help=False)
-    writes.add_argument("--seed", type=int, default=0, help="root RNG seed")
+    # simulate, decay and diagnose always write their CSV, bootstrap never
+    writes = argparse.ArgumentParser(add_help=False, parents=[seeded])
     writes.add_argument("--out", required=True, help="output CSV path")
 
     parser = argparse.ArgumentParser(prog="bplab", description=__doc__)
@@ -312,7 +312,7 @@ def build_parser():
     p.add_argument("--eta", help="comma-separated 2-vector (classify)")
     p.set_defaults(fn=cmd_resonance)
 
-    p = sub.add_parser("bootstrap", parents=[common], help="bootstrap feasibility arithmetic")
+    p = sub.add_parser("bootstrap", parents=[seeded], help="bootstrap feasibility arithmetic")
     p.add_argument("--M", type=float, default=1.0)
     p.add_argument("--search", action="store_true")
     p.add_argument("--k", type=float, default=32.0)

@@ -38,13 +38,10 @@ def _checkpoint_reports(result: RunResult):
 @dataclass
 class EnergyCertificate:
     k: int
-    t_grid: np.ndarray
     hk_measured: np.ndarray
-    integrand: np.ndarray          # |Du|_Linf + |omega|_Linf samples
     c: float                       # fitted minimal constant
     rhs_envelope: np.ndarray
     valid: bool
-    note: str = ""
 
 
 def energy_certificate(result: RunResult, k: int) -> EnergyCertificate:
@@ -68,24 +65,21 @@ def energy_certificate(result: RunResult, k: int) -> EnergyCertificate:
     h0 = hks[0]
     if h0 == 0.0:
         grown = bool(np.any(hks > 0))
-        return EnergyCertificate(k, ts, hks, integrand, np.inf if grown else 0.0,
-                                 np.zeros_like(hks), valid=not grown,
-                                 note="zero initial data" if not grown else
-                                 "growth from zero data admits no finite constant")
+        # valid only if the norm stays zero: growth from zero admits no finite c
+        return EnergyCertificate(k, hks, np.inf if grown else 0.0, np.zeros_like(hks),
+                                 valid=not grown)
     c = 0.0
     for h, I in zip(hks[1:], cumint[1:]):
         growth = np.log(h / h0)
         if growth <= 0:
             continue
-        if I <= 0:
-            return EnergyCertificate(k, ts, hks, integrand, np.inf,
-                                     np.zeros_like(hks), valid=False,
-                                     note="norm growth with vanishing integrand")
+        if I <= 0:      # norm growth with vanishing integrand
+            return EnergyCertificate(k, hks, np.inf, np.zeros_like(hks), valid=False)
         c = max(c, growth / (4.0 ** k * I))
     envelope = h0 * np.exp(c * 4.0 ** k * cumint)
     # tiny headroom so the fitted equality point still dominates in floats
     valid = bool(np.all(envelope * (1.0 + 1e-12) >= hks))
-    return EnergyCertificate(k, ts, hks, integrand, c, envelope, valid)
+    return EnergyCertificate(k, hks, c, envelope, valid)
 
 
 # ---------------------------------------------------------------------------
@@ -93,12 +87,10 @@ def energy_certificate(result: RunResult, k: int) -> EnergyCertificate:
 
 @dataclass
 class TransportReport:
-    t_grid: np.ndarray
     lhs: np.ndarray                # |omega(t)|_Linf
     rhs: np.ndarray                # |omega(0)|_Linf + int |beta L1 omega|_Linf
     slack: np.ndarray
     ok: bool
-    tolerance: float               # relative slack allowed, TRANSPORT_TOLERANCE
 
 
 TRANSPORT_TOLERANCE = 0.01
@@ -124,7 +116,7 @@ def linfty_transport_check(result: RunResult) -> TransportReport:
     slack = rhs - lhs
     scale = max(lhs[0], float(lhs.max()))
     ok = bool(np.all(slack >= -TRANSPORT_TOLERANCE * scale))
-    return TransportReport(ts, lhs, rhs, slack, ok, TRANSPORT_TOLERANCE)
+    return TransportReport(lhs, rhs, slack, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +139,9 @@ def weighted_norm_series(result: RunResult):
     return rows
 
 
-def doubling_time(times, values, t_end=None):
+def doubling_time(times, values, t_end):
     """First time the series reaches twice its initial value, linearly
-    interpolated; right-censored at the final time when no doubling occurs."""
+    interpolated; right-censored at t_end when no doubling occurs."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     target = 2.0 * values[0]
@@ -158,7 +150,7 @@ def doubling_time(times, values, t_end=None):
             lo, hi = values[i - 1], values[i]
             frac = 0.0 if hi == lo else (target - lo) / (hi - lo)
             return float(times[i - 1] + frac * (times[i] - times[i - 1]))
-    return float(times[-1] if t_end is None else t_end)
+    return float(t_end)
 
 
 # ---------------------------------------------------------------------------
@@ -170,18 +162,16 @@ class BootstrapParams:
     k: float
     eps: float
     mu: float
-    rho: float = 0.01
-    c1: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.mu < 1.0):
             raise ConfigurationError("mu must lie in (0, 1)")
-        if not (self.eps > 0.0 and self.k >= 1 and 0.0 < self.rho < 1.0):
-            raise ConfigurationError("need eps > 0, k >= 1, rho in (0, 1)")
+        if not (self.eps > 0.0 and self.k >= 1):
+            raise ConfigurationError("need eps > 0 and k >= 1")
 
     @property
     def c_of_k(self) -> float:
-        return self.c1 * 2.0 ** (2.0 * self.k)
+        return 2.0 ** (2.0 * self.k)
 
 
 def _log_poly_in_eps(terms, log_eps):

@@ -34,9 +34,9 @@ from .spectral import (
 class DecayFit:
     exponent: float
     constant: float
-    t_range: tuple[float, float]
-    residual: float
     c_emp: float
+    sup_norms: np.ndarray          # |semigroup(t) g|_Linf at each time
+    besov311: float                # |g|_{B^3_{1,1}}
 
 
 # ---------------------------------------------------------------------------
@@ -86,15 +86,15 @@ def phase_gradient(x_over_t, xi):
     return np.asarray(x_over_t, dtype=float) - symbol_grad(np.asarray(xi, dtype=float))
 
 
-def stationary_roots(x_over_t, shell=(0.25, 4.0)):
+def stationary_roots(x_over_t):
     """The roots of grad phi = 0 for each x/t of a (..., 2) batch.
 
     In polar coordinates the gradient equation reads
     x/t = -(1/r^2) (cos 2theta, sin 2theta), which pins r = |x/t|^(-1/2)
-    and leaves two antipodal angles; a Newton polish of the candidates not
-    yet converged removes the residual floating error. Returns the two
-    candidates, (..., 2, 2), and whether each converged with |xi| in the
-    shell, (..., 2); none is found for x/t zero, non-finite or with r outside.
+    and leaves two antipodal angles; this closed form is the root to
+    rounding. Returns the two candidates, (..., 2, 2), and whether each is
+    found, its residual below 1e-10 and |xi| in the shell [1/4, 4], (..., 2);
+    none is found for x/t zero, non-finite or with r outside.
     """
     def length(a):  # rounds as np.linalg.norm of one 2-vector does (a BLAS dot)
         return np.sqrt(np.vecdot(a, a))
@@ -104,28 +104,14 @@ def stationary_roots(x_over_t, shell=(0.25, 4.0)):
     half = 0.5 * np.arctan2(-v[:, 1], -v[:, 0])
     theta = np.stack([half, half + np.pi], -1).ravel()
     v = np.repeat(v, 2, axis=0)                      # one row per candidate
+    lo, hi = 0.25, 4.0                               # the shell
     with np.errstate(divide="ignore"):
         r = length(v) ** -0.5
-    live = (shell[0] <= r) & (r <= shell[1])
+    live = (lo <= r) & (r <= hi)
     xi = np.where(live, r, np.nan)[:, None] * np.stack([np.cos(theta), np.sin(theta)], -1)
-    active = np.flatnonzero(live)
-    for _ in range(50):
-        x = xi[active]
-        g = phase_gradient(v[active], x)
-        moving = ~(length(g) < 1e-13)
-        active, x, g = active[moving], x[moving], g[moving]
-        if active.size == 0:
-            break
-        xi[active] = x - np.linalg.solve(-symbol_hess(x), g[..., None])[..., 0]
     size = length(xi)
-    found = (length(phase_gradient(v, xi)) < 1e-10) & (shell[0] <= size) & (size <= shell[1])
+    found = (length(phase_gradient(v, xi)) < 1e-10) & (lo <= size) & (size <= hi)
     return xi.reshape(lead + (2, 2)), found.reshape(lead + (2,))
-
-
-def stationary_points(x_over_t, shell=(0.25, 4.0)):
-    """The found roots of stationary_roots for one x/t, as a list of (2,) arrays."""
-    roots, found = stationary_roots(x_over_t, shell)
-    return list(roots[found])
 
 
 def hessian_det(xi) -> float:
@@ -148,17 +134,11 @@ def decay_curve(g: SpectralField2D, times) -> DecayFit:
     sups = np.array([linf_norm(apply_semigroup(g, t)) for t in times])
     if np.any(sups <= 0):
         raise ConfigurationError("sup-norm vanished: the data has no modes on the grid")
-    logs, logt = np.log(sups), np.log(times)
-    slope, intercept = np.polyfit(logt, logs, 1)
-    fit = slope * logt + intercept
-    residual = float(np.max(np.abs(fit - logs) / np.abs(logs)))
-    b311 = besov_norm(g, 3.0, 1.0, 1.0)
+    slope, intercept = np.polyfit(np.log(times), np.log(sups), 1)
+    b311 = besov_norm(g)
     c_emp = float(np.max(times * sups)) / b311 if b311 > 0 else np.inf
-    if np.ptp(logs) < 1e-12:
-        residual = np.inf  # degenerate, constant data
     return DecayFit(exponent=float(slope), constant=float(np.exp(intercept)),
-                    t_range=(float(times[0]), float(times[-1])),
-                    residual=residual, c_emp=c_emp)
+                    c_emp=c_emp, sup_norms=sups, besov311=b311)
 
 
 def split_bound_exponent(mu: float) -> float:

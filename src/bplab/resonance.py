@@ -21,6 +21,8 @@ from .spectral import ConfigurationError, InputError
 
 _SINGULAR_MARGIN = 1e-12
 CHUNK = 16_384          # pairs per classify-and-check slice of certify_bound
+BATCH = 200_000         # proposals certify_bound draws at once
+MIN_ACCEPTANCE = 1e-6   # accepted/proposed ratio below which certify_bound gives up
 
 
 class SamplerError(RuntimeError):
@@ -103,21 +105,13 @@ def _conj_vec(z):
     return np.stack([z.real, -z.imag], axis=-1)
 
 
-def _null_form_arr(xi, eta):
-    return (xi[..., 0] * (-eta[..., 1]) + xi[..., 1] * eta[..., 0]) / \
-        (eta[..., 0] ** 2 + eta[..., 1] ** 2)
-
-
 # ---------------------------------------------------------------------------
 # scalar API
 
-def null_form(p: FreqPair):
-    """(m, mbar) with m = xi.eta_perp/|eta|^2 and mbar(xi,eta) = m(xi, xi-eta),
-    which reduces to -xi.eta_perp/|xi-eta|^2."""
-    xi, eta = p.xi_arr, p.eta_arr
-    m = float(_null_form_arr(xi, eta))
-    mbar = float(_null_form_arr(xi, xi - eta))
-    return m, mbar
+def null_form(p: FreqPair) -> float:
+    """m = xi.eta_perp/|eta|^2."""
+    (x1, x2), (e1, e2) = p.xi, p.eta
+    return (x1 * (-e2) + x2 * e1) / (e1 ** 2 + e2 ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +196,6 @@ def classify_region(p: FreqPair) -> RegionLabel:
 
 @dataclass
 class BoundCheckReport:
-    inequality_id: str
     samples: int
     violations: int
     worst_margin: float
@@ -302,15 +295,14 @@ _REGISTRY = {
 INEQUALITY_IDS = tuple(_REGISTRY)
 
 
-def certify_bound(inequality_id: str, n: int, seed=0,
-                  batch: int = 200_000, min_acceptance: float = 1e-6) -> BoundCheckReport:
+def certify_bound(inequality_id: str, n: int, seed=0) -> BoundCheckReport:
     """Monte-Carlo certification of a registered inequality over n in-region
     samples. Proposals are conditioned toward the region (the thin Case-2 sets
     are unreachable by uniform draws); acceptance is still by the exact region
     predicates, so the conditioning only changes the sampling density.
 
-    Each batch of proposals is drawn whole, then classified and checked in
-    slices of CHUNK pairs, so the temporaries stay cache-sized; the checks
+    Each batch of BATCH proposals is drawn whole, then classified and checked
+    in slices of CHUNK pairs, so the temporaries stay cache-sized; the checks
     reuse the lengths the classification computed, and classification stops
     at the n-th accepted sample. Ids a, b, d and f are real arithmetic and
     give the same report for any slicing. Ids c and e go through
@@ -331,7 +323,7 @@ def certify_bound(inequality_id: str, n: int, seed=0,
     worst = np.inf
     lo, hi = np.inf, -np.inf
     while accepted < n:
-        m = min(batch, 4 * (n - accepted) + 1000)
+        m = min(BATCH, 4 * (n - accepted) + 1000)
         xi, eta = propose(rng, m)
         proposed += m
         before = accepted
@@ -353,17 +345,17 @@ def certify_bound(inequality_id: str, n: int, seed=0,
                 lo = min(lo, float(finite.min()))
                 hi = max(hi, float(finite.max()))
             accepted += idx.size
-        if accepted == 0 and proposed > 10 * batch:
+        if accepted == 0 and proposed > 10 * BATCH:
             raise SamplerError(
                 f"acceptance below threshold for {inequality_id!r}: "
                 f"0/{proposed} proposals in region")
-        if before < accepted < n and accepted / proposed < min_acceptance:
+        if before < accepted < n and accepted / proposed < MIN_ACCEPTANCE:
             raise SamplerError(
-                f"acceptance {accepted / proposed:.2e} below {min_acceptance:.0e} "
+                f"acceptance {accepted / proposed:.2e} below {MIN_ACCEPTANCE:.0e} "
                 f"for {inequality_id!r}")
     if lo > hi:
         lo = hi = np.nan
-    return BoundCheckReport(inequality_id, accepted, violations, worst, lo, hi)
+    return BoundCheckReport(accepted, violations, worst, lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -391,7 +391,7 @@ def make_report(state: SimState, cfg: SimConfig) -> NormReport:
         linf_omega=linf_norm(omega),
         linf_u=u_sup,
         linf_du=du_sup,
-        besov311=besov_norm(omega, 3.0, 1.0, 1.0),
+        besov311=besov_norm(omega),
         weighted2=weighted2,
         weighted3=weighted3,
         fhat_sup2=fhat_sup_weighted(state.profile),

@@ -318,22 +318,13 @@ def linf_norm(f: SpectralField2D) -> float:
     return float(np.abs(real_samples(f)).max())
 
 
-def _samples_lp_norm(samples: np.ndarray, p: float, dx: float) -> float:
-    s = np.abs(samples)
-    if np.isinf(p):
-        return float(s.max())
-    return float(np.sum(s ** p) * dx ** 2) ** (1.0 / p)
-
-
-def besov_norm(f: SpectralField2D, s: float, p: float, q: float) -> float:
-    """Homogeneous Besov norm: ell^q over shells of 2^(s j) |P_j f|_{L^p}.
+def besov_norm(f: SpectralField2D) -> float:
+    """Homogeneous B^3_{1,1} norm: the sum over shells of 2^(3 j) |P_j f|_{L^1}.
 
     The shell sum is truncated to lp_shell_range, the dyadic range
     resolvable on the grid. Each shell costs one irfft2; the bump of shell j
     is chi(r/2^j) - chi(r/2^(j-1)), so consecutive shells share one cutoff.
     """
-    if not (p >= 1 and q >= 1):
-        raise ValueError("p, q must lie in [1, inf]")
     g = f.grid
     mag = grid_operators(g).mag
     j_min, j_max = lp_shell_range(g)
@@ -343,12 +334,9 @@ def besov_norm(f: SpectralField2D, s: float, p: float, q: float) -> float:
         chi = _chi(mag / 2.0 ** j)
         piece = SpectralField2D(g, f.modes * (chi - chi_below))
         chi_below = chi
-        terms.append(2.0 ** (s * j) * _samples_lp_norm(real_samples(piece), p, g.dx)
+        terms.append(2.0 ** (3.0 * j) * float(np.sum(np.abs(real_samples(piece))) * g.dx ** 2)
                      if np.any(piece.modes) else 0.0)
-    terms = np.asarray(terms)
-    if np.isinf(q):
-        return float(terms.max(initial=0.0))
-    return float(np.sum(terms ** q) ** (1.0 / q))
+    return float(np.sum(terms))
 
 
 def _fft_order_coords(g: Grid2D) -> np.ndarray:

@@ -111,4 +111,4 @@ def whole_batch_certify(inequality_id, n, seed=0, batch=200_000, min_acceptance=
             raise SamplerError("acceptance below threshold")
     if lo > hi:
         lo = hi = np.nan
-    return resonance.BoundCheckReport(inequality_id, accepted, violations, worst, lo, hi)
+    return resonance.BoundCheckReport(accepted, violations, worst, lo, hi)

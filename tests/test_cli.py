@@ -1,12 +1,21 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from bplab import acceptance
+from bplab import acceptance, propagator
 from bplab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from bplab.solver import parse_config
-from bplab.spectral import ConfigurationError, Grid2D, RealField2D, write_field
+from bplab.spectral import (
+    ConfigurationError,
+    Grid2D,
+    RealField2D,
+    besov_norm,
+    linf_norm,
+    shell_field,
+    write_field,
+)
 
 CONFIG = """\
 # small smoke-test run
@@ -173,15 +182,22 @@ def _config_only_run_csv(tmp_path):
     (["decay", "--j", "40", "--n", "32", "--L", "20"], EXIT_CONFIG),
     (["reproduce-all", "--only", "99"], EXIT_CONFIG),
     (["resonance", "verify", "--id", ""], EXIT_CONFIG),
+    (["bootstrap", "--out", lambda p: str(p / "b.csv")], EXIT_CONFIG),
+    (["resonance", "classify", "--xi", "1,1", "--eta", "1,0",
+      "--out", lambda p: str(p / "c.csv")], EXIT_CONFIG),
 ], ids=["unknown-id", "partly-unknown-ids", "classify-no-vectors", "classify-no-eta",
         "truncated-init-file", "too-few-samples", "mu-out-of-range", "negative-t-min",
         "zero-t-min", "decay-mu-out-of-range", "stphase-not-a-number", "stphase-nan",
         "stphase-inf", "simulate-no-config", "decay-config", "diagnose-in-missing",
         "diagnose-in-directory", "diagnose-checkpoints-missing", "decay-empty-shell",
-        "unknown-criterion", "empty-id"])
+        "unknown-criterion", "empty-id", "bootstrap-out", "classify-out"])
 def test_bad_input_exit_codes(tmp_path, argv, code):
     argv = [a(tmp_path) if callable(a) else a for a in argv]
-    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == code
+    # --out only where the subcommand writes a file, so that each case fails
+    # for the reason its id names; bootstrap and classify write none
+    if argv[0] != "bootstrap" and argv[:2] != ["resonance", "classify"]:
+        argv += ["--out", str(tmp_path / "out.csv")]
+    assert main(argv) == code
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -232,6 +248,25 @@ class TestDecay:
         assert rows[0].strip() == "t,sup_norm,besov311,t_times_sup,bound_lemma52"
         assert len(rows) == 5
 
+    def test_numbers_match_the_library(self, tmp_path):
+        # the rows share decay_curve's sup norms and Besov norm, and equal
+        # the norms computed afresh
+        out = str(tmp_path / "decay.csv")
+        assert main(["decay", "--n", "64", "--L", "50", "--t-min", "5",
+                     "--t-max", "20", "--n-times", "4", "--out", out]) == EXIT_OK
+        data = shell_field(Grid2D(64, 50.0), 0)
+        times = np.geomspace(5.0, 20.0, 4)
+        fit = propagator.decay_curve(data, times)
+        rows = [line.strip().split(",") for line in read_noncomment(out)[1:]]
+        for row, t in zip(rows, times):
+            assert float(row[0]) == t
+            assert float(row[1]) == linf_norm(propagator.apply_semigroup(data, t))
+            assert float(row[2]) == besov_norm(data)
+        with open(out) as fh:
+            fitted = [line for line in fh if line.startswith("# fitted")]
+        assert fitted == [f"# fitted exponent={fit.exponent:.6f} constant={fit.constant:.6g} "
+                          f"c_emp={fit.c_emp:.6g}\n"]
+
 
 class TestResonance:
     def test_classify(self, capsys):
@@ -245,6 +280,22 @@ class TestResonance:
         assert rc == EXIT_OK
         assert "0 violations" in capsys.readouterr().out
         assert len(read_noncomment(out)) == 2
+
+    def test_verify_runs_each_id_once(self, tmp_path, capsys):
+        out = str(tmp_path / "res.csv")
+        assert main(["resonance", "verify", "--id", "aa", "--n", "10000",
+                     "--out", out]) == EXIT_OK
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 1 and printed[0].startswith("id=a:")
+        rows = read_noncomment(out)[1:]
+        assert len(rows) == 1 and rows[0].startswith("a,")
+
+    def test_classify_refuses_out(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert main(["resonance", "classify", "--xi", "1,1", "--eta", "1,0",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not out.exists()
 
     def test_verify_writes_ratio_range(self, tmp_path, capsys):
         out = str(tmp_path / "res.csv")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bplab import solver
+from bplab import diagnostics, solver
 from bplab.diagnostics import (
     BootstrapParams,
     bootstrap_conditions,
@@ -123,7 +123,7 @@ class TestTransportCheck:
                         eps=0.5, init="pair", output_stride=10)
         rep = linfty_transport_check(run(cfg))
         assert rep.ok
-        assert rep.slack.min() >= -rep.tolerance * rep.lhs.max()
+        assert rep.slack.min() >= -diagnostics.TRANSPORT_TOLERANCE * rep.lhs.max()
 
 
 class TestWeightedSeries:
@@ -208,7 +208,7 @@ class TestProfileSup:
 
 class TestDoublingTime:
     def test_interpolated(self):
-        t = doubling_time([0, 1, 2], [1.0, 1.5, 2.5])
+        t = doubling_time([0, 1, 2], [1.0, 1.5, 2.5], t_end=2.0)
         assert 1.0 < t < 2.0
 
     def test_censored(self):

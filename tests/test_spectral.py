@@ -261,13 +261,13 @@ class TestNorms:
 
     def test_besov_zero(self):
         g = Grid2D(32, 10.0)
-        assert besov_norm(SpectralField2D(g, np.zeros(g.half_shape)), 3, 1, 1) == 0.0
+        assert besov_norm(SpectralField2D(g, np.zeros(g.half_shape))) == 0.0
 
     def test_besov_single_shell(self):
         # shell-at-j=0 data: only the neighboring bump weights contribute
         g = Grid2D(128, 80.0)
         f = zero_mean(SpectralField2D(g, lp_bump(grid_operators(g).mag)))
-        got = besov_norm(f, 3.0, 1.0, 1.0)
+        got = besov_norm(f)
         j_min, j_max = lp_shell_range(g)
         expect = sum(2.0 ** (3 * j) * lp_phys_norm(lp_project(f, j), 1.0)
                      for j in range(j_min, j_max + 1))
@@ -342,7 +342,7 @@ def test_norm_homogeneity(c, seed):
     f = transform_forward(random_field(g, seed=seed))
     scaled = SpectralField2D(g, c * f.modes)
     for norm in (l2_norm, lambda h: sobolev_norm(h, 2), linf_norm,
-                 lambda h: besov_norm(h, 3, 1, 1)):
+                 besov_norm):
         assert norm(scaled) == pytest.approx(abs(c) * norm(f), rel=1e-11, abs=1e-12)
 
 

@@ -95,8 +95,7 @@ def cmd_decay(args):
     data = shell_field(Grid2D(args.n, args.L), args.j)
     times = np.geomspace(args.t_min, args.t_max, args.n_times)
     prof = Profile(data, 0.0)
-    bounds = [propagator.split_decay_bound(prof, t, args.N, args.mu, args.k)
-              for t in times.tolist()]
+    bounds = propagator.split_decay_bound(prof, times.tolist(), args.N, args.mu, args.k)
     fit = propagator.decay_curve(data, times)
     rows = [[t, sup, fit.besov311, t * sup, bound]
             for t, sup, bound in zip(times.tolist(), fit.sup_norms.tolist(), bounds)]

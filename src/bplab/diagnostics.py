@@ -37,7 +37,6 @@ def _checkpoint_reports(result: RunResult):
 
 @dataclass
 class EnergyCertificate:
-    k: int
     hk_measured: np.ndarray
     c: float                       # fitted minimal constant
     rhs_envelope: np.ndarray
@@ -66,7 +65,7 @@ def energy_certificate(result: RunResult, k: int) -> EnergyCertificate:
     if h0 == 0.0:
         grown = bool(np.any(hks > 0))
         # valid only if the norm stays zero: growth from zero admits no finite c
-        return EnergyCertificate(k, hks, np.inf if grown else 0.0, np.zeros_like(hks),
+        return EnergyCertificate(hks, np.inf if grown else 0.0, np.zeros_like(hks),
                                  valid=not grown)
     c = 0.0
     for h, I in zip(hks[1:], cumint[1:]):
@@ -74,12 +73,12 @@ def energy_certificate(result: RunResult, k: int) -> EnergyCertificate:
         if growth <= 0:
             continue
         if I <= 0:      # norm growth with vanishing integrand
-            return EnergyCertificate(k, hks, np.inf, np.zeros_like(hks), valid=False)
+            return EnergyCertificate(hks, np.inf, np.zeros_like(hks), valid=False)
         c = max(c, growth / (4.0 ** k * I))
     envelope = h0 * np.exp(c * 4.0 ** k * cumint)
     # tiny headroom so the fitted equality point still dominates in floats
     valid = bool(np.all(envelope * (1.0 + 1e-12) >= hks))
-    return EnergyCertificate(k, hks, c, envelope, valid)
+    return EnergyCertificate(hks, c, envelope, valid)
 
 
 # ---------------------------------------------------------------------------

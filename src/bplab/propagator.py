@@ -155,17 +155,18 @@ def split_bound_amplitude(mu: float) -> float:
     return mu ** (-((1.0 - mu) ** 2) / (2.0 * (1.0 + mu) ** 2))
 
 
-def split_decay_bound(f: Profile, t: float, N: float, mu: float, k: int) -> float:
-    """High/low frequency sup-norm bound with implicit constant 1:
+def split_decay_bound(f: Profile, times, N: float, mu: float, k: int) -> list[float]:
+    """High/low frequency sup-norm bound with implicit constant 1, at each
+    of the times; the three norms of f are computed once:
 
         2^k N^-k |f|_{H^(3+k)}
         + t^(-1 + 2/p) N^(2 mu + 12/p) A(mu) (|D^3 f|_L2 + |D^3 x f|_L2).
     """
-    if not (t > 0 and N > 0 and k >= 1):
+    if not (all(t > 0 for t in times) and N > 0 and k >= 1):
         raise ConfigurationError("need t > 0, N > 0, k >= 1")
     inv_p = split_bound_exponent(mu)
     amp = split_bound_amplitude(mu)
     high = 2.0 ** k * N ** (-k) * sobolev_norm(f.field, 3 + k)
-    low = (t ** (-1.0 + 2.0 * inv_p) * N ** (2.0 * mu + 12.0 * inv_p) * amp
-           * (homogeneous_sobolev_norm(f.field, 3.0) + weighted_profile_norm(f, 3)))
-    return high + low
+    norms = homogeneous_sobolev_norm(f.field, 3.0) + weighted_profile_norm(f, 3)
+    return [high + t ** (-1.0 + 2.0 * inv_p) * N ** (2.0 * mu + 12.0 * inv_p) * amp * norms
+            for t in times]

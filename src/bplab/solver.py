@@ -1,9 +1,12 @@
 """Pseudo-spectral time integration of the rotating 2D vorticity equation.
 
-The evolved unknown is the profile fhat(t) = exp(i beta t xi1/|xi|^2) what(t),
-so the linear dispersive term is applied exactly and classical RK4 only sees
-the transport nonlinearity. Products are formed in physical space with
-2/3-rule dealiasing; the velocity is recovered spectrally from the vorticity.
+The dispersive term is applied exactly by the integrating factor
+E(s) = exp(-i beta s xi1/|xi|^2), so classical RK4 only sees the transport
+nonlinearity. run carries the vorticity in the Lawson form (Lawson, SIAM J.
+Numer. Anal. 4 (1967) 372), with E(dt/2) and E(dt) cached per grid, beta and
+dt, so a step computes no exp; step keeps the profile fhat(t) = E(-t) what(t)
+and adds the same increment, rotated back. Products are formed in physical
+space with 2/3-rule dealiasing; the velocity is recovered spectrally.
 
 RK4 runs on the block of the half spectrum that the 2/3 rule keeps, the
 kc = n//3 + 1 columns 0 .. n//3, with transforms pruned to it (Orszag,
@@ -13,10 +16,8 @@ as zeros; a pruned forward is an rfft along the rows, then a complex fft down
 the kc columns. For a divergence-free u in 2D,
     u.grad omega = d1 d2 (u2^2 - u1^2) + (d1^2 - d2^2)(u1 u2)
 (Basdevant, J. Comput. Phys. 50 (1983) 209), so a stage takes two inverse and
-two forward transforms. A step computes one phase exp, at its start; the
-later stage phases come from ratios cached per grid, beta and dt. Only the
-CFL check, which is max_speed of the start vorticity, transforms the whole
-half spectrum.
+two forward transforms. Only the CFL check, which is max_speed of the
+vorticity at the start of the step, transforms the whole half spectrum.
 """
 
 from __future__ import annotations
@@ -112,7 +113,6 @@ class SimConfig:
 class SimState:
     t: float
     profile: Profile
-    step_count: int = 0
 
 
 @dataclass
@@ -267,60 +267,56 @@ def profile_from_omega(omega: SpectralField2D, t: float, beta: float) -> Profile
 
 @functools.lru_cache(maxsize=4)
 def _phase_ratios(grid: Grid2D, beta: float, dt: float):
-    """E(dt/2) and E(dt) on the block, E(s) = exp(-i beta s xi1/|xi|^2): the
-    factors that carry the phase at t to the later stage times."""
-    sym = grid_operators(grid).symbol[:, :_block_operators(grid).kc]
+    """E(dt/2) and E(dt) on the half spectrum, E(s) = exp(-i beta s xi1/|xi|^2):
+    the factors of the Lawson stages and step."""
+    sym = grid_operators(grid).symbol
     ratios = np.exp(-1j * beta * np.multiply.outer((0.5 * dt, dt), sym))
     ratios.flags.writeable = False
     return ratios
 
 
-def _rk4_increment(f0: np.ndarray, t: float, cfg: SimConfig) -> np.ndarray:
-    """dt/6 (k1 + 2 k2 + 2 k3 + k4) on the block of the profile f0.
-
-    Each stage is one _advection of the stage vorticity, rotated back to the
-    profile. The phase p0 at t is the step's one exp; the stage phases are
-    p0 E(dt/2) and p0 E(dt). The stages keep the mean mode of f0, since the
-    Basdevant symbols vanish there, so it is checked once, by max_speed.
-    Raises StabilityError when dt violates the advective bound at time t.
+def _lawson_increment(w: np.ndarray, cfg: SimConfig) -> np.ndarray:
+    """The block increment D of one Lawson RK4 step of the vorticity modes w,
+    whose result is E(dt) w + D on the block, with N the block _advection:
+        k1 = N(w),                    k2 = N(E(dt/2)(w + dt/2 k1)),
+        k3 = N(E(dt/2) w + dt/2 k2),  k4 = N(E(dt) w + dt E(dt/2) k3),
+        D = dt/6 (E(dt) k1 + 2 E(dt/2)(k2 + k3) + k4).
+    The stages keep the mean mode of w, since the Basdevant symbols vanish
+    there, so it is checked once, by max_speed. Raises StabilityError when
+    dt violates the advective bound for w.
     """
     g, dt = cfg.grid, cfg.dt
-    blk = _block_operators(g)
-    p0 = np.exp(-1j * cfg.beta * t * grid_operators(g).symbol)
-    w0 = f0 * p0
-    speed = max_speed(SpectralField2D(g, w0))
+    speed = max_speed(SpectralField2D(g, w))
     if speed > 0:
         bound = 0.5 * g.dx / speed
         if dt > bound:
             raise StabilityError(
                 f"dt={dt} violates advective bound {bound:.3e}", suggested_dt=0.5 * bound)
-    kc = blk.kc
-    h0, p0 = f0[:, :kc], p0[:, :kc]
-    p_half, p1 = p0 * _phase_ratios(g, cfg.beta, dt)
-    c_half = np.conj(p_half)
-    k1 = _advection(w0[:, :kc], blk) * np.conj(p0)
-    k2 = _advection((h0 + 0.5 * dt * k1) * p_half, blk) * c_half
-    k3 = _advection((h0 + 0.5 * dt * k2) * p_half, blk) * c_half
-    k4 = _advection((h0 + dt * k3) * p1, blk) * np.conj(p1)
-    return dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    blk = _block_operators(g)
+    e_half, e_one = _phase_ratios(g, cfg.beta, dt)[..., :blk.kc]
+    w = w[:, :blk.kc]
+    k1 = _advection(w, blk)
+    k2 = _advection(e_half * (w + 0.5 * dt * k1), blk)
+    k3 = _advection(e_half * w + 0.5 * dt * k2, blk)
+    k4 = _advection(e_one * w + dt * e_half * k3, blk)
+    return dt / 6.0 * (e_one * k1 + 2.0 * e_half * (k2 + k3) + k4)
 
 
 def step(state: SimState, cfg: SimConfig) -> SimState:
-    """One classical RK4 step on the profile modes.
-
-    RK4 runs on the kept block of the half spectrum, and its increment is
-    added to the block columns; every other mode of the profile stays as it
-    was.
-    """
+    """One RK4 step on the profile modes: the Lawson increment of the
+    vorticity E(t) f, rotated back to the profile at t + dt, is added to the
+    block columns; every other mode of the profile stays as it was."""
     g = cfg.grid
     f0 = state.profile.field.modes
     fnew = f0.copy()
     if cfg.nonlinear:
-        fnew[:, :_block_operators(g).kc] += _rk4_increment(f0, state.t, cfg)
+        p0 = np.exp(-1j * cfg.beta * state.t * grid_operators(g).symbol)
+        kc = _block_operators(g).kc
+        p1 = p0[:, :kc] * _phase_ratios(g, cfg.beta, cfg.dt)[1, :, :kc]
+        fnew[:, :kc] += np.conj(p1) * _lawson_increment(f0 * p0, cfg)
     fnew[0, 0] = 0.0
     t = state.t + cfg.dt
-    return SimState(t=t, profile=Profile(SpectralField2D(g, fnew), t),
-                    step_count=state.step_count + 1)
+    return SimState(t=t, profile=Profile(SpectralField2D(g, fnew), t))
 
 
 # ---------------------------------------------------------------------------
@@ -402,41 +398,46 @@ def make_report(state: SimState, cfg: SimConfig) -> NormReport:
 def run(cfg: SimConfig, dump_path=None) -> RunResult:
     """Integrate to t_end, emitting a NormReport every output_stride steps.
 
-    Aborts cleanly when |omega|_Linf exceeds 1000x its initial value; on NaN
-    the last good state is dumped to dump_path (when given) and the run is
-    marked aborted.
+    A step is w <- E(dt) w plus the Lawson increment on the block of the
+    vorticity modes w; the profile is formed at reports only. Aborts cleanly
+    when |omega|_Linf exceeds 1000x its initial value; on NaN the last good
+    vorticity is dumped to dump_path (when given) and the run is marked
+    aborted.
     """
-    w0 = initial_vorticity(cfg)
-    state = SimState(t=0.0, profile=profile_from_omega(w0, 0.0, cfg.beta))
-    reports = [make_report(state, cfg)]
-    checkpoints = [(0.0, state.profile)]
-    linf0 = reports[0].linf_omega
-    n_steps = cfg.n_steps
-    last_good = state
-    for i in range(n_steps):
+    g = cfg.grid
+    kc = _block_operators(g).kc
+    e_one = _phase_ratios(g, cfg.beta, cfg.dt)[1]
+    w = initial_vorticity(cfg).modes
+    reports, checkpoints = [], []
+
+    def record(t):
+        prof = profile_from_omega(SpectralField2D(g, w), t, cfg.beta)
+        checkpoints.append((t, prof))
+        reports.append(make_report(SimState(t, prof), cfg))
+        return reports[-1].linf_omega
+
+    linf0 = record(0.0)
+    reason = ""
+    for i in range(1, cfg.n_steps + 1):
+        w_next = e_one * w
         try:
-            state = step(state, cfg)
+            if cfg.nonlinear:
+                w_next[:, :kc] += _lawson_increment(w, cfg)
         except StabilityError as exc:
-            return RunResult(cfg, reports, checkpoints, aborted=True,
-                             abort_reason=f"stability: {exc} (try dt={exc.suggested_dt:.3e})")
-        # the time of step i + 1 is (i + 1) dt, not a running sum of dt
-        t = (i + 1) * cfg.dt
-        state = SimState(t, Profile(state.profile.field, t), state.step_count)
-        if not np.all(np.isfinite(state.profile.field.modes)):
+            reason = f"stability: {exc} (try dt={exc.suggested_dt:.3e})"
+            break
+        if not np.all(np.isfinite(w_next)):
             if dump_path is not None:
-                write_field(dump_path, transform_inverse(
-                    omega_from_profile(last_good.profile, cfg.beta)))
-            return RunResult(cfg, reports, checkpoints, aborted=True,
-                             abort_reason=f"NaN at step {state.step_count}")
-        last_good = state
-        if (i + 1) % cfg.output_stride == 0 or i == n_steps - 1:
-            rep = make_report(state, cfg)
-            reports.append(rep)
-            checkpoints.append((state.t, state.profile))
-            if linf0 > 0 and rep.linf_omega > 1e3 * linf0:
-                return RunResult(cfg, reports, checkpoints, aborted=True,
-                                 abort_reason=f"blow-up guard at t={state.t}")
-    return RunResult(cfg, reports, checkpoints)
+                write_field(dump_path, transform_inverse(SpectralField2D(g, w)))
+            reason = f"NaN at step {i}"
+            break
+        w = w_next
+        if i % cfg.output_stride == 0 or i == cfg.n_steps:
+            t = i * cfg.dt            # whole steps, not a running sum of dt
+            if record(t) > 1e3 * linf0 and linf0 > 0:
+                reason = f"blow-up guard at t={t}"
+                break
+    return RunResult(cfg, reports, checkpoints, aborted=bool(reason), abort_reason=reason)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from bplab.solver import parse_config
 from bplab.spectral import (
     ConfigurationError,
     Grid2D,
+    Profile,
     RealField2D,
     besov_norm,
     linf_norm,
@@ -266,6 +267,19 @@ class TestDecay:
             fitted = [line for line in fh if line.startswith("# fitted")]
         assert fitted == [f"# fitted exponent={fit.exponent:.6f} constant={fit.constant:.6g} "
                           f"c_emp={fit.c_emp:.6g}\n"]
+
+    def test_bound_column_is_the_per_time_bound(self, tmp_path):
+        # the three t-independent norms are computed once for all times; the
+        # bound at each time equals a call with that time alone, bitwise
+        out = str(tmp_path / "decay.csv")
+        assert main(["decay", "--n", "64", "--L", "50", "--t-min", "5", "--t-max", "20",
+                     "--n-times", "4", "--N", "3", "--mu", "0.3", "--k", "3",
+                     "--out", out]) == EXIT_OK
+        prof = Profile(shell_field(Grid2D(64, 50.0), 0), 0.0)
+        rows = [line.strip().split(",") for line in read_noncomment(out)[1:]]
+        times = np.geomspace(5.0, 20.0, 4).tolist()
+        assert [float(row[4]) for row in rows] == \
+            [propagator.split_decay_bound(prof, [t], 3.0, 0.3, 3)[0] for t in times]
 
 
 class TestResonance:

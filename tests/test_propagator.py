@@ -289,9 +289,9 @@ class TestSplitBound:
         # the high term blows up as N -> 0 and the low term as N -> infinity,
         # so a moderate split frequency beats both extremes
         f = Profile(shell_field(64, 50.0), 0.0)
-        mid = split_decay_bound(f, 10.0, 4.0, 0.5, 3)
-        assert split_decay_bound(f, 10.0, 1e-3, 0.5, 3) > mid
-        assert split_decay_bound(f, 10.0, 1e6, 0.5, 3) > mid
+        mid, = split_decay_bound(f, [10.0], 4.0, 0.5, 3)
+        assert split_decay_bound(f, [10.0], 1e-3, 0.5, 3)[0] > mid
+        assert split_decay_bound(f, [10.0], 1e6, 0.5, 3)[0] > mid
 
     def test_amplitude_blows_up_small_mu(self):
         assert split_bound_amplitude(1e-6) > split_bound_amplitude(0.1) > 1.0
@@ -307,6 +307,6 @@ class TestSplitBound:
         ratios = []
         for t in (10.0, 100.0):
             measured = linf_norm(apply_semigroup(f, t))
-            bound = split_decay_bound(prof, t, 4.0, 0.5, 2)
+            bound, = split_decay_bound(prof, [t], 4.0, 0.5, 2)
             ratios.append(measured / bound)
         assert max(ratios) < 10.0

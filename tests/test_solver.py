@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bplab import solver
 from bplab.solver import (
     CONFIG_KEYS,
     SimConfig,
@@ -33,6 +36,7 @@ from bplab.spectral import (
     SpectralField2D,
     grid_operators,
     lp_shell_range,
+    read_field,
     transform_forward,
     transform_inverse,
     write_field,
@@ -275,7 +279,7 @@ class TestFullSpectrumEquivalence:
         for i in range(50):
             expect = reference_step(expect, i * cfg.dt, cfg)
             state = step(state, cfg)
-        assert state.step_count == 50
+        assert state.t == pytest.approx(50 * cfg.dt, abs=1e-12)
         assert rel_err(hermitian_extension(state.profile.field.modes), expect) <= 1e-12
 
     def test_nyquist_row_and_column_kept(self):
@@ -363,6 +367,75 @@ class TestHalfSpectrumEquivalence:
             state = step(state, cfg)
         got = hermitian_extension(state.profile.field.modes)
         assert rel_err(got - f0, expect - f0) <= 1e-12
+
+
+class TestRunAgainstStep:
+    """run carries the vorticity in the Lawson form, with the phase as a
+    product of the cached E(dt); its checkpoints are checked against the
+    half-spectrum step above, and its aborts against chained step calls."""
+
+    def test_chained_steps(self):
+        cfg = SimConfig(n=128, box_length=50.0, beta=1.0, dt=0.05, t_end=15.0,
+                        init="gaussian", eps=0.5, output_stride=300)
+        res = run(cfg)
+        f0 = expect = hermitian_extension(res.checkpoints[0][1].field.modes)
+        for i in range(300):
+            expect = half_spectrum_step(expect, i * cfg.dt, cfg)
+        got = hermitian_extension(res.checkpoints[-1][1].field.modes)
+        assert rel_err(got - f0, expect - f0) <= 1e-12
+
+    def test_criterion_5_run(self):
+        # criterion 5's first run, checked at each of its 51 checkpoints. The
+        # product of E(dt) drifts by about an ulp per step, so the tolerances
+        # grow with the step count: 1000 steps measured 5.0e-14 on the profile
+        # and 6.4e-13 on its increment
+        cfg = SimConfig(n=128, box_length=50.0, beta=1.0, dt=0.05, t_end=50.0, eps=0.2,
+                        init="gaussian", init_width=2.5, k_energy=4, output_stride=20)
+        res = run(cfg)
+        assert not res.aborted and len(res.checkpoints) == 51
+        f0 = expect = hermitian_extension(res.checkpoints[0][1].field.modes)
+        for i in range(1, cfg.n_steps + 1):
+            expect = half_spectrum_step(expect, (i - 1) * cfg.dt, cfg)
+            if i % cfg.output_stride == 0:
+                got = hermitian_extension(res.checkpoints[i // cfg.output_stride][1].field.modes)
+                assert rel_err(got, expect) <= 2e-13
+                assert rel_err(got - f0, expect - f0) <= 2e-12
+
+    def test_cfl_abort_matches_step(self):
+        # shell data at 0.95 of the initial bound: the speed grows, and the
+        # bound breaks after a few steps
+        base = SimConfig(n=32, box_length=10.0, beta=2.0, eps=1.0, init="shell")
+        w0 = initial_vorticity(base)
+        dt = 0.95 * 0.5 * base.grid.dx / max_speed(w0)
+        cfg = dataclasses.replace(base, dt=dt, t_end=60 * dt, output_stride=1)
+        state = SimState(0.0, Profile(w0, 0.0))
+        with pytest.raises(StabilityError) as err:
+            for done in range(cfg.n_steps):
+                state = step(state, cfg)
+        assert done > 0
+        res = run(cfg)
+        assert res.aborted and len(res.reports) == done + 1
+        assert res.abort_reason == \
+            f"stability: {err.value} (try dt={err.value.suggested_dt:.3e})"
+
+    def test_nan_dumps_last_good_vorticity(self, tmp_path, monkeypatch):
+        # the stages of step 4 turn to NaN; the dump is the vorticity of step 3
+        cfg = SimConfig(n=32, box_length=10.0, dt=0.05, t_end=0.5, eps=0.5, init="pair",
+                        output_stride=1)
+        advection, calls = solver._advection, []
+
+        def poisoned(w, blk):
+            calls.append(1)
+            return advection(w, blk) * (np.nan if len(calls) > 12 else 1.0)
+
+        monkeypatch.setattr(solver, "_advection", poisoned)
+        path = tmp_path / "dump.bpf"
+        res = run(cfg, dump_path=path)
+        assert res.aborted and res.abort_reason == "NaN at step 4"
+        t, prof = res.checkpoints[-1]
+        assert t == 3 * cfg.dt
+        want = transform_inverse(omega_from_profile(prof, cfg.beta)).samples
+        assert rel_err(read_field(path).samples, want) <= 1e-14
 
 
 def c2c_samples(modes, g):

@@ -1,16 +1,15 @@
 """Command-line entry point.
 
-Subcommands: simulate, decay, stphase, diagnose, resonance, bootstrap,
-reproduce-all. All CSV outputs are written atomically and carry the seed and
-tool version in comment headers. BPLAB_THREADS caps the BLAS/FFT thread pools
-(exported to the usual env vars before numpy spins them up).
+Subcommands: simulate, decay, stphase, diagnose, resonance verify and
+classify, bootstrap, reproduce-all. All CSV outputs are written atomically and
+carry the seed and tool version in comment headers. BPLAB_THREADS caps the
+BLAS/FFT thread pools (exported to the usual env vars before numpy spins them up).
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 
 
@@ -26,7 +25,7 @@ _cap_threads()
 import numpy as np
 
 from . import acceptance, diagnostics, propagator, resonance, solver
-from .harness import TOOL_VERSION, ExperimentManifest, substream_seed, write_csv, write_json
+from .harness import TOOL_VERSION, header_lines, substream_seed, write_csv, write_json
 from .spectral import (
     NORM_REPORT_COLUMNS,
     ConfigurationError,
@@ -68,10 +67,9 @@ def _warning_summary(reports):
 
 def cmd_simulate(args):
     cfg = _load_config(args.config)
-    manifest = ExperimentManifest("simulate", args.seed, args.config)
     res = solver.run(cfg, dump_path=args.out + ".dump.bpf")
     warnings = _warning_summary(res.reports)
-    header = manifest.header_lines() + [
+    header = header_lines("simulate", args.seed, args.config) + [
         f"config-line: {line}" for line in solver.format_config(cfg).splitlines()] + warnings
     write_csv(args.out, header, NORM_REPORT_COLUMNS, [r.row() for r in res.reports])
     for line in warnings:
@@ -80,8 +78,7 @@ def cmd_simulate(args):
         os.makedirs(args.checkpoints, exist_ok=True)
         for i, (t, prof) in enumerate(res.checkpoints):
             omega = solver.omega_from_profile(prof, cfg.beta)
-            write_field(os.path.join(args.checkpoints, f"chk_{i:05d}_t={float(t)!r}.bpf"),
-                        transform_inverse(omega))
+            write_field(_checkpoint_path(args.checkpoints, i, t), transform_inverse(omega))
     if res.aborted:
         print(f"run aborted: {res.abort_reason}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -99,7 +96,7 @@ def cmd_decay(args):
     fit = propagator.decay_curve(data, times)
     rows = [[t, sup, fit.besov311, t * sup, bound]
             for t, sup, bound in zip(times.tolist(), fit.sup_norms.tolist(), bounds)]
-    header = ExperimentManifest("decay", args.seed).header_lines() + [
+    header = header_lines("decay", args.seed) + [
         f"fitted exponent={fit.exponent:.6f} constant={fit.constant:.6g} c_emp={fit.c_emp:.6g}"]
     write_csv(args.out, header, ["t", "sup_norm", "besov311", "t_times_sup", "bound_lemma52"],
               rows)
@@ -117,7 +114,7 @@ def cmd_stphase(args):
               f"det_hessian = {propagator.hessian_det(xi):+.12f}")
     if args.out:
         rows = [[float(xi[0]), float(xi[1]), propagator.hessian_det(xi)] for xi in roots]
-        write_csv(args.out, ExperimentManifest("stphase", args.seed).header_lines(),
+        write_csv(args.out, header_lines("stphase", args.seed),
                   ["xi1", "xi2", "det_hessian"], rows)
     return EXIT_OK
 
@@ -132,23 +129,32 @@ def _parse_vec(text):
     return v
 
 
+def _checkpoint_path(directory, i, t):
+    return os.path.join(directory, f"chk_{i:05d}_t={float(t)!r}.bpf")
+
+
 def _reconstruct_run(run_csv, checkpoint_dir):
+    """The run of run_csv: its config lines, and the checkpoint file that each
+    of its rows names by index and t (written with %.17g, so read back
+    exactly). Other files in checkpoint_dir are not read."""
     with open(run_csv) as fh:
-        text = fh.read()
-    lines = re.findall(r"^# config-line: (.+)$", text, re.MULTILINE)
-    if not lines:
+        lines = fh.read().splitlines()
+    tag = "# config-line: "
+    config = [line[len(tag):] for line in lines if line.startswith(tag)]
+    if not config:
         raise InputError("run CSV lacks the config-line header")
-    cfg = solver.parse_config("\n".join(lines))
+    cfg = solver.parse_config("\n".join(config))
+    rows = [line for line in lines if not line.startswith("#")][1:]    # after the column names
+    try:
+        times = [float(row.split(",")[0]) for row in rows]
+    except ValueError:
+        raise InputError(f"run CSV {run_csv} has a row with no number t") from None
+    if not times:
+        raise InputError(f"run CSV {run_csv} has no report rows")
     checkpoints = []
-    for name in sorted(os.listdir(checkpoint_dir)):
-        mm = re.match(r"chk_\d+_t=([-0-9.eE+]+)\.bpf$", name)
-        if not mm:
-            continue
-        t = float(mm.group(1))
-        omega = zero_mean(transform_forward(read_field(os.path.join(checkpoint_dir, name))))
+    for i, t in enumerate(times):
+        omega = zero_mean(transform_forward(read_field(_checkpoint_path(checkpoint_dir, i, t))))
         checkpoints.append((t, solver.profile_from_omega(omega, t, cfg.beta)))
-    if not checkpoints:
-        raise InputError(f"no checkpoint files in {checkpoint_dir}")
     reports = [solver.make_report(solver.SimState(t, prof), cfg) for t, prof in checkpoints]
     return solver.RunResult(cfg, reports, checkpoints)
 
@@ -165,7 +171,7 @@ def cmd_diagnose(args):
                      row["weighted2"], row["weighted3"], row["fhat_sup2"],
                      int(row["flagged"])])
     warnings = _warning_summary(res.reports)
-    header = ExperimentManifest("diagnose", args.seed).header_lines() + [
+    header = header_lines("diagnose", args.seed) + [
         f"k={args.k} energy_c={cert.c:.6g} energy_valid={cert.valid} "
         f"transport_ok={transport.ok}"] + warnings
     write_csv(args.out, header,
@@ -178,18 +184,16 @@ def cmd_diagnose(args):
     return EXIT_OK if (cert.valid and transport.ok) else EXIT_RUNTIME
 
 
-def cmd_resonance(args):
-    if args.action == "classify":
-        if args.xi is None or args.eta is None:
-            raise ConfigurationError("resonance classify needs --xi and --eta")
-        if args.out is not None:
-            raise ConfigurationError("resonance classify writes no file; --out is for verify")
-        pair = resonance.FreqPair(tuple(_parse_vec(args.xi)), tuple(_parse_vec(args.eta)))
-        label = resonance.classify_region(pair)
-        print(f"region = {label.region.value} (swapped={label.swapped})")
-        for name, val in label.margins.items():
-            print(f"  {name}: {val:+.6g}")
-        return EXIT_OK
+def cmd_classify(args):
+    pair = resonance.FreqPair(tuple(_parse_vec(args.xi)), tuple(_parse_vec(args.eta)))
+    label = resonance.classify_region(pair)
+    print(f"region = {label.region.value} (swapped={label.swapped})")
+    for name, val in label.margins.items():
+        print(f"  {name}: {val:+.6g}")
+    return EXIT_OK
+
+
+def cmd_verify(args):
     # each id once, in order of first appearance
     ids = resonance.INEQUALITY_IDS if args.id == "all" else tuple(dict.fromkeys(args.id))
     unknown = sorted(set(ids) - set(resonance.INEQUALITY_IDS))
@@ -209,14 +213,18 @@ def cmd_resonance(args):
         print(f"id={iid}: {rep.violations} violations in {rep.samples} samples, "
               f"worst margin {rep.worst_margin:.3e}{ratios}")
     if args.out:
-        write_csv(args.out, ExperimentManifest("resonance", args.seed).header_lines(),
+        write_csv(args.out, header_lines("resonance", args.seed),
                   ["id", "samples", "violations", "worst_margin", "constant_min",
                    "empirical_constant"], rows)
     return EXIT_OK if violations == 0 else EXIT_RUNTIME
 
 
 def cmd_bootstrap(args):
+    point = {name: v for name, v in (("k", args.k), ("eps", args.eps), ("mu", args.mu))
+             if v is not None}
     if args.search:
+        if point:
+            raise ConfigurationError("bootstrap --search takes no point (--k, --eps, --mu)")
         params = diagnostics.bootstrap_search(args.M)
         if params is None:
             print("infeasible in box")
@@ -227,7 +235,7 @@ def cmd_bootstrap(args):
             print(f"  {name}: margin {entry['margin']:+.4g} "
                   f"({'ok' if entry['satisfied'] else 'violated'})")
         return EXIT_OK
-    params = diagnostics.BootstrapParams(args.M, args.k, args.eps, args.mu)
+    params = diagnostics.BootstrapParams(args.M, **point)
     feasible, report = diagnostics.bootstrap_feasibility(params)
     for name, entry in report.items():
         print(f"{name}: margin {entry['margin']:+.4g} "
@@ -250,7 +258,7 @@ def cmd_reproduce_all(args):
     total = sum(r.elapsed for r in results)
     print(f"total wall time {total:.1f}s")
     if args.out:
-        write_csv(args.out, ExperimentManifest("reproduce-all", args.seed).header_lines(),
+        write_csv(args.out, header_lines("reproduce-all", args.seed),
                   ["criterion", "name", "verdict", "seconds"], rows)
         records = [{"criterion": r.index, "name": r.name,
                     "verdict": "PASS" if r.passed else "FAIL", "seconds": r.elapsed,
@@ -268,7 +276,7 @@ def build_parser():
     seeded.add_argument("--seed", type=int, default=0, help="root RNG seed")
     common = argparse.ArgumentParser(add_help=False, parents=[seeded])
     common.add_argument("--out", default=None, help="output CSV path")
-    # simulate, decay and diagnose always write their CSV, bootstrap never
+    # simulate, decay and diagnose always write their CSV, bootstrap and classify never
     writes = argparse.ArgumentParser(add_help=False, parents=[seeded])
     writes.add_argument("--out", required=True, help="output CSV path")
 
@@ -303,20 +311,24 @@ def build_parser():
     p.add_argument("--k", type=int, default=4)
     p.set_defaults(fn=cmd_diagnose)
 
-    p = sub.add_parser("resonance", parents=[common], help="resonance certification")
-    p.add_argument("action", choices=["verify", "classify"])
+    actions = sub.add_parser("resonance", help="resonance certification").add_subparsers(
+        dest="action", required=True)
+    p = actions.add_parser("verify", parents=[common],
+                           help="certify the region inequalities by sampling")
     p.add_argument("--id", default="all", help="inequality ids, e.g. 'a' or 'abc'")
     p.add_argument("--n", type=int, default=100_000)
-    p.add_argument("--xi", help="comma-separated 2-vector (classify)")
-    p.add_argument("--eta", help="comma-separated 2-vector (classify)")
-    p.set_defaults(fn=cmd_resonance)
+    p.set_defaults(fn=cmd_verify)
+    p = actions.add_parser("classify", parents=[seeded], help="classify one frequency pair")
+    p.add_argument("--xi", required=True, help="comma-separated 2-vector")
+    p.add_argument("--eta", required=True, help="comma-separated 2-vector")
+    p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("bootstrap", parents=[seeded], help="bootstrap feasibility arithmetic")
     p.add_argument("--M", type=float, default=1.0)
-    p.add_argument("--search", action="store_true")
-    p.add_argument("--k", type=float, default=32.0)
-    p.add_argument("--eps", type=float, default=1e-160)
-    p.add_argument("--mu", type=float, default=0.01)
+    p.add_argument("--search", action="store_true", help="search a box; takes no point")
+    p.add_argument("--k", type=float, help="point to check (default 32)")
+    p.add_argument("--eps", type=float, help="(default 1e-160)")
+    p.add_argument("--mu", type=float, help="(default 0.01)")
     p.set_defaults(fn=cmd_bootstrap)
 
     p = sub.add_parser("reproduce-all", parents=[common],

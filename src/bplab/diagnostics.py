@@ -32,6 +32,12 @@ def _checkpoint_reports(result: RunResult):
     return [(t, prof, rep) for (t, prof), rep in zip(result.checkpoints, result.reports)]
 
 
+def _cumulative_trapezoid(values, ts):
+    """int_{ts[0]}^{ts[i]} by the trapezoid rule, for each i."""
+    values, ts = np.asarray(values), np.asarray(ts)
+    return np.concatenate([[0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(ts))])
+
+
 # ---------------------------------------------------------------------------
 # energy inequality certificate
 
@@ -56,11 +62,8 @@ def energy_certificate(result: RunResult, k: int) -> EnergyCertificate:
         ts.append(t)
         hks.append(sobolev_norm(prof.field, k))
         integrand.append(rep.linf_du + rep.linf_omega)
-    ts = np.asarray(ts)
     hks = np.asarray(hks)
-    integrand = np.asarray(integrand)
-    cumint = np.concatenate([[0.0], np.cumsum(
-        0.5 * (integrand[1:] + integrand[:-1]) * np.diff(ts))])
+    cumint = _cumulative_trapezoid(integrand, ts)
     h0 = hks[0]
     if h0 == 0.0:
         grown = bool(np.any(hks > 0))
@@ -106,12 +109,8 @@ def linfty_transport_check(result: RunResult) -> TransportReport:
         ts.append(t)
         lhs.append(rep.linf_omega)
         forcing.append(linf_norm(linear_operator_field(omega_from_profile(prof, beta), beta)))
-    ts = np.asarray(ts)
     lhs = np.asarray(lhs)
-    forcing = np.asarray(forcing)
-    cumint = np.concatenate([[0.0], np.cumsum(
-        0.5 * (forcing[1:] + forcing[:-1]) * np.diff(ts))])
-    rhs = lhs[0] + cumint
+    rhs = lhs[0] + _cumulative_trapezoid(forcing, ts)
     slack = rhs - lhs
     scale = max(lhs[0], float(lhs.max()))
     ok = bool(np.all(slack >= -TRANSPORT_TOLERANCE * scale))
@@ -158,9 +157,9 @@ def doubling_time(times, values, t_end):
 @dataclass
 class BootstrapParams:
     M: float
-    k: float
-    eps: float
-    mu: float
+    k: float = 32.0
+    eps: float = 1e-160
+    mu: float = 0.01
 
     def __post_init__(self):
         if not (0.0 < self.mu < 1.0):

@@ -1,5 +1,5 @@
 """Reproducibility plumbing: named RNG substreams, atomic file, CSV and JSON
-output, and experiment manifests for the command-line entry points."""
+output, and the CSV header lines of the command-line entry points."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import json
 import os
 import tempfile
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,14 +69,8 @@ def write_json(path, obj) -> None:
     atomic_write_text(path, json.dumps(obj, indent=1, default=_json_scalar) + "\n")
 
 
-@dataclass
-class ExperimentManifest:
-    name: str
-    seed: int = 0
-    config_path: str | None = None
-
-    def header_lines(self) -> list:
-        lines = [f"tool={TOOL_VERSION}", f"experiment={self.name}", f"seed={self.seed}"]
-        if self.config_path:
-            lines.append(f"config={self.config_path}")
-        return lines
+def header_lines(name: str, seed: int, config_path=None) -> list:
+    """The CSV header lines naming the tool, the experiment, the seed and,
+    when given, the config file."""
+    return [f"tool={TOOL_VERSION}", f"experiment={name}", f"seed={seed}"] + \
+        ([f"config={config_path}"] if config_path else [])

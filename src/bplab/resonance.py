@@ -3,8 +3,8 @@
     Phi(xi, eta) = xi1/|xi|^2 - (xi1-eta1)/|xi-eta|^2 - eta1/|eta|^2
 
 and the transport null form m(xi, eta) = xi.eta_perp/|eta|^2: derivatives,
-region classification of frequency pairs, and Monte-Carlo certification of
-the constant-explicit region inequalities.
+region classification of frequency pairs (its predicates are written once,
+in _region_sides), and Monte-Carlo certification of the region inequalities.
 
 Perpendicular convention, fixed once: v_perp = (-v2, v1).
 """
@@ -39,21 +39,11 @@ class FreqPair:
         eta = np.asarray(self.eta, dtype=float)
         if xi.shape != (2,) or eta.shape != (2,):
             raise InputError("xi and eta must be 2-vectors")
-        scale = max(np.linalg.norm(xi), np.linalg.norm(eta))
-        if np.linalg.norm(xi) <= _SINGULAR_MARGIN * max(1.0, scale) or \
-           np.linalg.norm(eta) <= _SINGULAR_MARGIN * max(1.0, scale) or \
-           np.linalg.norm(xi - eta) <= _SINGULAR_MARGIN * max(1.0, scale):
+        lengths = [np.linalg.norm(v) for v in (xi, eta, xi - eta)]
+        if min(lengths) <= _SINGULAR_MARGIN * max(1.0, *lengths[:2]):
             raise InputError("singular pair: xi = 0, eta = 0 or xi = eta")
         object.__setattr__(self, "xi", (float(xi[0]), float(xi[1])))
         object.__setattr__(self, "eta", (float(eta[0]), float(eta[1])))
-
-    @property
-    def xi_arr(self) -> np.ndarray:
-        return np.asarray(self.xi)
-
-    @property
-    def eta_arr(self) -> np.ndarray:
-        return np.asarray(self.eta)
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +123,27 @@ class RegionLabel:
     swapped: bool = False
 
 
+def _region_sides(xi, eta_n, nxi, neta, dist2, ndiff):
+    """The region predicates, each the non-strict lesser <= greater: yields
+    (name, lesser, greater) for R1's four bounds, R2, R3, Case 1 and Case 2's
+    subcase a, one at a time, so that a caller keeps one pair alive."""
+    yield "r1_lower", neta / 100.0, nxi
+    yield "r1_upper", nxi, 100.0 * neta
+    yield "r1_diff_lower", neta / 10000.0, ndiff
+    yield "r1_diff_upper", ndiff, 10000.0 * neta
+    yield "r2", nxi, neta / 100.0
+    yield "r3", 100.0 * neta, nxi
+    yield "case1", neta / 1000.0, dist2
+    yield "subcase_a", np.abs(eta_n[..., 0]) / 100.0, np.abs(xi[..., 0])
+
+
 def _classify_masks(xi, eta):
     """Vectorized region classification after the |eta| <= |xi-eta| swap.
 
-    Returns (codes, eta_n, swapped, norms) where codes indexes Region by
-    [R1_Case1, R1_Case2A, R1_Case2B, R2, R3, Unclassified] and norms holds
-    the lengths (|xi|, |eta_n|, |xi - 2 eta_n|) that the region predicates
-    compare, for the bound checks to reuse.
+    Returns (codes, eta_n, swapped, lengths) where codes indexes Region by
+    [R1_Case1, R1_Case2A, R1_Case2B, R2, R3, Unclassified] and lengths holds
+    (|xi|, |eta_n|, |xi - 2 eta_n|, |xi - eta_n|), the lengths the region
+    predicates compare; the bound checks reuse the first three.
     """
     diff = xi - eta
     nxi = norm(xi)
@@ -147,19 +151,13 @@ def _classify_masks(xi, eta):
     ndiff = norm(diff)
     swap = neta > ndiff
     eta_n = np.where(swap[..., None], diff, eta)
-    neta_n = np.where(swap, ndiff, neta)
-    ndiff_n = np.where(swap, neta, ndiff)
-
-    in_r1 = (neta_n / 100.0 <= nxi) & (nxi <= 100.0 * neta_n) & \
-            (neta_n / 10000.0 <= ndiff_n) & (ndiff_n <= 10000.0 * neta_n)
-    dist2 = norm(xi - 2.0 * eta_n)
-    case1 = dist2 >= neta_n / 1000.0
-    suba = np.abs(xi[..., 0]) >= np.abs(eta_n[..., 0]) / 100.0
-    r2 = nxi <= neta_n / 100.0
-    r3 = nxi >= 100.0 * neta_n
-    codes = np.where(in_r1, np.where(case1, 0, np.where(suba, 1, 2)),
-                     np.where(r2, 3, np.where(r3, 4, 5)))
-    return codes, eta_n, swap, (nxi, neta_n, dist2)
+    lengths = (nxi, np.where(swap, ndiff, neta), norm(xi - 2.0 * eta_n),
+               np.where(swap, neta, ndiff))
+    ok = {name: lesser <= greater for name, lesser, greater in _region_sides(xi, eta_n, *lengths)}
+    in_r1 = ok["r1_lower"] & ok["r1_upper"] & ok["r1_diff_lower"] & ok["r1_diff_upper"]
+    codes = np.where(in_r1, np.where(ok["case1"], 0, np.where(ok["subcase_a"], 1, 2)),
+                     np.where(ok["r2"], 3, np.where(ok["r3"], 4, 5)))
+    return codes, eta_n, swap, lengths
 
 
 _REGION_BY_CODE = [Region.R1_CASE1, Region.R1_CASE2A, Region.R1_CASE2B,
@@ -167,27 +165,15 @@ _REGION_BY_CODE = [Region.R1_CASE1, Region.R1_CASE2A, Region.R1_CASE2B,
 
 
 def classify_region(p: FreqPair) -> RegionLabel:
-    """Classify after the normalization swap eta <-> xi - eta (taken so that
-    |eta| <= |xi - eta|, under which Phi is invariant). Boundary ties follow
-    the printed non-strict inequalities; Case 1 wins the tie with Case 2.
+    """Classify after the swap eta <-> xi - eta that makes |eta| <= |xi - eta|
+    (Phi is invariant under it). Each margin is greater - lesser of a region
+    predicate, so it is >= 0 exactly where the predicate holds: ties follow
+    the printed non-strict inequalities, and Case 1 wins the tie with Case 2.
     """
-    xi = p.xi_arr[None, :]
-    eta = p.eta_arr[None, :]
-    codes, eta_n, swap, _ = _classify_masks(xi, eta)
-    xi0, eta0 = xi[0], eta_n[0]
-    nxi = np.linalg.norm(xi0)
-    neta = np.linalg.norm(eta0)
-    ndiff = np.linalg.norm(xi0 - eta0)
-    margins = {
-        "r1_lower": nxi - neta / 100.0,
-        "r1_upper": 100.0 * neta - nxi,
-        "r1_diff_lower": ndiff - neta / 10000.0,
-        "r1_diff_upper": 10000.0 * neta - ndiff,
-        "r2": neta / 100.0 - nxi,
-        "r3": nxi - 100.0 * neta,
-        "case1": np.linalg.norm(xi0 - 2.0 * eta0) - neta / 1000.0,
-        "subcase_a": abs(xi0[0]) - abs(eta0[0]) / 100.0,
-    }
+    xi = np.array([p.xi])
+    codes, eta_n, swap, lengths = _classify_masks(xi, np.array([p.eta]))
+    margins = {name: float(greater[0] - lesser[0])
+               for name, lesser, greater in _region_sides(xi, eta_n, *lengths)}
     return RegionLabel(_REGION_BY_CODE[int(codes[0])], margins, bool(swap[0]))
 
 
@@ -331,13 +317,13 @@ def certify_bound(inequality_id: str, n: int, seed=0) -> BoundCheckReport:
             if accepted == n:
                 break
             xi_c = xi[start:start + CHUNK]
-            codes, eta_n, _, norms = _classify_masks(xi_c, eta[start:start + CHUNK])
+            codes, eta_n, _, lengths = _classify_masks(xi_c, eta[start:start + CHUNK])
             idx = np.flatnonzero(in_region[codes])[:n - accepted]
             if idx.size == 0:
                 continue
             # np.take gathers (m, 2) rows far faster than fancy indexing
             margin, const = check(np.take(xi_c, idx, axis=0), np.take(eta_n, idx, axis=0),
-                                  *(v[idx] for v in norms))
+                                  *(v[idx] for v in lengths[:3]))
             violations += int(np.count_nonzero(margin < 0.0))
             worst = min(worst, float(margin.min()))
             finite = const[np.isfinite(const)]

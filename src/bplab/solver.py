@@ -444,10 +444,11 @@ def run(cfg: SimConfig, dump_path=None) -> RunResult:
 # scaling symmetry
 
 def scaling_transform(omega: RealField2D, lam: float) -> RealField2D:
-    """lambda^-1 omega(lambda x), sampled by evaluating the trigonometric
-    interpolant on the dilated grid."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    """lambda^-1 omega(lambda x) for a whole number lambda >= 1: the point
+    lambda x_j is the grid point lambda (j - n/2) + n/2 (mod n), so the
+    samples are gathered exactly."""
+    if not (lam >= 1 and float(lam).is_integer()):
+        raise ValueError(f"lambda must be a whole number >= 1, got {lam}")
     g = omega.grid
     if lam > 1.0:
         # reading omega on lambda*box: require the mass to live inside box/lambda
@@ -457,14 +458,5 @@ def scaling_transform(omega: RealField2D, lam: float) -> RealField2D:
         total = float(np.sum(omega.samples ** 2))
         if total > 0 and float(np.sum(omega.samples[inside] ** 2)) / total < 0.99:
             raise ValueError("rescaled support does not fit the box")
-    wh = transform_forward(omega)
-    ops = grid_operators(g)
-    y = lam * g.x_coords()
-    # separable evaluation of the interpolant at lambda * x: the real part of
-    # the half sum with the column weights is the sum over the lattice; the
-    # Nyquist row enters as cos, the mean of its two aliases -n/2 and n/2
-    e1 = np.exp(1j * np.outer(y, 2.0 * np.pi * np.fft.fftfreq(g.n, d=g.dx)))
-    e1[:, g.n // 2] = e1[:, g.n // 2].real
-    e2 = np.exp(1j * np.outer(y, ops.k2[0]))
-    vals = (e1 @ (wh.modes * ops.weight) @ e2.T).real * g.dxi ** 2
-    return RealField2D(g, vals / lam)
+    idx = (int(lam) * (np.arange(g.n) - g.n // 2) + g.n // 2) % g.n
+    return RealField2D(g, omega.samples[np.ix_(idx, idx)] / lam)

@@ -300,7 +300,7 @@ def l2_norm(f: SpectralField2D) -> float:
 def sobolev_norm(f: SpectralField2D, k: int) -> float:
     """Inhomogeneous H^k norm via the symbol (1 + |xi|^2)^(k/2)."""
     if k < 0:
-        raise ValueError("Sobolev index must be >= 0")
+        raise ConfigurationError("Sobolev index must be >= 0")
     w = (1.0 + grid_operators(f.grid).mag2) ** k
     return _lattice_l2(w * np.abs(f.modes) ** 2, f.grid)
 

@@ -131,6 +131,27 @@ class TestSimulate:
             assert float(a[0]) == float(b[0])
             assert float(b[col_d]) == pytest.approx(float(a[col_s]), rel=1e-12, abs=0)
 
+    def test_diagnose_reads_only_the_runs_checkpoints(self, tmp_path, config_file):
+        # a longer run left later checkpoints in the directory; diagnose of
+        # the short run reads the files its rows name and no others
+        stale, clean = str(tmp_path / "stale"), str(tmp_path / "clean")
+        long_cfg = tmp_path / "long.cfg"
+        long_cfg.write_text(CONFIG.replace("t_end = 0.5", "t_end = 1.0"))
+        assert main(["simulate", "--config", str(long_cfg), "--out", str(tmp_path / "a.csv"),
+                     "--checkpoints", stale]) == EXIT_OK
+        out = str(tmp_path / "b.csv")
+        for chk in (stale, clean):
+            assert main(["simulate", "--config", config_file, "--out", out,
+                         "--checkpoints", chk]) == EXIT_OK
+        diags = []
+        for chk in (stale, clean):
+            diags.append(tmp_path / f"diag-{os.path.basename(chk)}.csv")
+            assert main(["diagnose", "--in", out, "--checkpoints", chk, "--out",
+                         str(diags[-1]), "--k", "3"]) == EXIT_OK
+        assert len(os.listdir(stale)) == 11 and len(os.listdir(clean)) == 6
+        assert len(read_noncomment(str(diags[0]))) == 7      # columns and t = 0 .. 0.5
+        assert diags[0].read_bytes() == diags[1].read_bytes()
+
     def test_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("n = 32\nL = twenty\n")
@@ -152,10 +173,38 @@ def _truncated_field_config(tmp_path):
     return str(cfg)
 
 
+def _negative_k_energy_config(tmp_path):
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text(CONFIG.replace("k_energy = 3", "k_energy = -1"))
+    return str(cfg)
+
+
+def _finished_run_csv(tmp_path):
+    """A run CSV from simulate, with its checkpoints in tmp_path/chk."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG)
+    out = str(tmp_path / "run.csv")
+    assert main(["simulate", "--config", str(cfg), "--out", out,
+                 "--checkpoints", str(tmp_path / "chk")]) == EXIT_OK
+    return out
+
+
+def _run_csv_missing_a_checkpoint(tmp_path):
+    out = _finished_run_csv(tmp_path)
+    (tmp_path / "chk" / "chk_00003_t=0.30000000000000004.bpf").unlink()
+    return out
+
+
 def _config_only_run_csv(tmp_path):
     """A run CSV whose header holds a config but whose checkpoints are not there."""
     path = tmp_path / "run.csv"
     path.write_text("# config-line: n=32\nt,l2\n")
+    return str(path)
+
+
+def _run_csv_with_bad_t(tmp_path):
+    path = tmp_path / "run.csv"
+    path.write_text("# config-line: n=32\nt,l2\nzero,1.0\n")
     return str(path)
 
 
@@ -186,12 +235,26 @@ def _config_only_run_csv(tmp_path):
     (["bootstrap", "--out", lambda p: str(p / "b.csv")], EXIT_CONFIG),
     (["resonance", "classify", "--xi", "1,1", "--eta", "1,0",
       "--out", lambda p: str(p / "c.csv")], EXIT_CONFIG),
+    (["bootstrap", "--search", "--k", "5", "--eps", "1e-3", "--mu", "0.9"], EXIT_CONFIG),
+    (["bootstrap", "--search", "--mu", "0.01"], EXIT_CONFIG),
+    (["resonance", "verify", "--xi", "1,1"], EXIT_CONFIG),
+    (["resonance", "classify", "--xi", "1,1", "--eta", "1,0", "--id", "q", "--n", "5"],
+     EXIT_CONFIG),
+    (["simulate", "--config", _negative_k_energy_config], EXIT_CONFIG),
+    (["diagnose", "--in", _finished_run_csv, "--checkpoints", lambda p: str(p / "chk"),
+      "--k", "-1"], EXIT_CONFIG),
+    (["diagnose", "--in", _run_csv_missing_a_checkpoint, "--checkpoints",
+      lambda p: str(p / "chk")], EXIT_RUNTIME),
+    (["diagnose", "--in", _run_csv_with_bad_t, "--checkpoints", str], EXIT_RUNTIME),
 ], ids=["unknown-id", "partly-unknown-ids", "classify-no-vectors", "classify-no-eta",
         "truncated-init-file", "too-few-samples", "mu-out-of-range", "negative-t-min",
         "zero-t-min", "decay-mu-out-of-range", "stphase-not-a-number", "stphase-nan",
         "stphase-inf", "simulate-no-config", "decay-config", "diagnose-in-missing",
         "diagnose-in-directory", "diagnose-checkpoints-missing", "decay-empty-shell",
-        "unknown-criterion", "empty-id", "bootstrap-out", "classify-out"])
+        "unknown-criterion", "empty-id", "bootstrap-out", "classify-out",
+        "search-with-point", "search-with-default-mu", "verify-xi", "classify-id-n",
+        "simulate-negative-k-energy", "diagnose-negative-k", "diagnose-row-file-missing",
+        "diagnose-row-bad-t"])
 def test_bad_input_exit_codes(tmp_path, argv, code):
     argv = [a(tmp_path) if callable(a) else a for a in argv]
     # --out only where the subcommand writes a file, so that each case fails
@@ -308,7 +371,7 @@ class TestResonance:
         out = tmp_path / "c.csv"
         assert main(["resonance", "classify", "--xi", "1,1", "--eta", "1,0",
                      "--out", str(out)]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
         assert not out.exists()
 
     def test_verify_writes_ratio_range(self, tmp_path, capsys):

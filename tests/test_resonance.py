@@ -21,7 +21,7 @@ from bplab.resonance import (
     resonance_probe,
 )
 from bplab.spectral import InputError
-from certify_oracle import whole_batch_certify
+from certify_oracle import classify_codes, whole_batch_certify
 
 coords = st.floats(-10.0, 10.0, allow_nan=False)
 
@@ -33,6 +33,25 @@ def valid_pairs(draw):
     assume(np.linalg.norm(xi) > 1e-3)
     assume(np.linalg.norm(eta) > 1e-3)
     assume(np.linalg.norm(xi - eta) > 1e-3)
+    return FreqPair(tuple(xi), tuple(eta))
+
+
+@st.composite
+def region_pairs(draw):
+    """Pairs across the regions: |xi|/|eta| from 1e-3 to 1e3, xi within
+    1e-5 .. 1e-2 |eta| of 2 eta (where Cases 1 and 2 meet), and Case 2 with
+    eta near the eta2-axis and |xi1| near |eta1|/100 (where a and b meet)."""
+    eta = np.array([draw(coords), draw(coords)])
+    kind = draw(st.sampled_from(["ratio", "near_2eta", "subcase"]))
+    if kind == "subcase":
+        eta[0] = eta[1] * 10.0 ** draw(st.floats(-6.0, -3.5))
+        xi = np.array([eta[0] * draw(st.floats(-0.02, 0.02)), 2.0 * eta[1]])
+    else:
+        th = draw(st.floats(-np.pi, np.pi))
+        unit = np.linalg.norm(eta) * np.array([np.cos(th), np.sin(th)])
+        xi = 10.0 ** draw(st.floats(-3.0, 3.0)) * unit if kind == "ratio" else \
+            2.0 * eta + 10.0 ** draw(st.floats(-5.0, -2.0)) * unit
+    assume(min(np.linalg.norm(v) for v in (xi, eta, xi - eta)) > 1e-3)
     return FreqPair(tuple(xi), tuple(eta))
 
 
@@ -59,7 +78,7 @@ class TestPhase:
     @settings(max_examples=100, deadline=None)
     @given(p=valid_pairs())
     def test_symmetry_under_swap(self, p):
-        xi, eta = p.xi_arr, p.eta_arr
+        xi, eta = np.asarray(p.xi), np.asarray(p.eta)
         phi = phase_arr(xi, eta)
         scale = max(abs(phi), 1.0 / min(np.linalg.norm(eta), np.linalg.norm(xi - eta)) ** 2)
         assert abs(phi - phase_arr(xi, xi - eta)) < 1e-13 * scale
@@ -93,7 +112,7 @@ class TestGradPhase:
     @settings(max_examples=150, deadline=None)
     @given(p=valid_pairs())
     def test_magnitude_identities(self, p):
-        xi, eta = p.xi_arr, p.eta_arr
+        xi, eta = np.asarray(p.xi), np.asarray(p.eta)
         ix, ie = grad_phase_magnitudes_arr(xi, eta)
         assert np.linalg.norm(grad_xi_arr(xi, eta)) == pytest.approx(ix, rel=1e-12, abs=1e-300)
         assert np.linalg.norm(grad_eta_arr(xi, eta)) == pytest.approx(ie, rel=1e-12, abs=1e-300)
@@ -133,6 +152,22 @@ class TestClassifyRegion:
         # |eta| > |xi - eta| triggers the change of variables
         label = classify_region(FreqPair((1.0, 1.0), (5.0, 5.0)))
         assert label.swapped
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=region_pairs())
+    def test_region_agrees_with_margins_and_oracle(self, p):
+        label = classify_region(p)
+        holds = {name: m >= 0.0 for name, m in label.margins.items()}
+        if all(holds[name] for name in ("r1_lower", "r1_upper", "r1_diff_lower",
+                                        "r1_diff_upper")):
+            want = Region.R1_CASE1 if holds["case1"] else \
+                Region.R1_CASE2A if holds["subcase_a"] else Region.R1_CASE2B
+        else:
+            want = Region.R2 if holds["r2"] else \
+                Region.R3 if holds["r3"] else Region.UNCLASSIFIED
+        assert label.region == want
+        codes, _ = classify_codes(np.array([p.xi]), np.array([p.eta]))
+        assert label.region == list(Region)[codes[0]]
 
     @settings(max_examples=100, deadline=None)
     @given(p=valid_pairs())

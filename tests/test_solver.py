@@ -708,6 +708,24 @@ class TestScalingTransform:
         with pytest.raises(ValueError):
             scaling_transform(f, -1.0)
 
+    @pytest.mark.parametrize("lam", [1.5, 0.5])
+    def test_rejects_fractional_lambda(self, lam):
+        # lambda x_j is a grid point only for whole-number lambda
+        g = Grid2D(16, 5.0)
+        with pytest.raises(ValueError):
+            scaling_transform(RealField2D(g, np.zeros((16, 16))), lam)
+
+    def test_samples_are_gathered(self):
+        # each output sample is the input sample at the grid point that is
+        # lambda x_j modulo the box, divided by lambda
+        cfg = SimConfig(n=32, box_length=40.0, eps=1.0, init="gaussian")
+        w = transform_inverse(initial_vorticity(cfg))
+        x = w.grid.x_coords()
+        y = (2.0 * x + w.grid.box_length / 2) % w.grid.box_length - w.grid.box_length / 2
+        idx = [int(np.flatnonzero(np.isclose(x, v))[0]) for v in y]
+        out = scaling_transform(w, 2)
+        assert np.array_equal(out.samples, w.samples[np.ix_(idx, idx)] / 2.0)
+
 
 def test_dealias_mask_two_thirds():
     g = Grid2D(32, 10.0)

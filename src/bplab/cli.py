@@ -31,6 +31,7 @@ from .spectral import (
     ConfigurationError,
     Grid2D,
     InputError,
+    NormReport,
     Profile,
     read_field,
     shell_field,
@@ -55,20 +56,13 @@ def _load_config(path):
         raise ConfigurationError(f"config file not found: {path}")
 
 
-def _warning_summary(reports):
-    """One line giving the count of the reports' warnings and the first of
-    them, or [] when there are none."""
-    flagged = [r for r in reports if r.warnings]
-    if not flagged:
-        return []
-    count = sum(len(r.warnings) for r in flagged)
-    return [f"warnings: {count}, first at t={flagged[0].t:.6g}: {flagged[0].warnings[0]}"]
-
-
 def cmd_simulate(args):
     cfg = _load_config(args.config)
     res = solver.run(cfg, dump_path=args.out + ".dump.bpf")
-    warnings = _warning_summary(res.reports)
+    # one line: the count of the reports' warnings and the first of them
+    flagged = [r for r in res.reports if r.warnings]
+    warnings = [f"warnings: {sum(len(r.warnings) for r in flagged)}, first at "
+                f"t={flagged[0].t:.6g}: {flagged[0].warnings[0]}"] if flagged else []
     header = header_lines("simulate", args.seed, args.config) + [
         f"config-line: {line}" for line in solver.format_config(cfg).splitlines()] + warnings
     write_csv(args.out, header, NORM_REPORT_COLUMNS, [r.row() for r in res.reports])
@@ -87,8 +81,8 @@ def cmd_simulate(args):
 
 
 def cmd_decay(args):
-    if not (0.0 < args.t_min < args.t_max and args.n_times >= 2):
-        raise ConfigurationError("need 0 < t-min < t-max and n-times >= 2")
+    if not (0.0 < args.t_min < args.t_max < np.inf and args.n_times >= 2):
+        raise ConfigurationError("need 0 < t-min < t-max < inf and n-times >= 2")
     data = shell_field(Grid2D(args.n, args.L), args.j)
     times = np.geomspace(args.t_min, args.t_max, args.n_times)
     prof = Profile(data, 0.0)
@@ -134,33 +128,40 @@ def _checkpoint_path(directory, i, t):
 
 
 def _reconstruct_run(run_csv, checkpoint_dir):
-    """The run of run_csv: its config lines, and the checkpoint file that each
-    of its rows names by index and t (written with %.17g, so read back
-    exactly). Other files in checkpoint_dir are not read."""
+    """The run of run_csv and its `warnings:` header lines. The config and
+    the norm reports are read from the CSV (written with %.17g, so read back
+    exactly); each row's checkpoint file, named by its index and t, gives
+    the profile. Other files in checkpoint_dir are not read."""
     with open(run_csv) as fh:
         lines = fh.read().splitlines()
-    tag = "# config-line: "
-    config = [line[len(tag):] for line in lines if line.startswith(tag)]
+    comments = [line[2:] for line in lines if line.startswith("# ")]
+    config = [c.partition(": ")[2] for c in comments if c.startswith("config-line: ")]
     if not config:
         raise InputError("run CSV lacks the config-line header")
     cfg = solver.parse_config("\n".join(config))
-    rows = [line for line in lines if not line.startswith("#")][1:]    # after the column names
+    table = [line.split(",") for line in lines if not line.startswith("#")]
+    if not table or tuple(table[0]) != NORM_REPORT_COLUMNS:
+        raise InputError(f"run CSV {run_csv} needs the columns {','.join(NORM_REPORT_COLUMNS)}")
     try:
-        times = [float(row.split(",")[0]) for row in rows]
+        values = [[float(v) for v in row] for row in table[1:]]
     except ValueError:
-        raise InputError(f"run CSV {run_csv} has a row with no number t") from None
-    if not times:
-        raise InputError(f"run CSV {run_csv} has no report rows")
+        values = []
+    if not values or {len(v) for v in values} != {len(table[0])}:
+        raise InputError(f"run CSV {run_csv} needs report rows of {len(table[0])} numbers")
+    reports = [NormReport(**dict(zip(NORM_REPORT_COLUMNS, v))) for v in values]
     checkpoints = []
-    for i, t in enumerate(times):
-        omega = zero_mean(transform_forward(read_field(_checkpoint_path(checkpoint_dir, i, t))))
-        checkpoints.append((t, solver.profile_from_omega(omega, t, cfg.beta)))
-    reports = [solver.make_report(solver.SimState(t, prof), cfg) for t, prof in checkpoints]
-    return solver.RunResult(cfg, reports, checkpoints)
+    for i, rep in enumerate(reports):
+        path = _checkpoint_path(checkpoint_dir, i, rep.t)
+        omega = zero_mean(transform_forward(read_field(path)))
+        checkpoints.append((rep.t, solver.profile_from_omega(omega, rep.t, cfg.beta)))
+    warnings = [c for c in comments if c.startswith("warnings: ")]
+    return solver.RunResult(cfg, reports, checkpoints), warnings
 
 
 def cmd_diagnose(args):
-    res = _reconstruct_run(args.infile, args.checkpoints)
+    if args.k < 0:
+        raise ConfigurationError("Sobolev index --k must be >= 0")
+    res, warnings = _reconstruct_run(args.infile, args.checkpoints)
     cert = diagnostics.energy_certificate(res, args.k)
     transport = diagnostics.linfty_transport_check(res)
     weighted = diagnostics.weighted_norm_series(res)
@@ -170,7 +171,6 @@ def cmd_diagnose(args):
                      transport.lhs[i], transport.rhs[i], transport.slack[i],
                      row["weighted2"], row["weighted3"], row["fhat_sup2"],
                      int(row["flagged"])])
-    warnings = _warning_summary(res.reports)
     header = header_lines("diagnose", args.seed) + [
         f"k={args.k} energy_c={cert.c:.6g} energy_valid={cert.valid} "
         f"transport_ok={transport.ok}"] + warnings
@@ -229,13 +229,9 @@ def cmd_bootstrap(args):
         if params is None:
             print("infeasible in box")
             return EXIT_RUNTIME
-        feasible, report = diagnostics.bootstrap_feasibility(params)
         print(f"feasible: k={params.k:g} eps={params.eps:g} mu={params.mu:g}")
-        for name, entry in report.items():
-            print(f"  {name}: margin {entry['margin']:+.4g} "
-                  f"({'ok' if entry['satisfied'] else 'violated'})")
-        return EXIT_OK
-    params = diagnostics.BootstrapParams(args.M, **point)
+    else:
+        params = diagnostics.BootstrapParams(args.M, **point)
     feasible, report = diagnostics.bootstrap_feasibility(params)
     for name, entry in report.items():
         print(f"{name}: margin {entry['margin']:+.4g} "

@@ -162,6 +162,8 @@ class BootstrapParams:
     mu: float = 0.01
 
     def __post_init__(self):
+        if not 0.0 < self.M < np.inf:
+            raise ConfigurationError("M must be positive and finite")
         if not (0.0 < self.mu < 1.0):
             raise ConfigurationError("mu must lie in (0, 1)")
         if not (self.eps > 0.0 and self.k >= 1):

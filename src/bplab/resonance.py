@@ -60,15 +60,29 @@ def grad_xi_arr(xi, eta):
 
     The factored form keeps full relative precision near eta = 2xi, where
     the difference of the two g' terms cancels."""
-    x, e = _complex(xi), _complex(eta)
-    return _conj_vec(e * (2.0 * x - e) / (x * (x - e)) ** 2)
+    return _conj_ratio(eta, 2.0 * xi - eta, xi, xi - eta)
 
 
 def grad_eta_arr(xi, eta):
     """grad_eta Phi = g'(xi-eta) - g'(eta) = conj(xi (xi-2eta) / (eta^2 (xi-eta)^2)),
     exactly zero on the resonance xi = 2eta."""
-    x, e = _complex(xi), _complex(eta)
-    return _conj_vec(x * (x - 2.0 * e) / (e * (x - e)) ** 2)
+    return _conj_ratio(xi, xi - 2.0 * eta, eta, xi - eta)
+
+
+def _conj_ratio(a, b, c, d):
+    """conj(a b / (c d)^2) for points read as complex numbers, as a (..., 2)
+    array: conj(a b) times the square of 1/conj(c d) = c d / |c d|^2.
+
+    Written in real arithmetic, which numpy rounds alike in its SIMD body and
+    its scalar tail, so a point's value does not depend on the array length."""
+    a1, a2, b1, b2 = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
+    c1, c2, d1, d2 = c[..., 0], c[..., 1], d[..., 0], d[..., 1]
+    n1, n2 = a1 * b1 - a2 * b2, a1 * b2 + a2 * b1
+    p1, p2 = c1 * d1 - c2 * d2, c1 * d2 + c2 * d1
+    m = p1 * p1 + p2 * p2
+    r1, r2 = p1 / m, p2 / m
+    s1, s2 = r1 * r1 - r2 * r2, 2.0 * r1 * r2
+    return np.stack([n1 * s1 + n2 * s2, n1 * s2 - n2 * s1], axis=-1)
 
 
 def grad_phase_magnitudes_arr(xi, eta):
@@ -84,15 +98,6 @@ def grad_phase_magnitudes_arr(xi, eta):
 def norm(v):
     """Euclidean length over the last axis of a (..., 2) array."""
     return np.hypot(v[..., 0], v[..., 1])
-
-
-def _complex(v):
-    return v[..., 0] + 1j * v[..., 1]
-
-
-def _conj_vec(z):
-    """conj(z) as a (..., 2) array."""
-    return np.stack([z.real, -z.imag], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +295,8 @@ def certify_bound(inequality_id: str, n: int, seed=0) -> BoundCheckReport:
     Each batch of BATCH proposals is drawn whole, then classified and checked
     in slices of CHUNK pairs, so the temporaries stay cache-sized; the checks
     reuse the lengths the classification computed, and classification stops
-    at the n-th accepted sample. Ids a, b, d and f are real arithmetic and
-    give the same report for any slicing. Ids c and e go through
-    grad_eta_arr/grad_xi_arr, whose complex arithmetic numpy rounds
-    differently in its SIMD body than in its scalar tail, so their
-    worst_margin and constants depend on the slice lengths at the last bits.
+    at the n-th accepted sample. Every check is real arithmetic, so the
+    report does not depend on the slicing.
     """
     if inequality_id not in _REGISTRY:
         raise KeyError(f"unknown inequality id {inequality_id!r}")

@@ -86,6 +86,8 @@ class SimConfig:
             raise ConfigurationError("dt must be positive and finite")
         if not 0 <= self.t_end < np.inf:
             raise ConfigurationError("t_end must be >= 0 and finite")
+        if not np.all(np.isfinite([self.beta, self.eps, self.init_width])):
+            raise ConfigurationError("beta, eps and init_width must be finite")
         if self.output_stride < 1:
             raise ConfigurationError("output_stride must be >= 1")
         if self.init not in _INITS:

@@ -82,8 +82,8 @@ class Grid2D:
     def __post_init__(self):
         if self.n < 8 or not _is_power_of_two(self.n):
             raise ConfigurationError(f"grid size must be a power of two >= 8, got {self.n}")
-        if self.box_length <= 0:
-            raise ConfigurationError(f"box length must be positive, got {self.box_length}")
+        if not 0 < self.box_length < np.inf:
+            raise ConfigurationError(f"box length must lie in (0, inf), got {self.box_length}")
 
     @property
     def dx(self) -> float:

@@ -4,10 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from bplab import acceptance, propagator
+from bplab import acceptance, propagator, solver
 from bplab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from bplab.solver import parse_config
 from bplab.spectral import (
+    NORM_REPORT_COLUMNS,
     ConfigurationError,
     Grid2D,
     Profile,
@@ -125,11 +126,25 @@ class TestSimulate:
                      "--k", "3"]) == EXIT_OK
         sim_rows = [line.strip().split(",") for line in read_noncomment(out)]
         diag_rows = [line.strip().split(",") for line in read_noncomment(diag)]
-        col_s, col_d = sim_rows[0].index("weighted2"), diag_rows[0].index("weighted2")
         assert len(sim_rows) == len(diag_rows) == 6      # header and t = 0 .. 0.5
-        for a, b in zip(sim_rows[1:], diag_rows[1:]):
-            assert float(a[0]) == float(b[0])
-            assert float(b[col_d]) == pytest.approx(float(a[col_s]), rel=1e-12, abs=0)
+        # the report norms pass through diagnose as written, byte for byte
+        for name in ("t", "linf_omega", "weighted2", "weighted3", "fhat_sup2"):
+            col_s, col_d = sim_rows[0].index(name), diag_rows[0].index(name)
+            assert [a[col_s] for a in sim_rows[1:]] == [b[col_d] for b in diag_rows[1:]]
+
+    def test_diagnose_builds_no_report(self, tmp_path, config_file, monkeypatch):
+        # the norm reports come from the run CSV; the checkpoints only add
+        # the H^k norm at --k and |beta L1 omega|_Linf
+        out, chk, diag = (str(tmp_path / name) for name in ("run.csv", "chk", "diag.csv"))
+        assert main(["simulate", "--config", config_file, "--out", out,
+                     "--checkpoints", chk]) == EXIT_OK
+
+        def refuse(*args):
+            raise AssertionError("diagnose called make_report")
+        monkeypatch.setattr(solver, "make_report", refuse)
+        assert main(["diagnose", "--in", out, "--checkpoints", chk, "--out", diag,
+                     "--k", "3"]) == EXIT_OK
+        assert len(read_noncomment(diag)) == 7      # columns and t = 0 .. 0.5
 
     def test_diagnose_reads_only_the_runs_checkpoints(self, tmp_path, config_file):
         # a longer run left later checkpoints in the directory; diagnose of
@@ -173,10 +188,13 @@ def _truncated_field_config(tmp_path):
     return str(cfg)
 
 
-def _negative_k_energy_config(tmp_path):
-    cfg = tmp_path / "neg.cfg"
-    cfg.write_text(CONFIG.replace("k_energy = 3", "k_energy = -1"))
-    return str(cfg)
+def _config_with(line):
+    """A fixture: CONFIG with `line` appended, which overrides its key."""
+    def make(tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG + line + "\n")
+        return str(cfg)
+    return make
 
 
 def _finished_run_csv(tmp_path):
@@ -189,23 +207,34 @@ def _finished_run_csv(tmp_path):
     return out
 
 
+def _edited_run_csv(old, new):
+    """A fixture: a finished run whose CSV has its last `old` replaced by `new`."""
+    def make(tmp_path):
+        out = _finished_run_csv(tmp_path)
+        with open(out) as fh:
+            head, _, tail = fh.read().rpartition(old)
+        with open(out, "w") as fh:
+            fh.write(head + new + tail)
+        return out
+    return make
+
+
 def _run_csv_missing_a_checkpoint(tmp_path):
     out = _finished_run_csv(tmp_path)
     (tmp_path / "chk" / "chk_00003_t=0.30000000000000004.bpf").unlink()
     return out
 
 
-def _config_only_run_csv(tmp_path):
-    """A run CSV whose header holds a config but whose checkpoints are not there."""
-    path = tmp_path / "run.csv"
-    path.write_text("# config-line: n=32\nt,l2\n")
-    return str(path)
+RUN_COLUMNS = ",".join(NORM_REPORT_COLUMNS) + "\n"
 
 
-def _run_csv_with_bad_t(tmp_path):
-    path = tmp_path / "run.csv"
-    path.write_text("# config-line: n=32\nt,l2\nzero,1.0\n")
-    return str(path)
+def _run_csv_text(text):
+    """A fixture: a run CSV whose header holds a config, then `text`."""
+    def make(tmp_path):
+        path = tmp_path / "run.csv"
+        path.write_text("# config-line: n=32\n" + text)
+        return str(path)
+    return make
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -227,8 +256,8 @@ def _run_csv_with_bad_t(tmp_path):
     (["diagnose", "--in", lambda p: str(p / "missing.csv"), "--checkpoints", str],
      EXIT_RUNTIME),
     (["diagnose", "--in", str, "--checkpoints", str], EXIT_RUNTIME),
-    (["diagnose", "--in", _config_only_run_csv, "--checkpoints", lambda p: str(p / "chk")],
-     EXIT_RUNTIME),
+    (["diagnose", "--in", _run_csv_text(RUN_COLUMNS), "--checkpoints",
+      lambda p: str(p / "chk")], EXIT_RUNTIME),
     (["decay", "--j", "40", "--n", "32", "--L", "20"], EXIT_CONFIG),
     (["reproduce-all", "--only", "99"], EXIT_CONFIG),
     (["resonance", "verify", "--id", ""], EXIT_CONFIG),
@@ -240,12 +269,28 @@ def _run_csv_with_bad_t(tmp_path):
     (["resonance", "verify", "--xi", "1,1"], EXIT_CONFIG),
     (["resonance", "classify", "--xi", "1,1", "--eta", "1,0", "--id", "q", "--n", "5"],
      EXIT_CONFIG),
-    (["simulate", "--config", _negative_k_energy_config], EXIT_CONFIG),
+    (["simulate", "--config", _config_with("k_energy = -1")], EXIT_CONFIG),
     (["diagnose", "--in", _finished_run_csv, "--checkpoints", lambda p: str(p / "chk"),
       "--k", "-1"], EXIT_CONFIG),
     (["diagnose", "--in", _run_csv_missing_a_checkpoint, "--checkpoints",
       lambda p: str(p / "chk")], EXIT_RUNTIME),
-    (["diagnose", "--in", _run_csv_with_bad_t, "--checkpoints", str], EXIT_RUNTIME),
+    (["diagnose", "--in", _run_csv_text(RUN_COLUMNS + "zero" + ",1.0" * 9 + "\n"),
+      "--checkpoints", str], EXIT_RUNTIME),
+    (["diagnose", "--in", _edited_run_csv(",weighted3,", ",w3,"), "--checkpoints",
+      lambda p: str(p / "chk")], EXIT_RUNTIME),
+    (["diagnose", "--in", _edited_run_csv("\n", ",1.0\n"), "--checkpoints",
+      lambda p: str(p / "chk")], EXIT_RUNTIME),
+    (["diagnose", "--in", lambda p: str(p / "missing.csv"), "--checkpoints", str,
+      "--k", "-1"], EXIT_CONFIG),
+    (["simulate", "--config", _config_with("L = nan")], EXIT_CONFIG),
+    (["simulate", "--config", _config_with("L = inf")], EXIT_CONFIG),
+    (["simulate", "--config", _config_with("beta = nan")], EXIT_CONFIG),
+    (["simulate", "--config", _config_with("eps = inf")], EXIT_CONFIG),
+    (["simulate", "--config", _config_with("init_width = nan")], EXIT_CONFIG),
+    (["decay", "--n", "32", "--L", "nan"], EXIT_CONFIG),
+    (["decay", "--n", "32", "--L", "20", "--t-max", "inf"], EXIT_CONFIG),
+    (["bootstrap", "--M", "nan"], EXIT_CONFIG),
+    (["bootstrap", "--M", "-1"], EXIT_CONFIG),
 ], ids=["unknown-id", "partly-unknown-ids", "classify-no-vectors", "classify-no-eta",
         "truncated-init-file", "too-few-samples", "mu-out-of-range", "negative-t-min",
         "zero-t-min", "decay-mu-out-of-range", "stphase-not-a-number", "stphase-nan",
@@ -254,7 +299,10 @@ def _run_csv_with_bad_t(tmp_path):
         "unknown-criterion", "empty-id", "bootstrap-out", "classify-out",
         "search-with-point", "search-with-default-mu", "verify-xi", "classify-id-n",
         "simulate-negative-k-energy", "diagnose-negative-k", "diagnose-row-file-missing",
-        "diagnose-row-bad-t"])
+        "diagnose-row-bad-t", "diagnose-wrong-columns", "diagnose-row-11-values",
+        "diagnose-negative-k-unread-in", "simulate-L-nan", "simulate-L-inf",
+        "simulate-beta-nan", "simulate-eps-inf", "simulate-init-width-nan", "decay-L-nan",
+        "decay-t-max-inf", "bootstrap-M-nan", "bootstrap-M-negative"])
 def test_bad_input_exit_codes(tmp_path, argv, code):
     argv = [a(tmp_path) if callable(a) else a for a in argv]
     # --out only where the subcommand writes a file, so that each case fails

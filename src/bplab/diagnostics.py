@@ -166,8 +166,8 @@ class BootstrapParams:
             raise ConfigurationError("M must be positive and finite")
         if not (0.0 < self.mu < 1.0):
             raise ConfigurationError("mu must lie in (0, 1)")
-        if not (self.eps > 0.0 and self.k >= 1):
-            raise ConfigurationError("need eps > 0 and k >= 1")
+        if not (0.0 < self.eps < np.inf and 1 <= self.k < np.inf):
+            raise ConfigurationError("need 0 < eps < inf and 1 <= k < inf")
 
     @property
     def c_of_k(self) -> float:

@@ -16,8 +16,8 @@ as zeros; a pruned forward is an rfft along the rows, then a complex fft down
 the kc columns. For a divergence-free u in 2D,
     u.grad omega = d1 d2 (u2^2 - u1^2) + (d1^2 - d2^2)(u1 u2)
 (Basdevant, J. Comput. Phys. 50 (1983) 209), so a stage takes two inverse and
-two forward transforms. Only the CFL check, which is max_speed of the
-vorticity at the start of the step, transforms the whole half spectrum.
+two forward transforms. The CFL check reads stage 1's velocity samples, the
+dealiased velocity, so no step transforms the whole half spectrum.
 """
 
 from __future__ import annotations
@@ -86,8 +86,10 @@ class SimConfig:
             raise ConfigurationError("dt must be positive and finite")
         if not 0 <= self.t_end < np.inf:
             raise ConfigurationError("t_end must be >= 0 and finite")
-        if not np.all(np.isfinite([self.beta, self.eps, self.init_width])):
-            raise ConfigurationError("beta, eps and init_width must be finite")
+        if not np.all(np.isfinite([self.beta, self.eps])):
+            raise ConfigurationError("beta and eps must be finite")
+        if not 0 <= self.init_width < np.inf:
+            raise ConfigurationError("init_width must be >= 0 (0 -> L/16) and finite")
         if self.output_stride < 1:
             raise ConfigurationError("output_stride must be >= 1")
         if self.init not in _INITS:
@@ -219,14 +221,19 @@ def _block_operators(grid: Grid2D) -> _BlockOperators:
     return blk
 
 
-def _advection(w: np.ndarray, blk: _BlockOperators) -> np.ndarray:
+def _block_velocity(w: np.ndarray, blk: _BlockOperators) -> np.ndarray:
+    """Unscaled samples (u1, u2) of the velocity of the block vorticity modes
+    `w`, by the pruned inverse."""
+    return np.fft.irfft(np.fft.ifft(blk.velocity * w, axis=-2), n=w.shape[0], axis=-1)
+
+
+def _advection(u: np.ndarray, blk: _BlockOperators) -> np.ndarray:
     """Block coefficients of -u.grad omega, alias-free by the 2/3 rule, for
-    the block vorticity modes `w`: in the Basdevant form,
+    the unscaled block velocity samples `u`: in the Basdevant form,
     inverse_scale (xi1 xi2 Ahat + (xi1^2 - xi2^2) Bhat) with A = u2^2 - u1^2
     and B = u1 u2."""
-    n = w.shape[0]
-    u1, u2 = np.fft.irfft(np.fft.ifft(blk.velocity * w, axis=-2), n=n, axis=-1)
-    prod = np.empty((2, n, n))
+    u1, u2 = u
+    prod = np.empty(u.shape)
     np.subtract(u2 * u2, u1 * u1, out=prod[0])
     np.multiply(u1, u2, out=prod[1])
     a, b = np.fft.fft(np.fft.rfft(prod, axis=-1)[..., :blk.kc], axis=-2)
@@ -239,19 +246,8 @@ def nonlinear_term(omega: SpectralField2D) -> SpectralField2D:
     g = omega.grid
     blk = _block_operators(g)
     out = np.zeros(g.half_shape, dtype=complex)
-    out[:, :blk.kc] = _advection(omega.modes[:, :blk.kc], blk)
+    out[:, :blk.kc] = _advection(_block_velocity(omega.modes[:, :blk.kc], blk), blk)
     return SpectralField2D(g, out)
-
-
-def max_speed(omega: SpectralField2D) -> float:
-    """max |u| over the grid points."""
-    return _sup_speed(*biot_savart(omega))
-
-
-def _sup_speed(u1: SpectralField2D, u2: SpectralField2D) -> float:
-    """max |u| over the grid points of the velocity (u1hat, u2hat)."""
-    u1, u2 = real_samples(u1), real_samples(u2)
-    return float(np.sqrt((u1 ** 2 + u2 ** 2).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -279,28 +275,31 @@ def _phase_ratios(grid: Grid2D, beta: float, dt: float):
 
 def _lawson_increment(w: np.ndarray, cfg: SimConfig) -> np.ndarray:
     """The block increment D of one Lawson RK4 step of the vorticity modes w,
-    whose result is E(dt) w + D on the block, with N the block _advection:
+    whose result is E(dt) w + D on the block, with N(v) the _advection of
+    _block_velocity(v):
         k1 = N(w),                    k2 = N(E(dt/2)(w + dt/2 k1)),
         k3 = N(E(dt/2) w + dt/2 k2),  k4 = N(E(dt) w + dt E(dt/2) k3),
         D = dt/6 (E(dt) k1 + 2 E(dt/2)(k2 + k3) + k4).
     The stages keep the mean mode of w, since the Basdevant symbols vanish
-    there, so it is checked once, by max_speed. Raises StabilityError when
-    dt violates the advective bound for w.
+    there. The advective bound reads stage 1's velocity samples, so its speed
+    is the sup of the dealiased velocity of w: the modes that the 2/3 rule
+    drops enter no stage. Raises StabilityError when dt violates it.
     """
     g, dt = cfg.grid, cfg.dt
-    speed = max_speed(SpectralField2D(g, w))
+    blk = _block_operators(g)
+    e_half, e_one = _phase_ratios(g, cfg.beta, dt)[..., :blk.kc]
+    w = w[:, :blk.kc]
+    u = _block_velocity(w, blk)
+    speed = grid_operators(g).inverse_scale * float(np.sqrt((u[0] ** 2 + u[1] ** 2).max()))
     if speed > 0:
         bound = 0.5 * g.dx / speed
         if dt > bound:
             raise StabilityError(
                 f"dt={dt} violates advective bound {bound:.3e}", suggested_dt=0.5 * bound)
-    blk = _block_operators(g)
-    e_half, e_one = _phase_ratios(g, cfg.beta, dt)[..., :blk.kc]
-    w = w[:, :blk.kc]
-    k1 = _advection(w, blk)
-    k2 = _advection(e_half * (w + 0.5 * dt * k1), blk)
-    k3 = _advection(e_half * w + 0.5 * dt * k2, blk)
-    k4 = _advection(e_one * w + dt * e_half * k3, blk)
+    k1 = _advection(u, blk)
+    k2 = _advection(_block_velocity(e_half * (w + 0.5 * dt * k1), blk), blk)
+    k3 = _advection(_block_velocity(e_half * w + 0.5 * dt * k2, blk), blk)
+    k4 = _advection(_block_velocity(e_one * w + dt * e_half * k3, blk), blk)
     return dt / 6.0 * (e_one * k1 + 2.0 * e_half * (k2 + k3) + k4)
 
 
@@ -312,6 +311,7 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
     f0 = state.profile.field.modes
     fnew = f0.copy()
     if cfg.nonlinear:
+        require_mean_zero(state.profile.field)
         p0 = np.exp(-1j * cfg.beta * state.t * grid_operators(g).symbol)
         kc = _block_operators(g).kc
         p1 = p0[:, :kc] * _phase_ratios(g, cfg.beta, cfg.dt)[1, :, :kc]
@@ -344,6 +344,9 @@ def initial_vorticity(cfg: SimConfig) -> SpectralField2D:
         if not cfg.init_file:
             raise ConfigurationError("init=file requires init_file")
         fld = read_field(cfg.init_file)
+        if fld.grid != g:
+            raise ConfigurationError(f"init_file grid (n={fld.grid.n}, L={fld.grid.box_length!r})"
+                                     f" differs from the config's (n={g.n}, L={g.box_length!r})")
         wh = transform_forward(fld)
         if abs(wh.mean_mode()) > 1e-10 * max(1.0, float(np.abs(wh.modes).max())):
             raise InputError("field file has nonzero mean vorticity")
@@ -369,12 +372,12 @@ def velocity_sup_norms(omega: SpectralField2D):
     Each field takes one real inverse transform, one at a time."""
     g = omega.grid
     ops = grid_operators(g)
-    u = biot_savart(omega)
-    u1 = u[0].modes
-    d2u1 = 1j * ops.k2 * u1
+    u1, u2 = biot_savart(omega)
+    d2u1 = 1j * ops.k2 * u1.modes
     du_sup = max(float(np.abs(real_samples(SpectralField2D(g, d))).max())
-                 for d in (1j * ops.k1 * u1, d2u1, omega.modes + d2u1))
-    return _sup_speed(*u), du_sup
+                 for d in (1j * ops.k1 * u1.modes, d2u1, omega.modes + d2u1))
+    s1, s2 = real_samples(u1), real_samples(u2)
+    return float(np.sqrt((s1 ** 2 + s2 ** 2).max())), du_sup
 
 
 def make_report(state: SimState, cfg: SimConfig) -> NormReport:

@@ -16,6 +16,7 @@ from bplab.spectral import (
     besov_norm,
     linf_norm,
     shell_field,
+    transform_inverse,
     write_field,
 )
 
@@ -188,6 +189,19 @@ def _truncated_field_config(tmp_path):
     return str(cfg)
 
 
+def _init_file_config(n, box_length):
+    """A fixture: a config on the grid (n, box_length) whose init_file holds
+    a mean-free field on the grid (32, 10.0)."""
+    def make(tmp_path):
+        field = tmp_path / "init.bpf"
+        write_field(field, transform_inverse(shell_field(Grid2D(32, 10.0))))
+        cfg = tmp_path / "file.cfg"
+        cfg.write_text(f"n = {n}\nL = {box_length}\nt_end = 0.1\ninit = file\n"
+                       f"init_file = {field}\n")
+        return str(cfg)
+    return make
+
+
 def _config_with(line):
     """A fixture: CONFIG with `line` appended, which overrides its key."""
     def make(tmp_path):
@@ -291,6 +305,11 @@ def _run_csv_text(text):
     (["decay", "--n", "32", "--L", "20", "--t-max", "inf"], EXIT_CONFIG),
     (["bootstrap", "--M", "nan"], EXIT_CONFIG),
     (["bootstrap", "--M", "-1"], EXIT_CONFIG),
+    (["simulate", "--config", _init_file_config(32, 20.0)], EXIT_CONFIG),
+    (["simulate", "--config", _init_file_config(64, 10.0)], EXIT_CONFIG),
+    (["simulate", "--config", _config_with("init_width = -3")], EXIT_CONFIG),
+    (["bootstrap", "--eps", "inf"], EXIT_CONFIG),
+    (["bootstrap", "--k", "inf"], EXIT_CONFIG),
 ], ids=["unknown-id", "partly-unknown-ids", "classify-no-vectors", "classify-no-eta",
         "truncated-init-file", "too-few-samples", "mu-out-of-range", "negative-t-min",
         "zero-t-min", "decay-mu-out-of-range", "stphase-not-a-number", "stphase-nan",
@@ -302,7 +321,9 @@ def _run_csv_text(text):
         "diagnose-row-bad-t", "diagnose-wrong-columns", "diagnose-row-11-values",
         "diagnose-negative-k-unread-in", "simulate-L-nan", "simulate-L-inf",
         "simulate-beta-nan", "simulate-eps-inf", "simulate-init-width-nan", "decay-L-nan",
-        "decay-t-max-inf", "bootstrap-M-nan", "bootstrap-M-negative"])
+        "decay-t-max-inf", "bootstrap-M-nan", "bootstrap-M-negative",
+        "simulate-init-file-other-L", "simulate-init-file-other-n",
+        "simulate-init-width-negative", "bootstrap-eps-inf", "bootstrap-k-inf"])
 def test_bad_input_exit_codes(tmp_path, argv, code):
     argv = [a(tmp_path) if callable(a) else a for a in argv]
     # --out only where the subcommand writes a file, so that each case fails

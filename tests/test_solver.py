@@ -17,7 +17,6 @@ from bplab.solver import (
     initial_vorticity,
     linear_operator_field,
     make_report,
-    max_speed,
     nonlinear_term,
     omega_from_profile,
     parse_config,
@@ -25,6 +24,7 @@ from bplab.solver import (
     run,
     scaling_transform,
     step,
+    velocity_sup_norms,
 )
 from bplab.spectral import (
     NORM_REPORT_COLUMNS,
@@ -294,13 +294,38 @@ class TestFullSpectrumEquivalence:
 
     @pytest.mark.parametrize("t", [0.0, 0.7, 3.1])
     def test_cfl_speed_is_max_speed(self, t):
-        # the step's advective bound is max_speed of the vorticity at time t
+        # the step's advective bound is the max speed of the velocity of the
+        # dealiased vorticity at time t, here by complex transforms of the
+        # whole lattice
         cfg = SimConfig(n=32, box_length=10.0, beta=1.3, dt=1e3, t_end=1e3)
         prof = Profile(random_vorticity(seed=23), t)
         with pytest.raises(StabilityError) as err:
             step(SimState(t, prof), cfg)
-        speed = max_speed(omega_from_profile(prof, cfg.beta))
-        assert err.value.suggested_dt == 0.5 * (0.5 * cfg.grid.dx / speed)
+        w = hermitian_extension(dealias(omega_from_profile(prof, cfg.beta)).modes)
+        k1, k2 = full_wavenumbers(cfg.grid)
+        mag2 = k1 ** 2 + k2 ** 2
+        a = w * np.divide(1.0, mag2, out=np.zeros_like(mag2), where=mag2 > 0)
+        u1, u2 = (c2c_samples(m, cfg.grid).real for m in (1j * k2 * a, -1j * k1 * a))
+        speed = np.sqrt((u1 ** 2 + u2 ** 2).max())
+        assert err.value.suggested_dt == pytest.approx(0.25 * cfg.grid.dx / speed, rel=1e-13)
+
+    def test_dropped_modes_do_not_bound_dt(self):
+        # one mode pair at xi1 = 12 dxi, which the 2/3 rule drops at n=32: its
+        # velocity (sup 5.2, a bound of 0.03 on dt) never enters a stage, so
+        # dt=0.1 steps, and the step leaves the profile as it was
+        cfg = SimConfig(n=32, box_length=10.0, dt=0.1, t_end=0.1)
+        modes = np.zeros(cfg.grid.half_shape, dtype=complex)
+        modes[12, 0] = modes[-12, 0] = 50.0
+        prof = Profile(SpectralField2D(cfg.grid, modes), 0.0)
+        assert cfg.dt > 0.5 * cfg.grid.dx / velocity_sup_norms(prof.field)[0]
+        assert np.array_equal(step(SimState(0.0, prof), cfg).profile.field.modes, modes)
+
+    def test_rejects_nonzero_mean(self):
+        # step sets mode (0, 0) to zero, so it refuses a profile with a mean
+        w = random_vorticity(n=16, box_length=5.0, seed=24)
+        w.modes[0, 0] = 1.0
+        with pytest.raises(InputError):
+            step(SimState(0.0, Profile(w, 0.0)), SimConfig(n=16, box_length=5.0))
 
 
 def half_spectrum_advection(w, ops):
@@ -406,7 +431,7 @@ class TestRunAgainstStep:
         # bound breaks after a few steps
         base = SimConfig(n=32, box_length=10.0, beta=2.0, eps=1.0, init="shell")
         w0 = initial_vorticity(base)
-        dt = 0.95 * 0.5 * base.grid.dx / max_speed(w0)
+        dt = 0.95 * 0.5 * base.grid.dx / velocity_sup_norms(w0)[0]
         cfg = dataclasses.replace(base, dt=dt, t_end=60 * dt, output_stride=1)
         state = SimState(0.0, Profile(w0, 0.0))
         with pytest.raises(StabilityError) as err:
@@ -647,6 +672,15 @@ class TestInitialData:
         back = initial_vorticity(cfg)
         assert np.abs(back.modes - w.modes).max() < 1e-14
 
+    @pytest.mark.parametrize("n, box_length", [(32, 40.0), (64, 20.0)])
+    def test_file_init_rejects_another_grid(self, tmp_path, n, box_length):
+        path = tmp_path / "init.bpf"
+        write_field(path, transform_inverse(initial_vorticity(SimConfig(n=32, box_length=20.0))))
+        cfg = SimConfig(n=n, box_length=box_length, init="file", init_file=str(path))
+        with pytest.raises(ConfigurationError,
+                           match=rf"\(n=32, L=20\.0\).*\(n={n}, L={box_length}\)"):
+            initial_vorticity(cfg)
+
     def test_file_init_rejects_nonzero_mean(self, tmp_path):
         g = Grid2D(16, 5.0)
         path = tmp_path / "bad.bpf"
@@ -733,8 +767,3 @@ def test_dealias_mask_two_thirds():
     k = np.fft.fftfreq(32) * 32
     for i, ki in enumerate(k):
         assert mask[i, 0] == (abs(ki) <= 32 / 3)
-
-
-def test_max_speed_positive():
-    w = random_vorticity(seed=15)
-    assert max_speed(w) > 0

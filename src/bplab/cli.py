@@ -70,9 +70,17 @@ def cmd_simulate(args):
         print(line, file=sys.stderr)
     if args.checkpoints:
         os.makedirs(args.checkpoints, exist_ok=True)
+        written = set()
         for i, (t, prof) in enumerate(res.checkpoints):
-            omega = solver.omega_from_profile(prof, cfg.beta)
-            write_field(_checkpoint_path(args.checkpoints, i, t), transform_inverse(omega))
+            path = _checkpoint_path(args.checkpoints, i, t)
+            write_field(path, transform_inverse(solver.omega_from_profile(prof, cfg.beta)))
+            written.add(os.path.basename(path))
+        # files of another run in the directory; diagnose reads only its run's
+        others = [name for name in os.listdir(args.checkpoints)
+                  if name.startswith("chk_") and name.endswith(".bpf") and name not in written]
+        if others:
+            print(f"checkpoints: {args.checkpoints} holds {len(others)} chk_*.bpf files "
+                  "that this run did not write", file=sys.stderr)
     if res.aborted:
         print(f"run aborted: {res.abort_reason}", file=sys.stderr)
         return EXIT_RUNTIME

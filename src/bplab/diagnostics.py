@@ -3,7 +3,7 @@ transport a priori bound, weighted profile norms, and the bootstrap
 feasibility arithmetic.
 
 Nothing here advances the dynamics; every routine is a pure function of a
-RunResult or a parameter tuple.
+RunResult or a parameter tuple; only energy_certificate reads a checkpoint.
 """
 
 from __future__ import annotations
@@ -13,12 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .propagator import split_bound_amplitude, split_bound_exponent
-from .spectral import ConfigurationError, linf_norm, sobolev_norm
-from .solver import (
-    RunResult,
-    linear_operator_field,
-    omega_from_profile,
-)
+from .spectral import ConfigurationError, sobolev_norm
+from .solver import RunResult
 
 
 def _checkpoint_reports(result: RunResult):
@@ -101,14 +97,14 @@ TRANSPORT_TOLERANCE = 0.01
 def linfty_transport_check(result: RunResult) -> TransportReport:
     """Check |omega(t)|_Linf <= |omega(0)|_Linf + int_0^t |beta L1 omega|_Linf ds
     at checkpoint resolution (trapezoid rule), with the relative tolerance
-    TRANSPORT_TOLERANCE absorbing the integration error. |omega(t)|_Linf is
-    the report's."""
-    beta = result.config.beta
+    TRANSPORT_TOLERANCE absorbing the integration error. The norms are the
+    reports', with |beta L1 omega|_Linf = |beta| linf_u2 (L1 omega is u2)."""
+    beta = abs(result.config.beta)
     ts, lhs, forcing = [], [], []
-    for t, prof, rep in _checkpoint_reports(result):
+    for t, _, rep in _checkpoint_reports(result):
         ts.append(t)
         lhs.append(rep.linf_omega)
-        forcing.append(linf_norm(linear_operator_field(omega_from_profile(prof, beta), beta)))
+        forcing.append(beta * rep.linf_u2)
     lhs = np.asarray(lhs)
     rhs = lhs[0] + _cumulative_trapezoid(forcing, ts)
     slack = rhs - lhs

@@ -167,6 +167,6 @@ def split_decay_bound(f: Profile, times, N: float, mu: float, k: int) -> list[fl
     inv_p = split_bound_exponent(mu)
     amp = split_bound_amplitude(mu)
     high = 2.0 ** k * N ** (-k) * sobolev_norm(f.field, 3 + k)
-    norms = homogeneous_sobolev_norm(f.field, 3.0) + weighted_profile_norm(f, 3)
+    norms = homogeneous_sobolev_norm(f.field, 3.0) + weighted_profile_norm(f)[1]
     return [high + t ** (-1.0 + 2.0 * inv_p) * N ** (2.0 * mu + 12.0 * inv_p) * amp * norms
             for t in times]

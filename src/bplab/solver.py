@@ -310,8 +310,8 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
     g = cfg.grid
     f0 = state.profile.field.modes
     fnew = f0.copy()
+    require_mean_zero(state.profile.field)
     if cfg.nonlinear:
-        require_mean_zero(state.profile.field)
         p0 = np.exp(-1j * cfg.beta * state.t * grid_operators(g).symbol)
         kc = _block_operators(g).kc
         p1 = p0[:, :kc] * _phase_ratios(g, cfg.beta, cfg.dt)[1, :, :kc]
@@ -357,14 +357,9 @@ def initial_vorticity(cfg: SimConfig) -> SpectralField2D:
 # ---------------------------------------------------------------------------
 # diagnostics per output and the run driver
 
-def linear_operator_field(omega: SpectralField2D, beta: float = 1.0) -> SpectralField2D:
-    """beta L1 omega, with symbol -i beta xi1/|xi|^2."""
-    sym = grid_operators(omega.grid).symbol
-    return SpectralField2D(omega.grid, -1j * beta * sym * omega.modes)
-
-
 def velocity_sup_norms(omega: SpectralField2D):
-    """(|u|_Linf, |Du|_Linf) with Du the max over the four entries of grad u.
+    """(|u|_Linf, |u2|_Linf, |Du|_Linf) with Du the max over the four entries
+    of grad u; u2 is L1 omega, as u2hat = -i xi1 what/|xi|^2 is its symbol.
 
     div u = 0 and curl u = omega give d2 u2 = -d1 u1 and d1 u2 = omega + d2 u1,
     so three fields carry the four entries; the second identity also keeps
@@ -377,20 +372,21 @@ def velocity_sup_norms(omega: SpectralField2D):
     du_sup = max(float(np.abs(real_samples(SpectralField2D(g, d))).max())
                  for d in (1j * ops.k1 * u1.modes, d2u1, omega.modes + d2u1))
     s1, s2 = real_samples(u1), real_samples(u2)
-    return float(np.sqrt((s1 ** 2 + s2 ** 2).max())), du_sup
+    return float(np.sqrt((s1 ** 2 + s2 ** 2).max())), float(np.abs(s2).max()), du_sup
 
 
 def make_report(state: SimState, cfg: SimConfig) -> NormReport:
     omega = omega_from_profile(state.profile, cfg.beta)
-    u_sup, du_sup = velocity_sup_norms(omega)
+    u_sup, u2_sup, du_sup = velocity_sup_norms(omega)
     warnings: list = []
-    weighted2, weighted3 = weighted_profile_norm(state.profile, (2, 3), warnings)
+    weighted2, weighted3 = weighted_profile_norm(state.profile, warnings)
     return NormReport(
         t=state.t,
         l2=l2_norm(omega),
         hk=sobolev_norm(omega, cfg.k_energy),
         linf_omega=linf_norm(omega),
         linf_u=u_sup,
+        linf_u2=u2_sup,
         linf_du=du_sup,
         besov311=besov_norm(omega),
         weighted2=weighted2,

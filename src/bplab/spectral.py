@@ -55,7 +55,7 @@ BPF_MAGIC = b"BPF1"
 
 # Column order is fixed for CSV export.
 NORM_REPORT_COLUMNS = (
-    "t", "l2", "hk", "linf_omega", "linf_u", "linf_du",
+    "t", "l2", "hk", "linf_omega", "linf_u", "linf_u2", "linf_du",
     "besov311", "weighted2", "weighted3", "fhat_sup2",
 )
 
@@ -196,6 +196,7 @@ class NormReport:
     hk: float
     linf_omega: float
     linf_u: float
+    linf_u2: float
     linf_du: float
     besov311: float
     weighted2: float
@@ -353,20 +354,16 @@ def _central_mass(samples: np.ndarray, g: Grid2D) -> float:
     return float(np.sum(samples[np.ix_(keep, keep)] ** 2)) / total
 
 
-def weighted_profile_norm(f: Profile, l, warn_sink: list | None = None):
-    """|D^l x f|_{L^2} for l in {2, 3}: the L2 norm of |xi|^l grad_xi fhat.
-
-    `l` is one order or a tuple of orders; a tuple returns a tuple of norms,
-    which share one inverse transform and one |grad_xi fhat|^2. grad_xi fhat
-    is the transform of -i x f(x), with x the centered box coordinate; the
-    two real fields x_i f(x) take one batched rfft2.
+def weighted_profile_norm(f: Profile, warn_sink: list | None = None):
+    """(|D^2 x f|_{L^2}, |D^3 x f|_{L^2}), with |D^l x f|_{L^2} the L2 norm of
+    |xi|^l grad_xi fhat. The two orders share one inverse transform and one
+    |grad_xi fhat|^2. grad_xi fhat is the transform of -i x f(x), with x the
+    centered box coordinate; the two real fields x_i f(x) take one batched
+    rfft2.
 
     Appends a boundary-contamination warning to warn_sink when less than 99%
     of the field's mass sits in the central half-box.
     """
-    orders = tuple(l) if isinstance(l, tuple) else (l,)
-    if any(o not in (2, 3) for o in orders):
-        raise ValueError("weight order must be 2 or 3")
     g = f.field.grid
     phys = real_samples(f.field)
     if warn_sink is not None and _central_mass(phys, g) < 0.99:
@@ -375,8 +372,7 @@ def weighted_profile_norm(f: Profile, l, warn_sink: list | None = None):
     d1, d2 = np.fft.rfft2(np.stack((x[:, None] * phys, x[None, :] * phys)))
     grad2 = (np.abs(d1) ** 2 + np.abs(d2) ** 2) * (g.dx ** 2 / (2.0 * np.pi) ** 2) ** 2
     mag2 = grid_operators(g).mag2
-    norms = tuple(_lattice_l2(mag2 ** o * grad2, g) for o in orders)
-    return norms if isinstance(l, tuple) else norms[0]
+    return _lattice_l2(mag2 ** 2 * grad2, g), _lattice_l2(mag2 ** 3 * grad2, g)
 
 
 def fhat_sup_weighted(f: Profile) -> float:

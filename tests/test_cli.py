@@ -135,7 +135,7 @@ class TestSimulate:
 
     def test_diagnose_builds_no_report(self, tmp_path, config_file, monkeypatch):
         # the norm reports come from the run CSV; the checkpoints only add
-        # the H^k norm at --k and |beta L1 omega|_Linf
+        # the H^k norm at --k
         out, chk, diag = (str(tmp_path / name) for name in ("run.csv", "chk", "diag.csv"))
         assert main(["simulate", "--config", config_file, "--out", out,
                      "--checkpoints", chk]) == EXIT_OK
@@ -167,6 +167,20 @@ class TestSimulate:
         assert len(os.listdir(stale)) == 11 and len(os.listdir(clean)) == 6
         assert len(read_noncomment(str(diags[0]))) == 7      # columns and t = 0 .. 0.5
         assert diags[0].read_bytes() == diags[1].read_bytes()
+
+    def test_checkpoints_of_another_run_named(self, tmp_path, config_file, capsys):
+        # simulate names the count of chk_*.bpf files in --checkpoints that it
+        # did not write; the exit code stays 0, and a repeat run warns nothing
+        out, mixed, clean = (str(tmp_path / name) for name in ("run.csv", "mixed", "clean"))
+        long_cfg = tmp_path / "long.cfg"
+        long_cfg.write_text(CONFIG.replace("t_end = 0.5", "t_end = 1.0"))
+        for cfg, chk, err in ((str(long_cfg), mixed, []), (config_file, mixed, [
+                f"checkpoints: {mixed} holds 5 chk_*.bpf files that this run did not write"]),
+                (config_file, clean, []), (config_file, clean, [])):
+            assert main(["simulate", "--config", cfg, "--out", out,
+                         "--checkpoints", chk]) == EXIT_OK
+            assert capsys.readouterr().err.splitlines() == err
+        assert len(os.listdir(mixed)) == 11 and len(os.listdir(clean)) == 6
 
     def test_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -233,6 +247,21 @@ def _edited_run_csv(old, new):
     return make
 
 
+def _ten_column_run_csv(tmp_path):
+    """A finished run whose CSV lacks the linf_u2 column, as simulate wrote
+    run CSVs before the column was added."""
+    out = _finished_run_csv(tmp_path)
+    with open(out) as fh:
+        lines = fh.read().splitlines()
+    col = NORM_REPORT_COLUMNS.index("linf_u2")
+    with open(out, "w") as fh:
+        for line in lines:
+            cells = line.split(",")
+            fh.write(line if line.startswith("#") else ",".join(cells[:col] + cells[col + 1:]))
+            fh.write("\n")
+    return out
+
+
 def _run_csv_missing_a_checkpoint(tmp_path):
     out = _finished_run_csv(tmp_path)
     (tmp_path / "chk" / "chk_00003_t=0.30000000000000004.bpf").unlink()
@@ -288,7 +317,7 @@ def _run_csv_text(text):
       "--k", "-1"], EXIT_CONFIG),
     (["diagnose", "--in", _run_csv_missing_a_checkpoint, "--checkpoints",
       lambda p: str(p / "chk")], EXIT_RUNTIME),
-    (["diagnose", "--in", _run_csv_text(RUN_COLUMNS + "zero" + ",1.0" * 9 + "\n"),
+    (["diagnose", "--in", _run_csv_text(RUN_COLUMNS + "zero" + ",1.0" * 10 + "\n"),
       "--checkpoints", str], EXIT_RUNTIME),
     (["diagnose", "--in", _edited_run_csv(",weighted3,", ",w3,"), "--checkpoints",
       lambda p: str(p / "chk")], EXIT_RUNTIME),
@@ -310,6 +339,8 @@ def _run_csv_text(text):
     (["simulate", "--config", _config_with("init_width = -3")], EXIT_CONFIG),
     (["bootstrap", "--eps", "inf"], EXIT_CONFIG),
     (["bootstrap", "--k", "inf"], EXIT_CONFIG),
+    (["diagnose", "--in", _ten_column_run_csv, "--checkpoints", lambda p: str(p / "chk")],
+     EXIT_RUNTIME),
 ], ids=["unknown-id", "partly-unknown-ids", "classify-no-vectors", "classify-no-eta",
         "truncated-init-file", "too-few-samples", "mu-out-of-range", "negative-t-min",
         "zero-t-min", "decay-mu-out-of-range", "stphase-not-a-number", "stphase-nan",
@@ -318,12 +349,13 @@ def _run_csv_text(text):
         "unknown-criterion", "empty-id", "bootstrap-out", "classify-out",
         "search-with-point", "search-with-default-mu", "verify-xi", "classify-id-n",
         "simulate-negative-k-energy", "diagnose-negative-k", "diagnose-row-file-missing",
-        "diagnose-row-bad-t", "diagnose-wrong-columns", "diagnose-row-11-values",
+        "diagnose-row-bad-t", "diagnose-wrong-columns", "diagnose-row-12-values",
         "diagnose-negative-k-unread-in", "simulate-L-nan", "simulate-L-inf",
         "simulate-beta-nan", "simulate-eps-inf", "simulate-init-width-nan", "decay-L-nan",
         "decay-t-max-inf", "bootstrap-M-nan", "bootstrap-M-negative",
         "simulate-init-file-other-L", "simulate-init-file-other-n",
-        "simulate-init-width-negative", "bootstrap-eps-inf", "bootstrap-k-inf"])
+        "simulate-init-width-negative", "bootstrap-eps-inf", "bootstrap-k-inf",
+        "diagnose-ten-column-run-csv"])
 def test_bad_input_exit_codes(tmp_path, argv, code):
     argv = [a(tmp_path) if callable(a) else a for a in argv]
     # --out only where the subcommand writes a file, so that each case fails

@@ -35,6 +35,7 @@ from bplab.spectral import (
     weighted_profile_norm,
     zero_mean,
 )
+from halfspec import full_wavenumbers, hermitian_extension
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +58,7 @@ class TestDecayNorms:
     def test_zero(self):
         g = Grid2D(16, 5.0)
         w = SpectralField2D(g, np.zeros(g.half_shape))
-        assert (linf_norm(w),) + velocity_sup_norms(w) == (0.0, 0.0, 0.0)
+        assert (linf_norm(w),) + velocity_sup_norms(w) == (0.0, 0.0, 0.0, 0.0)
 
     def test_single_shell_gradient_relation(self):
         # one Hermitian mode pair at |xi| = k: |Du| ~= |xi| |u| for that wave
@@ -66,7 +67,7 @@ class TestDecayNorms:
         modes[2, 0] = 1.0
         modes[-2, 0] = 1.0
         w = SpectralField2D(g, modes)
-        u_sup, du_sup = velocity_sup_norms(w)
+        u_sup, _, du_sup = velocity_sup_norms(w)
         assert du_sup == pytest.approx(2.0 * u_sup, rel=1e-10)
 
     def test_one_velocity_per_call(self, monkeypatch):
@@ -79,11 +80,12 @@ class TestDecayNorms:
             calls.append(omega)
             return biot_savart(omega)
         monkeypatch.setattr(solver, "biot_savart", counted)
-        u_sup, _ = velocity_sup_norms(w)
+        u_sup, u2_sup, _ = velocity_sup_norms(w)
         assert len(calls) == 1
         monkeypatch.undo()
         s1, s2 = (transform_inverse(u).samples for u in biot_savart(w))
         assert u_sup == np.sqrt((s1 ** 2 + s2 ** 2).max())
+        assert u2_sup == np.abs(s2).max()
 
 
 class TestEnergyCertificate:
@@ -126,6 +128,34 @@ class TestTransportCheck:
         assert rep.ok
         assert rep.slack.min() >= -diagnostics.TRANSPORT_TOLERANCE * rep.lhs.max()
 
+    @pytest.mark.parametrize("beta", [1.3, -0.7])
+    def test_forcing_is_beta_L1_omega(self, beta, monkeypatch):
+        # the integrated forcing is |beta L1 omega|_Linf at each checkpoint,
+        # here by a complex transform of the whole lattice of the vorticity;
+        # a negative beta gives the same norm as |beta|
+        cfg = SimConfig(n=32, box_length=20.0, beta=beta, dt=0.05, t_end=0.5,
+                        eps=0.5, init="pair", output_stride=2)
+        res = run(cfg)
+        integrands = []
+        trapezoid = diagnostics._cumulative_trapezoid
+
+        def spy(values, ts):
+            integrands.append(list(values))
+            return trapezoid(values, ts)
+        monkeypatch.setattr(diagnostics, "_cumulative_trapezoid", spy)
+        linfty_transport_check(res)
+        g = cfg.grid
+        k1, k2 = full_wavenumbers(g)
+        mag2 = k1 ** 2 + k2 ** 2
+        symbol = -1j * beta * np.divide(k1, mag2, out=np.zeros_like(mag2), where=mag2 > 0)
+        want = []
+        for _, prof in res.checkpoints:
+            w = hermitian_extension(omega_from_profile(prof, beta).modes)
+            samples = np.fft.ifft2(symbol * w).real * (2 * np.pi / g.dx) ** 2
+            want.append(np.abs(samples).max())
+        assert len(integrands) == 1 and len(integrands[0]) == len(want) == 6
+        np.testing.assert_allclose(integrands[0], want, rtol=1e-15, atol=0)
+
 
 class TestWeightedSeries:
     def test_linear_run_constant(self, linear_run):
@@ -160,8 +190,7 @@ class TestDiagnosticsReadReports:
         for row, (t, prof) in zip(rows, contaminated_run.checkpoints):
             warns = []
             assert row["t"] == t
-            assert row["weighted2"] == weighted_profile_norm(prof, 2, warns)
-            assert row["weighted3"] == weighted_profile_norm(prof, 3)
+            assert (row["weighted2"], row["weighted3"]) == weighted_profile_norm(prof, warns)
             assert row["fhat_sup2"] == fhat_sup_weighted(prof)
             assert row["warnings"] == warns and len(warns) == 1
 
@@ -171,6 +200,19 @@ class TestDiagnosticsReadReports:
         expect = [linf_norm(omega_from_profile(prof, beta))
                   for _, prof in contaminated_run.checkpoints]
         assert rep.lhs.tolist() == expect
+
+    def test_transport_reads_no_checkpoint_field(self, contaminated_run):
+        # with every checkpoint field replaced by NaN modes, the check gives
+        # the same report: it reads only the reports
+        res = contaminated_run
+        blank = [(t, Profile(SpectralField2D(prof.field.grid,
+                                             np.full_like(prof.field.modes, np.nan)), t))
+                 for t, prof in res.checkpoints]
+        got = linfty_transport_check(RunResult(res.config, res.reports, blank))
+        want = linfty_transport_check(res)
+        for name in ("lhs", "rhs", "slack"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.ok == want.ok
 
     def test_energy_norms_match_vorticity(self, contaminated_run):
         cert = energy_certificate(contaminated_run, 3)

@@ -15,7 +15,6 @@ from bplab.solver import (
     dealias,
     format_config,
     initial_vorticity,
-    linear_operator_field,
     make_report,
     nonlinear_term,
     omega_from_profile,
@@ -506,6 +505,7 @@ def reference_report(state, cfg):
                                   * g.dxi ** 2),
         "linf_omega": np.abs(c2c_samples(w, g).real).max(),
         "linf_u": np.sqrt(u1 ** 2 + u2 ** 2).max(),
+        "linf_u2": np.abs(u2).max(),
         "linf_du": du,
         "besov311": besov,
         "weighted2": weighted[0],
@@ -611,10 +611,19 @@ class TestStep:
         ratio = np.abs(fa - fc).max() / np.abs(fb - fc).max()
         assert 12.0 <= ratio <= 20.0
 
+    def test_linear_rejects_nonzero_mean(self):
+        # the linear step, too, refuses a profile with a mean rather than
+        # zeroing it
+        cfg = SimConfig(n=16, box_length=5.0, nonlinear=False)
+        w = random_vorticity(n=16, box_length=5.0, seed=25)
+        w.modes[0, 0] = 3.0
+        with pytest.raises(InputError):
+            step(SimState(0.0, Profile(w, 0.0)), cfg)
+
     def test_linear_pairing_annihilation(self):
         # the dispersive term never exchanges L2 mass: Re<L1 w, w> = 0
         w = random_vorticity(seed=11)
-        lw = linear_operator_field(w, beta=1.0)
+        lw = biot_savart(w)[1]       # u2 = L1 w
         weight = grid_operators(w.grid).weight
         ip = float(np.sum(weight * lw.modes * np.conj(w.modes)).real)
         assert abs(ip) < 1e-16 * float(np.sum(weight * np.abs(w.modes) ** 2))

@@ -281,7 +281,7 @@ class TestWeightedNorms:
     def test_zero_profile(self):
         g = Grid2D(32, 10.0)
         p = Profile(SpectralField2D(g, np.zeros(g.half_shape)), 0.0)
-        assert weighted_profile_norm(p, 2) == 0.0
+        assert weighted_profile_norm(p) == (0.0, 0.0)
 
     @pytest.mark.parametrize("l,expect", [(2, np.sqrt(6 * np.pi)),
                                           (3, np.sqrt(24 * np.pi))])
@@ -291,25 +291,18 @@ class TestWeightedNorms:
         # = (pi Gamma(l+2))^(1/2) by the radial integral.
         g = Grid2D(256, 40.0)
         p = Profile(transform_forward(gaussian_field(g)), 0.0)
-        assert weighted_profile_norm(p, l) == pytest.approx(expect, rel=0.01)
+        assert weighted_profile_norm(p)[l - 2] == pytest.approx(expect, rel=0.01)
 
-    def test_invalid_order(self):
-        g = Grid2D(16, 5.0)
-        p = Profile(SpectralField2D(g, np.zeros(g.half_shape)), 0.0)
-        with pytest.raises(ValueError):
-            weighted_profile_norm(p, 4)
-        with pytest.raises(ValueError):
-            weighted_profile_norm(p, (2, 4))
-
-    def test_tuple_of_orders(self):
-        # one call for both orders gives the two single-order norms, and
-        # a single boundary warning
+    def test_one_warning_per_call(self):
+        # one call gives both orders and at most one boundary warning, the
+        # same norms with or without a sink
         g = Grid2D(64, 4.0)
         p = Profile(transform_forward(gaussian_field(g, width=2.0)), 0.3)
         warns = []
-        both = weighted_profile_norm(p, (2, 3), warns)
-        assert both == (weighted_profile_norm(p, 2), weighted_profile_norm(p, 3))
-        assert len(warns) == 1
+        assert weighted_profile_norm(p, warns) == weighted_profile_norm(p)
+        assert len(warns) == 1 and "t=0.3" in warns[0]
+        weighted_profile_norm(p, warns)
+        assert len(warns) == 2
 
     def test_translation_modulation_growth(self):
         # translating by a multiplies fhat by exp(-i a xi1); the weighted norm
@@ -320,8 +313,8 @@ class TestWeightedNorms:
         base = np.exp(-(X ** 2 + Y ** 2) / 2.0)
         a = 3.0
         shifted = np.exp(-((X - a) ** 2 + Y ** 2) / 2.0)
-        n0 = weighted_profile_norm(Profile(transform_forward(RealField2D(g, base))), 2)
-        n1 = weighted_profile_norm(Profile(transform_forward(RealField2D(g, shifted))), 2)
+        n0 = weighted_profile_norm(Profile(transform_forward(RealField2D(g, base))))[0]
+        n1 = weighted_profile_norm(Profile(transform_forward(RealField2D(g, shifted))))[0]
         assert n1 > n0
         assert n1 < n0 + 2.0 * a * sobolev_norm(transform_forward(RealField2D(g, base)), 2)
 
@@ -330,7 +323,7 @@ class TestWeightedNorms:
         p = Profile(transform_forward(gaussian_field(g, width=2.0)), 0.0)
         assert central_mass_fraction(p.field) < 0.99
         warns = []
-        weighted_profile_norm(p, 2, warns)
+        weighted_profile_norm(p, warns)
         assert warns
 
 
@@ -375,7 +368,7 @@ def test_half_spectrum_norms_are_lattice_sums(seed, n, box):
     xs = np.fft.ifftshift(x)
     d1 = np.fft.fft2(xs[:, None] * np.fft.ifftshift(samples)) * scale
     d2 = np.fft.fft2(xs[None, :] * np.fft.ifftshift(samples)) * scale
-    got = weighted_profile_norm(Profile(f, 0.0), (2, 3))
+    got = weighted_profile_norm(Profile(f, 0.0))
     for l, norm in zip((2, 3), got):
         want = lattice_norm(mag2 ** l * (np.abs(d1) ** 2 + np.abs(d2) ** 2))
         assert norm == pytest.approx(want, rel=1e-12)
@@ -439,13 +432,15 @@ class TestFieldFiles:
 
 def test_norm_report_csv_format(tmp_path):
     rep = NormReport(t=1.0, l2=2.0, hk=3.0, linf_omega=0.1, linf_u=0.2,
-                     linf_du=0.3, besov311=4.0, weighted2=5.0, weighted3=6.0,
-                     fhat_sup2=7.0)
+                     linf_u2=0.15, linf_du=0.3, besov311=4.0, weighted2=5.0,
+                     weighted3=6.0, fhat_sup2=7.0)
     path = tmp_path / "reports.csv"
     write_csv(path, ["seed=0"], NORM_REPORT_COLUMNS, [rep.row()])
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "# seed=0"
     assert lines[1] == ",".join(NORM_REPORT_COLUMNS)
-    assert lines[2].split(",")[0] == "1"
+    assert lines[1].split(",")[4:7] == ["linf_u", "linf_u2", "linf_du"]
+    assert lines[2].split(",")[:7] == ["1", "2", "3", "0.10000000000000001", "0.20000000000000001",
+                                       "0.14999999999999999", "0.29999999999999999"]
     assert len(lines[2].split(",")) == len(NORM_REPORT_COLUMNS)
     assert [float(v) for v in lines[2].split(",")] == rep.row()

@@ -353,7 +353,7 @@ def criterion_10(seed=0):
         if res.aborted:
             return False, {"abort": res.abort_reason}
         rep = diagnostics.linfty_transport_check(res)
-        return rep.ok, {"min_slack": float(rep.slack.min()),
+        return rep.ok, {"min_rel_slack": rep.min_rel_slack,
                         "final_lhs": float(rep.lhs[-1]), "final_rhs": float(rep.rhs[-1])}
     return _timed(10, "transport sup-norm bound", body)
 
@@ -392,7 +392,7 @@ ALL_CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
                 criterion_11]
 
 
-def run_all(seed=0, only=None):
+def run_all(seed=0, only=None) -> list[CriterionResult]:
     """Run every criterion (or the subset whose indices are in `only`)."""
     results = []
     for i, fn in enumerate(ALL_CRITERIA, start=1):

@@ -90,6 +90,12 @@ class TransportReport:
     slack: np.ndarray
     ok: bool
 
+    @property
+    def min_rel_slack(self) -> float:
+        """The smallest slack over t > 0 relative to rhs; at t = 0 the slack
+        is 0 by construction."""
+        return float((self.slack[1:] / self.rhs[1:]).min())
+
 
 TRANSPORT_TOLERANCE = 0.01
 

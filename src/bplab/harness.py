@@ -57,16 +57,25 @@ def write_csv(path, header_lines, columns, rows) -> None:
     atomic_write_text(path, "\n".join(out) + "\n")
 
 
-def _json_scalar(obj):
+def _json_plain(obj):
+    """obj with numpy scalars as Python ones, tuples as lists, and each NaN or
+    infinity as None."""
+    if isinstance(obj, dict):
+        return {key: _json_plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_plain(value) for value in obj]
     if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+        obj = obj.item()
+    return None if isinstance(obj, float) and not np.isfinite(obj) else obj
 
 
 def write_json(path, obj) -> None:
-    """Atomically write obj as indented JSON; floats (numpy ones too) are
-    written with repr, so they read back exactly, and tuples become lists."""
-    atomic_write_text(path, json.dumps(obj, indent=1, default=_json_scalar) + "\n")
+    """Atomically write obj as indented, strict (RFC 8259) JSON: floats (numpy
+    ones too) are written with repr, so they read back exactly, and tuples
+    become lists. JSON has no token for a NaN or an infinity, so such a float
+    is written as null; one that reached the encoder would raise ValueError."""
+    text = json.dumps(_json_plain(obj), indent=1, allow_nan=False)
+    atomic_write_text(path, text + "\n")
 
 
 def header_lines(name: str, seed: int, config_path=None) -> list:

@@ -18,6 +18,16 @@ the kc columns. For a divergence-free u in 2D,
 (Basdevant, J. Comput. Phys. 50 (1983) 209), so a stage takes two inverse and
 two forward transforms. The CFL check reads stage 1's velocity samples, the
 dealiased velocity, so no step transforms the whole half spectrum.
+
+run steps in one _Workspace, made once per run: the transforms write through
+out=, the stage sums through in-place ufuncs, and every ufunc operand is a
+contiguous block (numpy copies a strided or broadcast one into a fresh
+buffer), so a step allocates no array and its time does not hang on the
+heap's page faults. Each complex product is
+written in the order of its formula (E(dt/2) first in E(dt/2)(w + dt/2 k1)):
+a SIMD complex multiply can round a*b and b*a differently in the last bit, so
+a fixed operand order keeps the step's bits independent of how numpy would
+have evaluated the expression.
 """
 
 from __future__ import annotations
@@ -198,7 +208,8 @@ def dealias(f: SpectralField2D) -> SpectralField2D:
 @dataclass(frozen=True)
 class _BlockOperators:
     """Multipliers on the kept block of the half spectrum, all read-only and
-    zero on the rows that the 2/3 rule drops."""
+    zero on the rows that the 2/3 rule drops. They are stored complex, so a
+    product with modes casts no operand through a buffer."""
 
     kc: int                  # kept columns, n//3 + 1
     velocity: np.ndarray     # (2, n, kc): Biot-Savart (u1hat, u2hat) per unit what
@@ -215,29 +226,61 @@ def _block_operators(grid: Grid2D) -> _BlockOperators:
         kc=kc,
         velocity=np.stack(_velocity_modes(mask, ops))[..., :kc].copy(),
         basdevant=(ops.inverse_scale * mask
-                   * np.stack((k1 * k2, k1 ** 2 - k2 ** 2)))[..., :kc].copy())
+                   * np.stack((k1 * k2, k1 ** 2 - k2 ** 2)))[..., :kc].astype(complex))
     blk.velocity.flags.writeable = False
     blk.basdevant.flags.writeable = False
     return blk
 
 
-def _block_velocity(w: np.ndarray, blk: _BlockOperators) -> np.ndarray:
+@dataclass(frozen=True)
+class _Workspace:
+    """The buffers of one Lawson RK4 step on the kept block; each step
+    writes into them, so it allocates nothing."""
+
+    w: np.ndarray            # (n, kc): the block of the step's vorticity, contiguous
+    spec: np.ndarray         # (2, n, kc): velocity modes, then the Basdevant pair
+    u: np.ndarray            # (2, n, n): unscaled velocity samples (u1, u2)
+    prod: np.ndarray         # (2, n, n): the products (u2^2 - u1^2, u1 u2)
+    rows: np.ndarray         # (2, n, n//2 + 1): the products' rfft along the rows
+    k: np.ndarray            # (4, n, kc): the slopes k1 .. k4
+    stage: np.ndarray        # (2, n, kc): the stage inputs and the increment's sums
+
+
+def _workspace(grid: Grid2D) -> _Workspace:
+    n, kc = grid.n, grid.n // 3 + 1
+    return _Workspace(w=np.empty((n, kc), dtype=complex),
+                      spec=np.empty((2, n, kc), dtype=complex), u=np.empty((2, n, n)),
+                      prod=np.empty((2, n, n)), rows=np.empty((2, n, n // 2 + 1), dtype=complex),
+                      k=np.empty((4, n, kc), dtype=complex),
+                      stage=np.empty((2, n, kc), dtype=complex))
+
+
+def _block_velocity(w: np.ndarray, blk: _BlockOperators, ws: _Workspace) -> np.ndarray:
     """Unscaled samples (u1, u2) of the velocity of the block vorticity modes
-    `w`, by the pruned inverse."""
-    return np.fft.irfft(np.fft.ifft(blk.velocity * w, axis=-2), n=w.shape[0], axis=-1)
+    `w`, by the pruned inverse, in ws.u."""
+    for c in range(2):        # numpy would copy w, broadcast over c, into a fresh buffer
+        np.multiply(blk.velocity[c], w, out=ws.spec[c])
+    np.fft.ifft(ws.spec, axis=-2, out=ws.spec)
+    return np.fft.irfft(ws.spec, n=w.shape[0], axis=-1, out=ws.u)
 
 
-def _advection(u: np.ndarray, blk: _BlockOperators) -> np.ndarray:
+def _advection(u: np.ndarray, blk: _BlockOperators, ws: _Workspace,
+               out: np.ndarray) -> np.ndarray:
     """Block coefficients of -u.grad omega, alias-free by the 2/3 rule, for
-    the unscaled block velocity samples `u`: in the Basdevant form,
+    the unscaled block velocity samples `u`, in `out`: in the Basdevant form,
     inverse_scale (xi1 xi2 Ahat + (xi1^2 - xi2^2) Bhat) with A = u2^2 - u1^2
     and B = u1 u2."""
     u1, u2 = u
-    prod = np.empty(u.shape)
-    np.subtract(u2 * u2, u1 * u1, out=prod[0])
+    prod = ws.prod
+    np.multiply(u2, u2, out=prod[0])
+    np.multiply(u1, u1, out=prod[1])
+    np.subtract(prod[0], prod[1], out=prod[0])
     np.multiply(u1, u2, out=prod[1])
-    a, b = np.fft.fft(np.fft.rfft(prod, axis=-1)[..., :blk.kc], axis=-2)
-    return blk.basdevant[0] * a + blk.basdevant[1] * b
+    np.fft.rfft(prod, axis=-1, out=ws.rows)
+    a, b = np.fft.fft(ws.rows[..., :blk.kc], axis=-2, out=ws.spec)
+    np.multiply(blk.basdevant[0], a, out=out)
+    np.multiply(blk.basdevant[1], b, out=a)
+    return np.add(out, a, out=out)
 
 
 def nonlinear_term(omega: SpectralField2D) -> SpectralField2D:
@@ -245,8 +288,9 @@ def nonlinear_term(omega: SpectralField2D) -> SpectralField2D:
     require_mean_zero(omega)
     g = omega.grid
     blk = _block_operators(g)
+    ws = _workspace(g)
     out = np.zeros(g.half_shape, dtype=complex)
-    out[:, :blk.kc] = _advection(_block_velocity(omega.modes[:, :blk.kc], blk), blk)
+    _advection(_block_velocity(omega.modes[:, :blk.kc], blk, ws), blk, ws, out[:, :blk.kc])
     return SpectralField2D(g, out)
 
 
@@ -265,42 +309,70 @@ def profile_from_omega(omega: SpectralField2D, t: float, beta: float) -> Profile
 
 @functools.lru_cache(maxsize=4)
 def _phase_ratios(grid: Grid2D, beta: float, dt: float):
-    """E(dt/2) and E(dt) on the half spectrum, E(s) = exp(-i beta s xi1/|xi|^2):
-    the factors of the Lawson stages and step."""
+    """E(dt/2) and E(dt), E(s) = exp(-i beta s xi1/|xi|^2), the factors of the
+    Lawson stages and step: on the half spectrum, and copied contiguous on
+    the kept block, since numpy copies a strided operand of a ufunc into a
+    freshly allocated buffer."""
     sym = grid_operators(grid).symbol
     ratios = np.exp(-1j * beta * np.multiply.outer((0.5 * dt, dt), sym))
-    ratios.flags.writeable = False
-    return ratios
+    block = ratios[..., :_block_operators(grid).kc].copy()
+    ratios.flags.writeable = block.flags.writeable = False
+    return ratios, block
 
 
-def _lawson_increment(w: np.ndarray, cfg: SimConfig) -> np.ndarray:
+def _lawson_increment(w: np.ndarray, cfg: SimConfig, ws: _Workspace) -> np.ndarray:
     """The block increment D of one Lawson RK4 step of the vorticity modes w,
     whose result is E(dt) w + D on the block, with N(v) the _advection of
     _block_velocity(v):
         k1 = N(w),                    k2 = N(E(dt/2)(w + dt/2 k1)),
         k3 = N(E(dt/2) w + dt/2 k2),  k4 = N(E(dt) w + dt E(dt/2) k3),
         D = dt/6 (E(dt) k1 + 2 E(dt/2)(k2 + k3) + k4).
-    The stages keep the mean mode of w, since the Basdevant symbols vanish
-    there. The advective bound reads stage 1's velocity samples, so its speed
-    is the sup of the dealiased velocity of w: the modes that the 2/3 rule
-    drops enter no stage. Raises StabilityError when dt violates it.
+    Every stage is formed in the buffers of `ws`, from the block of w copied
+    into ws.w, and D is returned in one of them. The stages keep the mean
+    mode of w, since the Basdevant symbols vanish there. The advective bound
+    reads stage 1's velocity samples, so its speed is the sup of the
+    dealiased velocity of w: the modes that the 2/3 rule drops enter no
+    stage. Raises StabilityError when dt violates it.
     """
     g, dt = cfg.grid, cfg.dt
     blk = _block_operators(g)
-    e_half, e_one = _phase_ratios(g, cfg.beta, dt)[..., :blk.kc]
-    w = w[:, :blk.kc]
-    u = _block_velocity(w, blk)
-    speed = grid_operators(g).inverse_scale * float(np.sqrt((u[0] ** 2 + u[1] ** 2).max()))
+    e_half, e_one = _phase_ratios(g, cfg.beta, dt)[1]
+    np.copyto(ws.w, w[:, :blk.kc])
+    w = ws.w
+    k1, k2, k3, k4 = ws.k
+    s, v = ws.stage
+
+    def slope(stage_input, out):
+        return _advection(_block_velocity(stage_input, blk, ws), blk, ws, out)
+
+    u = _block_velocity(w, blk, ws)
+    sq = ws.prod
+    np.multiply(u[0], u[0], out=sq[0])
+    np.multiply(u[1], u[1], out=sq[1])
+    speed = grid_operators(g).inverse_scale * float(np.sqrt(np.add(*sq, out=sq[0]).max()))
     if speed > 0:
         bound = 0.5 * g.dx / speed
         if dt > bound:
             raise StabilityError(
                 f"dt={dt} violates advective bound {bound:.3e}", suggested_dt=0.5 * bound)
-    k1 = _advection(u, blk)
-    k2 = _advection(_block_velocity(e_half * (w + 0.5 * dt * k1), blk), blk)
-    k3 = _advection(_block_velocity(e_half * w + 0.5 * dt * k2, blk), blk)
-    k4 = _advection(_block_velocity(e_one * w + dt * e_half * k3, blk), blk)
-    return dt / 6.0 * (e_one * k1 + 2.0 * e_half * (k2 + k3) + k4)
+    _advection(u, blk, ws, k1)
+    np.multiply(0.5 * dt, k1, out=s)
+    np.add(w, s, out=s)
+    slope(np.multiply(e_half, s, out=v), k2)        # E(dt/2)(w + dt/2 k1)
+    np.multiply(0.5 * dt, k2, out=s)
+    np.multiply(e_half, w, out=v)
+    slope(np.add(v, s, out=v), k3)                  # E(dt/2) w + dt/2 k2
+    np.multiply(dt, e_half, out=s)
+    np.multiply(s, k3, out=v)
+    np.multiply(e_one, w, out=s)
+    slope(np.add(s, v, out=v), k4)                  # E(dt) w + (dt E(dt/2)) k3
+    np.add(k2, k3, out=k2)
+    np.multiply(2.0, e_half, out=s)
+    np.multiply(s, k2, out=v)
+    np.multiply(e_one, k1, out=s)
+    np.add(s, v, out=s)
+    np.add(s, k4, out=s)
+    return np.multiply(dt / 6.0, s, out=v)
 
 
 def step(state: SimState, cfg: SimConfig) -> SimState:
@@ -314,8 +386,8 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
     if cfg.nonlinear:
         p0 = np.exp(-1j * cfg.beta * state.t * grid_operators(g).symbol)
         kc = _block_operators(g).kc
-        p1 = p0[:, :kc] * _phase_ratios(g, cfg.beta, cfg.dt)[1, :, :kc]
-        fnew[:, :kc] += np.conj(p1) * _lawson_increment(f0 * p0, cfg)
+        p1 = p0[:, :kc] * _phase_ratios(g, cfg.beta, cfg.dt)[1][1]
+        fnew[:, :kc] += np.conj(p1) * _lawson_increment(f0 * p0, cfg, _workspace(g))
     fnew[0, 0] = 0.0
     t = state.t + cfg.dt
     return SimState(t=t, profile=Profile(SpectralField2D(g, fnew), t))
@@ -400,15 +472,18 @@ def run(cfg: SimConfig, dump_path=None) -> RunResult:
     """Integrate to t_end, emitting a NormReport every output_stride steps.
 
     A step is w <- E(dt) w plus the Lawson increment on the block of the
-    vorticity modes w; the profile is formed at reports only. Aborts cleanly
-    when |omega|_Linf exceeds 1000x its initial value; on NaN the last good
-    vorticity is dumped to dump_path (when given) and the run is marked
-    aborted.
+    vorticity modes w, formed in one workspace and written into a second
+    half-spectrum buffer, which then swaps with w; the profile is formed at
+    reports only. Aborts cleanly when |omega|_Linf exceeds 1000x its initial
+    value; on NaN the last good vorticity is dumped to dump_path (when given)
+    and the run is marked aborted.
     """
     g = cfg.grid
     kc = _block_operators(g).kc
-    e_one = _phase_ratios(g, cfg.beta, cfg.dt)[1]
+    e_one = _phase_ratios(g, cfg.beta, cfg.dt)[0][1]
+    ws = _workspace(g)
     w = initial_vorticity(cfg).modes
+    w_next = np.empty_like(w)
     reports, checkpoints = [], []
 
     def record(t):
@@ -420,10 +495,14 @@ def run(cfg: SimConfig, dump_path=None) -> RunResult:
     linf0 = record(0.0)
     reason = ""
     for i in range(1, cfg.n_steps + 1):
-        w_next = e_one * w
+        np.multiply(e_one, w, out=w_next)
         try:
             if cfg.nonlinear:
-                w_next[:, :kc] += _lawson_increment(w, cfg)
+                inc = _lawson_increment(w, cfg, ws)
+                # summed in the contiguous ws.w: numpy would copy the strided
+                # block of w_next into a fresh buffer
+                np.copyto(ws.w, w_next[:, :kc])
+                w_next[:, :kc] = np.add(ws.w, inc, out=ws.w)
         except StabilityError as exc:
             reason = f"stability: {exc} (try dt={exc.suggested_dt:.3e})"
             break
@@ -432,7 +511,7 @@ def run(cfg: SimConfig, dump_path=None) -> RunResult:
                 write_field(dump_path, transform_inverse(SpectralField2D(g, w)))
             reason = f"NaN at step {i}"
             break
-        w = w_next
+        w, w_next = w_next, w
         if i % cfg.output_stride == 0 or i == cfg.n_steps:
             t = i * cfg.dt            # whole steps, not a running sum of dt
             if record(t) > 1e3 * linf0 and linf0 > 0:

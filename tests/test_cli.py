@@ -519,6 +519,25 @@ class TestReproduceAll:
             assert isinstance(rec["seconds"], float)
         assert not [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
 
+    def test_sidecar_is_strict_json(self, tmp_path, monkeypatch):
+        # criterion 7 reports ids without a ratio with a NaN empirical_constant;
+        # the sidecar writes it, and any infinity, as null
+        def criterion(seed=0):
+            details = {"a": {"violations": 0, "empirical_constant": np.float64("nan")},
+                       "range": (0.5, float("nan")), "c": {2: np.inf}}
+            return acceptance.CriterionResult(1, "non-finite details", True, details)
+
+        def refuse(token):
+            raise ValueError(f"bare {token} in the sidecar")
+
+        monkeypatch.setattr(acceptance, "ALL_CRITERIA", [criterion])
+        out = str(tmp_path / "rep.csv")
+        assert main(["reproduce-all", "--out", out]) == EXIT_OK
+        with open(out + ".json") as fh:
+            records = json.loads(fh.read(), parse_constant=refuse)
+        assert records[0]["details"] == {"a": {"violations": 0, "empirical_constant": None},
+                                         "range": [0.5, None], "c": {"2": None}}
+
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
     def test_output_mode_follows_umask(self, tmp_path, umask, mode):
         out = str(tmp_path / "rep.csv")

@@ -128,6 +128,16 @@ class TestTransportCheck:
         assert rep.ok
         assert rep.slack.min() >= -diagnostics.TRANSPORT_TOLERANCE * rep.lhs.max()
 
+    def test_min_rel_slack_skips_t0(self):
+        # the slack at t = 0 is 0 by construction; every later one is positive
+        # here, and so is the smallest of them relative to rhs
+        cfg = SimConfig(n=64, box_length=40.0, beta=1.0, dt=0.05, t_end=3.0,
+                        eps=0.5, init="pair", output_stride=10)
+        rep = linfty_transport_check(run(cfg))
+        assert rep.slack[0] == 0.0 and np.all(rep.slack[1:] > 0)
+        assert rep.min_rel_slack == min(rep.slack[1:] / rep.rhs[1:])
+        assert rep.min_rel_slack > 0
+
     @pytest.mark.parametrize("beta", [1.3, -0.7])
     def test_forcing_is_beta_L1_omega(self, beta, monkeypatch):
         # the integrated forcing is |beta L1 omega|_Linf at each checkpoint,

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -448,9 +450,10 @@ class TestRunAgainstStep:
                         output_stride=1)
         advection, calls = solver._advection, []
 
-        def poisoned(w, blk):
+        def poisoned(u, blk, ws, out):
             calls.append(1)
-            return advection(w, blk) * (np.nan if len(calls) > 12 else 1.0)
+            advection(u, blk, ws, out)
+            return np.multiply(out, np.nan if len(calls) > 12 else 1.0, out=out)
 
         monkeypatch.setattr(solver, "_advection", poisoned)
         path = tmp_path / "dump.bpf"
@@ -460,6 +463,75 @@ class TestRunAgainstStep:
         assert t == 3 * cfg.dt
         want = transform_inverse(omega_from_profile(prof, cfg.beta)).samples
         assert rel_err(read_field(path).samples, want) <= 1e-14
+
+
+def expression_increment(w, cfg):
+    """The Lawson increment written as numpy expressions, each of which
+    allocates its result: the oracle of the workspace form."""
+    g, dt = cfg.grid, cfg.dt
+    blk = solver._block_operators(g)
+    e_half, e_one = solver._phase_ratios(g, cfg.beta, dt)[0][..., :blk.kc]
+
+    def slope(v):
+        u1, u2 = np.fft.irfft(np.fft.ifft(blk.velocity * v, axis=-2), n=g.n, axis=-1)
+        a, b = np.fft.fft(np.fft.rfft(np.stack((u2 * u2 - u1 * u1, u1 * u2)),
+                                      axis=-1)[..., :blk.kc], axis=-2)
+        return blk.basdevant[0] * a + blk.basdevant[1] * b
+
+    w = w[:, :blk.kc]
+    k1 = slope(w)
+    k2 = slope(e_half * (w + 0.5 * dt * k1))
+    k3 = slope(e_half * w + 0.5 * dt * k2)
+    k4 = slope(e_one * w + dt * e_half * k3)
+    return dt / 6.0 * (e_one * k1 + 2.0 * e_half * (k2 + k3) + k4)
+
+
+class TestWorkspace:
+    """run steps in one workspace: the increment is formed in its buffers,
+    with each complex product in the order of the formula."""
+
+    @staticmethod
+    def increment(n, init, seed=0):
+        cfg = SimConfig(n=n, box_length=50.0, beta=1.3, dt=0.01, init="pair", eps=0.5)
+        w = initial_vorticity(cfg) if init == "pair" else random_vorticity(n, 50.0, seed)
+        ws = solver._workspace(cfg.grid)
+        return solver._lawson_increment(w.modes, cfg, ws), expression_increment(w.modes, cfg)
+
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("init", ["pair", "random"])
+    def test_bitwise_equal_to_expressions(self, n, init):
+        got, expect = self.increment(n, init)
+        assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("init", ["pair", "random"])
+    def test_close_to_expressions_at_256(self, init):
+        # above 256 KiB numpy may elide a temporary of e_half * (w + ...) and
+        # multiply in the other order, which can round the last bit apart
+        got, expect = self.increment(256, init)
+        assert rel_err(got, expect) <= 1e-13
+
+    def test_warm_increment_allocates_nothing(self):
+        n = 64
+        cfg = SimConfig(n=n, box_length=50.0, beta=1.3, dt=0.01, init="pair", eps=0.5)
+        w = initial_vorticity(cfg).modes
+        ws = solver._workspace(cfg.grid)
+        solver._lawson_increment(w, cfg, ws)
+        tracemalloc.start()
+        try:
+            solver._lawson_increment(w, cfg, ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * (n // 3 + 1) * np.dtype(complex).itemsize
+
+    def test_checkpoints_share_no_memory(self):
+        # the run's two half-spectrum buffers swap every step; no result holds them
+        cfg = SimConfig(n=32, box_length=10.0, dt=0.05, t_end=0.5, eps=0.5, init="pair",
+                        output_stride=1)
+        res = run(cfg)
+        arrays = [prof.field.modes for _, prof in res.checkpoints]
+        assert len(arrays) == 11
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
 
 
 def c2c_samples(modes, g):

@@ -8,6 +8,7 @@ substreams, so verdicts are deterministic per seed.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -41,93 +42,97 @@ class CriterionResult:
         return f"criterion {self.index:2d} [{verdict}] {self.name} ({self.elapsed:.1f}s)"
 
 
-def _timed(index, name, fn):
-    t0 = time.perf_counter()
-    passed, details = fn()
-    return CriterionResult(index, name, bool(passed), details, time.perf_counter() - t0)
+def _criterion(index, name):
+    """Make fn(seed) -> (passed, details) acceptance criterion `index`, titled
+    `name`: called with a seed, it returns the CriterionResult, timed."""
+    def wrap(fn):
+        @functools.wraps(fn)
+        def timed(seed=0):
+            t0 = time.perf_counter()
+            passed, details = fn(seed)
+            return CriterionResult(index, name, bool(passed), details, time.perf_counter() - t0)
+        return timed
+    return wrap
 
 
+@_criterion(1, "linear dispersive decay")
 def criterion_1(seed=0):
     """Linear dispersive decay of unit-shell data: exponent near -1 and a
     grid-stable empirical constant."""
-    def body():
-        times = np.geomspace(10.0, 100.0, 8)
-        fit_hi = propagator.decay_curve(shell_field(Grid2D(512, 200.0)), times)
-        fit_lo = propagator.decay_curve(shell_field(Grid2D(256, 200.0)), times)
-        stable = abs(fit_hi.c_emp - fit_lo.c_emp) <= 0.2 * fit_hi.c_emp
-        ok = (-1.15 <= fit_hi.exponent <= -0.85) and np.isfinite(fit_hi.c_emp) and stable
-        return ok, {"exponent": fit_hi.exponent, "c_emp": fit_hi.c_emp,
-                    "c_emp_coarse": fit_lo.c_emp}
-    return _timed(1, "linear dispersive decay", body)
+    times = np.geomspace(10.0, 100.0, 8)
+    fit_hi = propagator.decay_curve(shell_field(Grid2D(512, 200.0)), times)
+    fit_lo = propagator.decay_curve(shell_field(Grid2D(256, 200.0)), times)
+    stable = abs(fit_hi.c_emp - fit_lo.c_emp) <= 0.2 * fit_hi.c_emp
+    ok = (-1.15 <= fit_hi.exponent <= -0.85) and np.isfinite(fit_hi.c_emp) and stable
+    return ok, {"exponent": fit_hi.exponent, "c_emp": fit_hi.c_emp,
+                "c_emp_coarse": fit_lo.c_emp}
 
 
+@_criterion(2, "stationary phase")
 def criterion_2(seed=0):
     """Stationary phase: root count, gradient residuals, Hessian determinant."""
-    def body():
-        rng = substream(seed, "stphase")
-        r = np.sqrt(rng.uniform(0.01, 400.0, 100_000))
-        th = rng.uniform(-np.pi, np.pi, 100_000)
-        vs = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
-        roots, found = propagator.stationary_roots(vs)
-        max_count = int(found.sum(-1).max())
-        grad = propagator.phase_gradient(vs[:, None, :], roots)
-        res = np.sqrt(np.vecdot(grad, grad))     # np.linalg.norm of each 2-vector
-        worst_res = float(res[found].max(initial=0.0))
-        # closed-form determinant vs finite differences at shell points
-        fd_worst = 0.0
-        for _ in range(100):
-            xi = rng.uniform(-2, 2, 2)
-            if np.linalg.norm(xi) < 0.3:
-                continue
-            det = np.linalg.det(-propagator.symbol_hess(xi))
-            ref = propagator.hessian_det(xi)
-            fd_worst = max(fd_worst, abs(det - ref) / abs(ref))
-            eps = 1e-5
-            fd = np.zeros((2, 2))
-            for a in range(2):
-                e = np.zeros(2)
-                e[a] = eps
-                fd[:, a] = (propagator.phase_gradient((0, 0), xi + e)
-                            - propagator.phase_gradient((0, 0), xi - e)) / (2 * eps)
-            fd_worst = max(fd_worst, abs(np.linalg.det(fd) - ref) / abs(ref))
-        ok = max_count <= 4 and worst_res < 1e-10 and fd_worst < 1e-6
-        return ok, {"max_count": max_count, "worst_residual": worst_res,
-                    "det_worst_rel": fd_worst}
-    return _timed(2, "stationary phase", body)
+    rng = substream(seed, "stphase")
+    r = np.sqrt(rng.uniform(0.01, 400.0, 100_000))
+    th = rng.uniform(-np.pi, np.pi, 100_000)
+    vs = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
+    roots, found = propagator.stationary_roots(vs)
+    max_count = int(found.sum(-1).max())
+    grad = propagator.phase_gradient(vs[:, None, :], roots)
+    res = np.sqrt(np.vecdot(grad, grad))     # np.linalg.norm of each 2-vector
+    worst_res = float(res[found].max(initial=0.0))
+    # closed-form determinant vs finite differences at shell points
+    fd_worst = 0.0
+    for _ in range(100):
+        xi = rng.uniform(-2, 2, 2)
+        if np.linalg.norm(xi) < 0.3:
+            continue
+        det = np.linalg.det(-propagator.symbol_hess(xi))
+        ref = propagator.hessian_det(xi)
+        fd_worst = max(fd_worst, abs(det - ref) / abs(ref))
+        eps = 1e-5
+        fd = np.zeros((2, 2))
+        for a in range(2):
+            e = np.zeros(2)
+            e[a] = eps
+            fd[:, a] = (propagator.phase_gradient((0, 0), xi + e)
+                        - propagator.phase_gradient((0, 0), xi - e)) / (2 * eps)
+        fd_worst = max(fd_worst, abs(np.linalg.det(fd) - ref) / abs(ref))
+    ok = max_count <= 4 and worst_res < 1e-10 and fd_worst < 1e-6
+    return ok, {"max_count": max_count, "worst_residual": worst_res,
+                "det_worst_rel": fd_worst}
 
 
+@_criterion(3, "L2 conservation")
 def criterion_3(seed=0):
     """Conservation of |omega|_L2 and |u|_L2 for beta in {0, 1}, plus the
     discrete energy bracket."""
-    def body():
-        details = {}
-        ok = True
-        for beta in (0.0, 1.0):
-            cfg = solver.SimConfig(n=256, box_length=50.0, beta=beta, dt=0.05,
-                                   t_end=10.0, eps=0.5, init="gaussian",
-                                   output_stride=20)
-            res = solver.run(cfg)
-            if res.aborted:
-                return False, {"abort": res.abort_reason}
-            w_drift = _rel_spread([r.l2 for r in res.reports])
-            u_l2 = []
-            bracket = 0.0
-            for t, prof in res.checkpoints:
-                omega = solver.omega_from_profile(prof, beta)
-                u1h, u2h = solver.biot_savart(omega)
-                u_l2.append(np.hypot(l2_norm(u1h), l2_norm(u2h)))
-                nl = solver.nonlinear_term(omega)
-                wd = solver.dealias(omega)
-                weight = grid_operators(omega.grid).weight
-                num = abs(float(np.sum(weight * nl.modes * np.conj(wd.modes)).real))
-                den = float(np.sum(weight * np.abs(wd.modes) ** 2))
-                bracket = max(bracket, num / den if den > 0 else 0.0)
-            u_drift = _rel_spread(u_l2)
-            details[f"beta={beta:g}"] = {"w_drift": w_drift, "u_drift": u_drift,
-                                         "bracket": bracket}
-            ok = ok and w_drift < 1e-8 and u_drift < 1e-8 and bracket < 1e-10
-        return ok, details
-    return _timed(3, "L2 conservation", body)
+    details = {}
+    ok = True
+    for beta in (0.0, 1.0):
+        cfg = solver.SimConfig(n=256, box_length=50.0, beta=beta, dt=0.05,
+                               t_end=10.0, eps=0.5, init="gaussian",
+                               output_stride=20)
+        res = solver.run(cfg)
+        if res.aborted:
+            return False, {"abort": res.abort_reason}
+        w_drift = _rel_spread([r.l2 for r in res.reports])
+        u_l2 = []
+        bracket = 0.0
+        for t, prof in res.checkpoints:
+            omega = solver.omega_from_profile(prof, beta)
+            u1h, u2h = solver.biot_savart(omega)
+            u_l2.append(np.hypot(l2_norm(u1h), l2_norm(u2h)))
+            nl = solver.nonlinear_term(omega)
+            wd = solver.dealias(omega)
+            weight = grid_operators(omega.grid).weight
+            num = abs(float(np.sum(weight * nl.modes * np.conj(wd.modes)).real))
+            den = float(np.sum(weight * np.abs(wd.modes) ** 2))
+            bracket = max(bracket, num / den if den > 0 else 0.0)
+        u_drift = _rel_spread(u_l2)
+        details[f"beta={beta:g}"] = {"w_drift": w_drift, "u_drift": u_drift,
+                                     "bracket": bracket}
+        ok = ok and w_drift < 1e-8 and u_drift < 1e-8 and bracket < 1e-10
+    return ok, details
 
 
 def _rel_spread(values):
@@ -135,86 +140,91 @@ def _rel_spread(values):
     return float((values.max() - values.min()) / values[0])
 
 
+@_criterion(4, "energy certificate")
 def criterion_4(seed=0):
     """Energy certificate: finite fitted constants for k = 2, 3, 4 whose
     consecutive ratios respect the 4^k scaling within two orders."""
-    def body():
-        cfg = solver.SimConfig(n=128, box_length=50.0, beta=1.0, dt=0.02,
-                               t_end=4.0, eps=1.5, init="pair", output_stride=20)
+    cfg = solver.SimConfig(n=128, box_length=50.0, beta=1.0, dt=0.02,
+                           t_end=4.0, eps=1.5, init="pair", output_stride=20)
+    res = solver.run(cfg)
+    if res.aborted:
+        return False, {"abort": res.abort_reason}
+    cs = {}
+    ok = True
+    for k in (2, 3, 4):
+        cert = diagnostics.energy_certificate(res, k)
+        cs[k] = cert.c
+        ok = ok and cert.valid and np.isfinite(cert.c)
+    ratios = {f"c({k + 1})/c({k})": cs[k + 1] / cs[k] for k in (2, 3)}
+    for r in ratios.values():
+        ok = ok and 0.25 <= r <= 64.0
+    return ok, {"c": cs, **ratios}
+
+
+@_criterion(5, "small-data longevity trend")
+def criterion_5(seed=0):
+    """Longevity trend: as epsilon shrinks, the doubling time of |omega|_H4 is
+    nondecreasing and its peak excess over |omega(0)|_H4 nonincreasing;
+    weighted profile norms bounded at the smallest epsilon."""
+    t_doubles, censored, excess = [], [], []
+    details = {}
+    last = None
+    epsilons = (0.2, 0.1, 0.05)
+    for eps in epsilons:
+        # radial data: a self-propelling dipole would carry its x-weight
+        # toward the box boundary and swamp the profile norms; the narrow
+        # width keeps that weight well inside the box over the whole run
+        cfg = solver.SimConfig(n=128, box_length=50.0, beta=1.0, dt=0.05,
+                               t_end=50.0, eps=eps, init="gaussian",
+                               init_width=2.5, k_energy=4, output_stride=20)
         res = solver.run(cfg)
         if res.aborted:
-            return False, {"abort": res.abort_reason}
-        cs = {}
-        ok = True
-        for k in (2, 3, 4):
-            cert = diagnostics.energy_certificate(res, k)
-            cs[k] = cert.c
-            ok = ok and cert.valid and np.isfinite(cert.c)
-        ratios = {f"c({k + 1})/c({k})": cs[k + 1] / cs[k] for k in (2, 3)}
-        for r in ratios.values():
-            ok = ok and 0.25 <= r <= 64.0
-        return ok, {"c": cs, **ratios}
-    return _timed(4, "energy certificate", body)
+            return False, {"abort": res.abort_reason, "eps": eps}
+        ts = [r.t for r in res.reports]
+        hks = [r.hk for r in res.reports]
+        t_doubles.append(diagnostics.doubling_time(ts, hks, t_end=cfg.t_end))
+        censored.append(max(hks) < 2.0 * hks[0])     # doubling_time found no doubling
+        excess.append(max(hks) / hks[0] - 1.0)
+        last = res
+    monotone = all(t_doubles[i] <= t_doubles[i + 1] + 1e-9 for i in range(2))
+    shrinking = all(excess[i + 1] <= excess[i] for i in range(2))
+    order = (float(np.polyfit(np.log(epsilons), np.log(excess), 1)[0])
+             if min(excess) > 0 else np.nan)
+    rows = diagnostics.weighted_norm_series(last)
+    w2 = [r["weighted2"] for r in rows]
+    w3 = [r["weighted3"] for r in rows]
+    s2 = [r["fhat_sup2"] for r in rows]
+    bounded = all(max(series) <= 4.0 * series[0]
+                  for series in (w2, w3, s2) if series[0] > 0)
+    details.update({"t_double": t_doubles, "censored": censored, "monotone": monotone,
+                    "h4_excess": excess, "excess_order": order,
+                    "w2_growth": max(w2) / w2[0], "w3_growth": max(w3) / w3[0],
+                    "s2_growth": max(s2) / s2[0]})
+    return monotone and shrinking and bounded, details
 
 
-def criterion_5(seed=0):
-    """Longevity trend: doubling time of |omega|_H4 nondecreasing as epsilon
-    shrinks; weighted profile norms bounded at the smallest epsilon."""
-    def body():
-        t_doubles = []
-        details = {}
-        last = None
-        for eps in (0.2, 0.1, 0.05):
-            # radial data: a self-propelling dipole would carry its x-weight
-            # toward the box boundary and swamp the profile norms; the narrow
-            # width keeps that weight well inside the box over the whole run
-            cfg = solver.SimConfig(n=128, box_length=50.0, beta=1.0, dt=0.05,
-                                   t_end=50.0, eps=eps, init="gaussian",
-                                   init_width=2.5, k_energy=4, output_stride=20)
-            res = solver.run(cfg)
-            if res.aborted:
-                return False, {"abort": res.abort_reason, "eps": eps}
-            ts = [r.t for r in res.reports]
-            hks = [r.hk for r in res.reports]
-            t_doubles.append(diagnostics.doubling_time(ts, hks, t_end=cfg.t_end))
-            last = res
-        monotone = all(t_doubles[i] <= t_doubles[i + 1] + 1e-9 for i in range(2))
-        rows = diagnostics.weighted_norm_series(last)
-        w2 = [r["weighted2"] for r in rows]
-        w3 = [r["weighted3"] for r in rows]
-        s2 = [r["fhat_sup2"] for r in rows]
-        bounded = all(max(series) <= 4.0 * series[0]
-                      for series in (w2, w3, s2) if series[0] > 0)
-        details.update({"t_double": t_doubles, "monotone": monotone,
-                        "w2_growth": max(w2) / w2[0], "w3_growth": max(w3) / w3[0],
-                        "s2_growth": max(s2) / s2[0]})
-        return monotone and bounded, details
-    return _timed(5, "small-data longevity trend", body)
-
-
+@_criterion(6, "resonance identities")
 def criterion_6(seed=0):
     """Resonance identities at 1e6 random pairs, evaluated in slices of
     resonance.CHUNK pairs."""
-    def body():
-        rng = substream(seed, "resonance-identities")
-        n = 1_000_000
-        xi = resonance.annulus(rng, n)
-        eta = resonance.annulus(rng, n)
-        keep = resonance.norm(xi - eta) > 1e-9
-        xi, eta = xi[keep], eta[keep]
-        chunk = resonance.CHUNK
-        errs = [_identity_errors(xi[s:s + chunk], eta[s:s + chunk])
-                for s in range(0, len(xi), chunk)]
-        sym_err, mag_err, harm = (max(col) for col in zip(*errs))
-        lam = rng.uniform(0.1, 10.0, 1000) * np.where(rng.uniform(size=1000) < 0.5, 1, -1)
-        spacetime = resonance.resonance_probe(lam)
-        res_phase = float(np.max(spacetime["abs_phase"]))
-        res_grad = float(np.max(spacetime["grad_eta_norm"]))
-        ok = sym_err < 1e-12 and mag_err < 1e-12 and harm < 1e-12 and \
-            res_phase == 0.0 and res_grad == 0.0
-        return ok, {"sym_err": sym_err, "mag_err": mag_err, "harmonicity": harm,
-                    "resonance_phase": res_phase, "resonance_grad": res_grad}
-    return _timed(6, "resonance identities", body)
+    rng = substream(seed, "resonance-identities")
+    n = 1_000_000
+    xi = resonance.annulus(rng, n)
+    eta = resonance.annulus(rng, n)
+    keep = resonance.norm(xi - eta) > 1e-9
+    xi, eta = xi[keep], eta[keep]
+    chunk = resonance.CHUNK
+    errs = [_identity_errors(xi[s:s + chunk], eta[s:s + chunk])
+            for s in range(0, len(xi), chunk)]
+    sym_err, mag_err, harm = (max(col) for col in zip(*errs))
+    lam = rng.uniform(0.1, 10.0, 1000) * np.where(rng.uniform(size=1000) < 0.5, 1, -1)
+    spacetime = resonance.resonance_probe(lam)
+    res_phase = float(np.max(spacetime["abs_phase"]))
+    res_grad = float(np.max(spacetime["grad_eta_norm"]))
+    ok = sym_err < 1e-12 and mag_err < 1e-12 and harm < 1e-12 and \
+        res_phase == 0.0 and res_grad == 0.0
+    return ok, {"sym_err": sym_err, "mag_err": mag_err, "harmonicity": harm,
+                "resonance_phase": res_phase, "resonance_grad": res_grad}
 
 
 def _identity_errors(xi, eta):
@@ -240,41 +250,39 @@ def _identity_errors(xi, eta):
     return sym_err, mag_err, harm
 
 
+@_criterion(7, "region-bound certification")
 def criterion_7(seed=0):
     """Region-bound certification (a)-(f) at 1e6 samples each."""
-    def body():
-        reps = {iid: resonance.certify_bound(iid, 1_000_000,
-                                             seed=substream_seed(seed, f"certify-{iid}"))
-                for iid in resonance.INEQUALITY_IDS}
-        details = {iid: {"violations": rep.violations, "worst_margin": rep.worst_margin,
-                         "empirical_constant": rep.empirical_constant}
-                   for iid, rep in reps.items()}
-        # the two-sided claim of id d: its ratio stays in [1/2, 4]
-        lo, hi = reps["d"].constant_min, reps["d"].empirical_constant
-        details["d_ratio_range"] = (lo, hi)
-        ok = all(rep.violations == 0 for rep in reps.values()) and 0.5 <= lo and hi <= 4.0
-        return ok, details
-    return _timed(7, "region-bound certification", body)
+    reps = {iid: resonance.certify_bound(iid, 1_000_000,
+                                         seed=substream_seed(seed, f"certify-{iid}"))
+            for iid in resonance.INEQUALITY_IDS}
+    details = {iid: {"violations": rep.violations, "worst_margin": rep.worst_margin,
+                     "empirical_constant": rep.empirical_constant}
+               for iid, rep in reps.items()}
+    # the two-sided claim of id d: its ratio stays in [1/2, 4]
+    lo, hi = reps["d"].constant_min, reps["d"].empirical_constant
+    details["d_ratio_range"] = (lo, hi)
+    ok = all(rep.violations == 0 for rep in reps.values()) and 0.5 <= lo and hi <= 4.0
+    return ok, details
 
 
+@_criterion(8, "null structure")
 def criterion_8(seed=0):
     """Null structure: single-line spectra annihilate, parallel pairs give
     m = 0, and the pseudo-spectral product matches the convolution oracle."""
-    def body():
-        g = Grid2D(32, 2 * np.pi)
-        modes = np.zeros(g.half_shape, dtype=complex)
-        rng = substream(seed, "null-structure")
-        for j in (1, 2, 3):           # modes on the line through (1, 2)
-            modes[j, 2 * j] = rng.normal() + 1j * rng.normal()
-        line = SpectralField2D(g, modes)
-        nl_line = solver.nonlinear_term(line)
-        line_resid = float(np.abs(nl_line.modes).max()) / float(np.abs(modes).max())
-        m_parallel = resonance.null_form(resonance.FreqPair((2.0, 0.0), (1.0, 0.0)))
-        oracle_err = _convolution_oracle_error(substream(seed, "conv-oracle"))
-        ok = line_resid < 1e-12 and m_parallel == 0.0 and oracle_err < 1e-10
-        return ok, {"line_residual": line_resid, "m_parallel": m_parallel,
-                    "oracle_err": oracle_err}
-    return _timed(8, "null structure", body)
+    g = Grid2D(32, 2 * np.pi)
+    modes = np.zeros(g.half_shape, dtype=complex)
+    rng = substream(seed, "null-structure")
+    for j in (1, 2, 3):           # modes on the line through (1, 2)
+        modes[j, 2 * j] = rng.normal() + 1j * rng.normal()
+    line = SpectralField2D(g, modes)
+    nl_line = solver.nonlinear_term(line)
+    line_resid = float(np.abs(nl_line.modes).max()) / float(np.abs(modes).max())
+    m_parallel = resonance.null_form(resonance.FreqPair((2.0, 0.0), (1.0, 0.0)))
+    oracle_err = _convolution_oracle_error(substream(seed, "conv-oracle"))
+    ok = line_resid < 1e-12 and m_parallel == 0.0 and oracle_err < 1e-10
+    return ok, {"line_residual": line_resid, "m_parallel": m_parallel,
+                "oracle_err": oracle_err}
 
 
 def _convolution_oracle_error(rng):
@@ -312,79 +320,74 @@ def _convolution_oracle_error(rng):
     return float(np.abs(got.modes - expect[:, :5]).max()) / scale
 
 
+@_criterion(9, "scaling symmetry")
 def criterion_9(seed=0):
     """Scaling symmetry: the lambda = 2 rescaled run tracks the rescaled
     reference solution."""
-    def body():
-        lam = 2.0
-        n, L = 256, 50.0
-        cfg_ref = solver.SimConfig(n=n, box_length=L, beta=1.0, dt=0.0125,
-                                   t_end=0.5, eps=1.0, init="gaussian",
-                                   output_stride=10 ** 6)
-        res_ref = solver.run(cfg_ref)
-        if res_ref.aborted:
-            return False, {"abort": res_ref.abort_reason}
-        w0 = transform_inverse(solver.initial_vorticity(cfg_ref))
-        w0_scaled = solver.scaling_transform(w0, lam)
-        cfg_s = solver.SimConfig(n=n, box_length=L, beta=1.0, dt=0.025,
-                                 t_end=1.0, eps=1.0, init="file",
-                                 output_stride=10 ** 6)
-        state = solver.SimState(0.0, solver.profile_from_omega(
-            zero_mean(transform_forward(w0_scaled)), 0.0, cfg_s.beta))
-        for _ in range(cfg_s.n_steps):
-            state = solver.step(state, cfg_s)
-        got = transform_inverse(solver.omega_from_profile(state.profile, cfg_s.beta))
-        t_ref, prof_ref = res_ref.checkpoints[-1]
-        ref = transform_inverse(solver.omega_from_profile(prof_ref, cfg_ref.beta))
-        want = solver.scaling_transform(ref, lam)
-        num = np.linalg.norm(got.samples - want.samples)
-        den = np.linalg.norm(want.samples)
-        rel = float(num / den)
-        return rel < 1e-4, {"rel_l2_err": rel, "t_ref": t_ref}
-    return _timed(9, "scaling symmetry", body)
+    lam = 2.0
+    n, L = 256, 50.0
+    cfg_ref = solver.SimConfig(n=n, box_length=L, beta=1.0, dt=0.0125,
+                               t_end=0.5, eps=1.0, init="gaussian",
+                               output_stride=10 ** 6)
+    res_ref = solver.run(cfg_ref)
+    if res_ref.aborted:
+        return False, {"abort": res_ref.abort_reason}
+    w0 = transform_inverse(solver.initial_vorticity(cfg_ref))
+    w0_scaled = solver.scaling_transform(w0, lam)
+    cfg_s = solver.SimConfig(n=n, box_length=L, beta=1.0, dt=0.025, t_end=1.0)
+    state = solver.SimState(0.0, solver.profile_from_omega(
+        zero_mean(transform_forward(w0_scaled)), 0.0, cfg_s.beta))
+    for _ in range(cfg_s.n_steps):
+        state = solver.step(state, cfg_s)
+    got = transform_inverse(solver.omega_from_profile(state.profile, cfg_s.beta))
+    t_ref, prof_ref = res_ref.checkpoints[-1]
+    ref = transform_inverse(solver.omega_from_profile(prof_ref, cfg_ref.beta))
+    want = solver.scaling_transform(ref, lam)
+    num = np.linalg.norm(got.samples - want.samples)
+    den = np.linalg.norm(want.samples)
+    rel = float(num / den)
+    return rel < 1e-4, {"rel_l2_err": rel, "t_ref": t_ref}
 
 
+@_criterion(10, "transport sup-norm bound")
 def criterion_10(seed=0):
     """Transport a priori bound on a large-data vortex-pair run."""
-    def body():
-        cfg = solver.SimConfig(n=128, box_length=50.0, beta=1.0, dt=0.02,
-                               t_end=20.0, eps=2.0, init="pair", output_stride=50)
-        res = solver.run(cfg)
-        if res.aborted:
-            return False, {"abort": res.abort_reason}
-        rep = diagnostics.linfty_transport_check(res)
-        return rep.ok, {"min_rel_slack": rep.min_rel_slack,
-                        "final_lhs": float(rep.lhs[-1]), "final_rhs": float(rep.rhs[-1])}
-    return _timed(10, "transport sup-norm bound", body)
+    cfg = solver.SimConfig(n=128, box_length=50.0, beta=1.0, dt=0.02,
+                           t_end=20.0, eps=2.0, init="pair", output_stride=50)
+    res = solver.run(cfg)
+    if res.aborted:
+        return False, {"abort": res.abort_reason}
+    rep = diagnostics.linfty_transport_check(res)
+    return rep.ok, {"min_rel_slack": rep.min_rel_slack,
+                    "final_lhs": float(rep.lhs[-1]), "final_rhs": float(rep.rhs[-1])}
 
 
+@_criterion(11, "bootstrap arithmetic")
 def criterion_11(seed=0):
     """Bootstrap arithmetic: feasibility at M = 1 and monotone margins."""
-    def body():
-        params = diagnostics.bootstrap_search(1.0)
-        if params is None:
-            return False, {"feasible": None}
-        feasible, report = diagnostics.bootstrap_feasibility(params)
-        rng = substream(seed, "bootstrap-monotone")
-        monotone = True
-        for _ in range(200):
-            M = rng.uniform(0.5, 3)
-            k = rng.uniform(1, 80)
-            mu = rng.uniform(0.01, 0.9)
-            l1 = rng.uniform(-200, -0.1)
-            l2 = l1 + rng.uniform(-100, -0.5)
-            a = diagnostics.bootstrap_conditions(
-                diagnostics.BootstrapParams(M, k, 10.0 ** l1, mu))
-            b = diagnostics.bootstrap_conditions(
-                diagnostics.BootstrapParams(M, k, 10.0 ** l2, mu))
-            for c in ("cond1", "cond2", "cond3"):
-                if a[c] >= 0 and b[c] < 0:
-                    monotone = False
-        ok = feasible and monotone
-        return ok, {"k": params.k, "eps": params.eps, "mu": params.mu,
-                    "margins": {k: float(v["margin"]) for k, v in report.items()},
-                    "monotone": monotone}
-    return _timed(11, "bootstrap arithmetic", body)
+    params = diagnostics.bootstrap_search(1.0)
+    if params is None:
+        return False, {"feasible": None}
+    feasible, report = diagnostics.bootstrap_feasibility(params)
+    rng = substream(seed, "bootstrap-monotone")
+    monotone = True
+    for _ in range(200):
+        M = rng.uniform(0.5, 3)
+        k = rng.uniform(1, 80)
+        mu = rng.uniform(0.01, 0.9)
+        l1 = rng.uniform(-200, -0.1)
+        l2 = l1 + rng.uniform(-100, -0.5)
+        a = diagnostics.bootstrap_conditions(
+            diagnostics.BootstrapParams(M, k, 10.0 ** l1, mu))
+        b = diagnostics.bootstrap_conditions(
+            diagnostics.BootstrapParams(M, k, 10.0 ** l2, mu))
+        for c in ("cond1", "cond2", "cond3"):
+            if a[c] >= 0 and b[c] < 0:
+                monotone = False
+    ok = feasible and monotone
+    return ok, {"k": params.k, "eps": params.eps, "mu": params.mu,
+                "margins": {k: float(v["margin"]) for k, v in report.items()},
+                "monotone": monotone}
 
 
 ALL_CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,

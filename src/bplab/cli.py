@@ -109,13 +109,11 @@ def cmd_decay(args):
 def cmd_stphase(args):
     v = _parse_vec(args.x_over_t)
     roots, found = propagator.stationary_roots(v)
-    roots = roots[found]
-    print(f"x/t = ({v[0]:g}, {v[1]:g}): {len(roots)} stationary point(s)")
-    for xi in roots:
-        print(f"  xi = ({xi[0]:+.12f}, {xi[1]:+.12f})  "
-              f"det_hessian = {propagator.hessian_det(xi):+.12f}")
+    rows = [[float(xi[0]), float(xi[1]), propagator.hessian_det(xi)] for xi in roots[found]]
+    print(f"x/t = ({v[0]:g}, {v[1]:g}): {len(rows)} stationary point(s)")
+    for xi1, xi2, det in rows:
+        print(f"  xi = ({xi1:+.12f}, {xi2:+.12f})  det_hessian = {det:+.12f}")
     if args.out:
-        rows = [[float(xi[0]), float(xi[1]), propagator.hessian_det(xi)] for xi in roots]
         write_csv(args.out, header_lines("stphase", args.seed),
                   ["xi1", "xi2", "det_hessian"], rows)
     return EXIT_OK
@@ -255,18 +253,17 @@ def cmd_reproduce_all(args):
     if unknown:
         raise ConfigurationError(f"unknown criterion index(es) {unknown}; known: 1 .. {count}")
     results = acceptance.run_all(seed=args.seed, only=only)
-    rows = []
     for r in results:
         print(r.summary_line())
-        rows.append([r.index, r.name, "PASS" if r.passed else "FAIL", r.elapsed])
     total = sum(r.elapsed for r in results)
     print(f"total wall time {total:.1f}s")
     if args.out:
-        write_csv(args.out, header_lines("reproduce-all", args.seed),
-                  ["criterion", "name", "verdict", "seconds"], rows)
         records = [{"criterion": r.index, "name": r.name,
                     "verdict": "PASS" if r.passed else "FAIL", "seconds": r.elapsed,
                     "details": r.details} for r in results]
+        columns = ["criterion", "name", "verdict", "seconds"]
+        write_csv(args.out, header_lines("reproduce-all", args.seed), columns,
+                  [[rec[c] for c in columns] for rec in records])
         write_json(args.out + ".json", records)
     failures = [r.index for r in results if not r.passed]
     if failures:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagator import split_bound_amplitude, split_bound_exponent
+from .propagator import split_bound
 from .spectral import ConfigurationError, sobolev_norm
 from .solver import RunResult
 
@@ -171,10 +171,6 @@ class BootstrapParams:
         if not (0.0 < self.eps < np.inf and 1 <= self.k < np.inf):
             raise ConfigurationError("need 0 < eps < inf and 1 <= k < inf")
 
-    @property
-    def c_of_k(self) -> float:
-        return 2.0 ** (2.0 * self.k)
-
 
 def _log_poly_in_eps(terms, log_eps):
     """log of sum of coeff * eps^expo for (coeff, expo) pairs, in log space."""
@@ -191,10 +187,10 @@ def bootstrap_conditions(params: BootstrapParams):
     M, k, eps, mu = params.M, params.k, params.eps, params.mu
     le = np.log(eps)
     e8 = eps ** 0.125
-    inv_p = split_bound_exponent(mu)
+    inv_p, amp = split_bound(mu)
     margins = {}
-    # 1: eps * eps^(-M c(k) eps^(1/8)) <= eps^(1/2)
-    lhs1 = (1.0 - M * params.c_of_k * e8) * le
+    # 1: eps * eps^(-M c(k) eps^(1/8)) <= eps^(1/2), with c(k) = 2^(2k)
+    lhs1 = (1.0 - M * 2.0 ** (2.0 * k) * e8) * le
     margins["cond1"] = 0.5 * le - lhs1
     # 2: [eps + k eps^(-M/k) eps^(1/2) (eps^(1/2)+eps^(1/8)+eps^(1/4))] eps^(-M eps^(1/8))
     shift = -M * e8
@@ -207,7 +203,7 @@ def bootstrap_conditions(params: BootstrapParams):
         + [(k, -2.0 * M / k + 0.5 + q) for q in (0.5, 0.125, 0.25)], le)
     margins["cond3"] = 0.5 * le - (lhs3 + shift * le)
     # 4: A(mu) eps^(-2M/p) eps^(-(2M/k)(mu + 6/p)) eps^(1/2) <= eps^(1/4)
-    lhs4 = np.log(split_bound_amplitude(mu)) + (
+    lhs4 = np.log(amp) + (
         -2.0 * M * inv_p - (2.0 * M / k) * (mu + 6.0 * inv_p) + 0.5) * le
     margins["cond4"] = 0.25 * le - lhs4
     return margins

@@ -18,6 +18,7 @@ import numpy as np
 
 from .spectral import (
     ConfigurationError,
+    Grid2D,
     Profile,
     SpectralField2D,
     besov_norm,
@@ -70,12 +71,17 @@ def symbol_hess(v):
     return np.array([[d11, d12], [d12, d22]]).T
 
 
+def free_flow(grid: Grid2D, t: float) -> np.ndarray:
+    """E(t) = exp(-i t xi1/|xi|^2) on the half spectrum of grid: the free flow."""
+    return np.exp(-1j * t * grid_operators(grid).symbol)
+
+
 def apply_semigroup(f: SpectralField2D, t: float) -> SpectralField2D:
-    """Multiply modes by exp(-i t xi1/|xi|^2); unitary on L2. The symbol is
-    odd, so the result is again the half spectrum of a real field."""
+    """modes times E(t), in that operand order (a SIMD complex multiply can
+    round E * modes apart); unitary on L2. The symbol is odd, so the result
+    is again the half spectrum of a real field."""
     require_mean_zero(f)
-    phase = np.exp(-1j * t * grid_operators(f.grid).symbol)
-    return SpectralField2D(f.grid, f.modes * phase)
+    return SpectralField2D(f.grid, np.multiply(f.modes, free_flow(f.grid, t)))
 
 
 # ---------------------------------------------------------------------------
@@ -141,18 +147,12 @@ def decay_curve(g: SpectralField2D, times) -> DecayFit:
                     c_emp=c_emp, sup_norms=sups, besov311=b311)
 
 
-def split_bound_exponent(mu: float) -> float:
-    """1/p = 1 + mu - 1/(1 + mu)."""
+def split_bound(mu: float) -> tuple[float, float]:
+    """(1/p, A(mu)) of the split bound, for mu in (0, 1): 1/p = 1 + mu - 1/(1 + mu)
+    and A(mu) = mu^(-(1-mu)^2 / (2 (1+mu)^2)), which blows up as mu -> 0."""
     if not 0.0 < mu < 1.0:
         raise ConfigurationError("mu must lie in (0, 1)")
-    return 1.0 + mu - 1.0 / (1.0 + mu)
-
-
-def split_bound_amplitude(mu: float) -> float:
-    """A(mu) = mu^(-(1-mu)^2 / (2 (1+mu)^2)); blows up as mu -> 0."""
-    if not 0.0 < mu < 1.0:
-        raise ConfigurationError("mu must lie in (0, 1)")
-    return mu ** (-((1.0 - mu) ** 2) / (2.0 * (1.0 + mu) ** 2))
+    return 1.0 + mu - 1.0 / (1.0 + mu), mu ** (-((1.0 - mu) ** 2) / (2.0 * (1.0 + mu) ** 2))
 
 
 def split_decay_bound(f: Profile, times, N: float, mu: float, k: int) -> list[float]:
@@ -164,8 +164,7 @@ def split_decay_bound(f: Profile, times, N: float, mu: float, k: int) -> list[fl
     """
     if not (all(t > 0 for t in times) and N > 0 and k >= 1):
         raise ConfigurationError("need t > 0, N > 0, k >= 1")
-    inv_p = split_bound_exponent(mu)
-    amp = split_bound_amplitude(mu)
+    inv_p, amp = split_bound(mu)
     high = 2.0 ** k * N ** (-k) * sobolev_norm(f.field, 3 + k)
     norms = homogeneous_sobolev_norm(f.field, 3.0) + weighted_profile_norm(f)[1]
     return [high + t ** (-1.0 + 2.0 * inv_p) * N ** (2.0 * mu + 12.0 * inv_p) * amp * norms

@@ -165,8 +165,7 @@ def _classify_masks(xi, eta):
     return codes, eta_n, swap, lengths
 
 
-_REGION_BY_CODE = [Region.R1_CASE1, Region.R1_CASE2A, Region.R1_CASE2B,
-                   Region.R2, Region.R3, Region.UNCLASSIFIED]
+_REGION_BY_CODE = list(Region)
 
 
 def classify_region(p: FreqPair) -> RegionLabel:

@@ -1,7 +1,7 @@
 """Pseudo-spectral time integration of the rotating 2D vorticity equation.
 
 The dispersive term is applied exactly by the integrating factor
-E(s) = exp(-i beta s xi1/|xi|^2), so classical RK4 only sees the transport
+E(s) = propagator.free_flow(beta s), so classical RK4 only sees the transport
 nonlinearity. run carries the vorticity in the Lawson form (Lawson, SIAM J.
 Numer. Anal. 4 (1967) 372), with E(dt/2) and E(dt) cached per grid, beta and
 dt, so a step computes no exp; step keeps the profile fhat(t) = E(-t) what(t)
@@ -62,7 +62,7 @@ from .spectral import (
     write_field,
     zero_mean,
 )
-from .propagator import apply_semigroup
+from .propagator import apply_semigroup, free_flow
 
 
 class StabilityError(RuntimeError):
@@ -309,12 +309,11 @@ def profile_from_omega(omega: SpectralField2D, t: float, beta: float) -> Profile
 
 @functools.lru_cache(maxsize=4)
 def _phase_ratios(grid: Grid2D, beta: float, dt: float):
-    """E(dt/2) and E(dt), E(s) = exp(-i beta s xi1/|xi|^2), the factors of the
+    """E(dt/2) and E(dt), E(s) = free_flow(beta s), the factors of the
     Lawson stages and step: on the half spectrum, and copied contiguous on
     the kept block, since numpy copies a strided operand of a ufunc into a
     freshly allocated buffer."""
-    sym = grid_operators(grid).symbol
-    ratios = np.exp(-1j * beta * np.multiply.outer((0.5 * dt, dt), sym))
+    ratios = np.stack([free_flow(grid, beta * s) for s in (0.5 * dt, dt)])
     block = ratios[..., :_block_operators(grid).kc].copy()
     ratios.flags.writeable = block.flags.writeable = False
     return ratios, block
@@ -384,7 +383,7 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
     fnew = f0.copy()
     require_mean_zero(state.profile.field)
     if cfg.nonlinear:
-        p0 = np.exp(-1j * cfg.beta * state.t * grid_operators(g).symbol)
+        p0 = free_flow(g, cfg.beta * state.t)
         kc = _block_operators(g).kc
         p1 = p0[:, :kc] * _phase_ratios(g, cfg.beta, cfg.dt)[1][1]
         fnew[:, :kc] += np.conj(p1) * _lawson_increment(f0 * p0, cfg, _workspace(g))

@@ -68,10 +68,6 @@ class InputError(ValueError):
     """Field data violating a precondition (e.g. nonzero mean)."""
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True)
 class Grid2D:
     """Uniform n x n periodic grid on the centered box of side L."""
@@ -80,7 +76,7 @@ class Grid2D:
     box_length: float
 
     def __post_init__(self):
-        if self.n < 8 or not _is_power_of_two(self.n):
+        if self.n < 8 or self.n & (self.n - 1):
             raise ConfigurationError(f"grid size must be a power of two >= 8, got {self.n}")
         if not 0 < self.box_length < np.inf:
             raise ConfigurationError(f"box length must lie in (0, inf), got {self.box_length}")
@@ -174,9 +170,6 @@ class SpectralField2D:
             raise ConfigurationError(
                 f"expected {self.grid.half_shape} modes, got {self.modes.shape}")
 
-    def copy(self) -> "SpectralField2D":
-        return SpectralField2D(self.grid, self.modes.copy())
-
     def mean_mode(self) -> complex:
         return complex(self.modes[0, 0])
 
@@ -231,7 +224,7 @@ def real_samples(f: SpectralField2D) -> np.ndarray:
 
 
 def zero_mean(f: SpectralField2D) -> SpectralField2D:
-    out = f.copy()
+    out = SpectralField2D(f.grid, f.modes.copy())
     out.modes[0, 0] = 0.0
     return out
 
@@ -406,14 +399,14 @@ def read_field(path) -> RealField2D:
         head = fh.read(16)
         if len(head) != 16:
             raise InputError(f"field file header truncated to {len(head)} of 16 bytes")
-        n, box_length = struct.unpack("<qd", head)
-        if n < 8 or not _is_power_of_two(n) or not (0.0 < box_length < np.inf):
-            raise InputError(f"bad field file header: n={n}, L={box_length!r}")
-        grid = Grid2D(n, box_length)
+        try:
+            grid = Grid2D(*struct.unpack("<qd", head))
+        except ConfigurationError as exc:
+            raise InputError(f"bad field file header: {exc}") from exc
         # sized from the file, so a corrupt n cannot ask for a huge read
         size = os.fstat(fh.fileno()).st_size - fh.tell()
-        if size != 8 * n * n:
+        if size != 8 * grid.n ** 2:
             raise InputError(f"field file holds {size} bytes of samples, "
-                             f"expected {8 * n * n} for n={n}")
-        data = np.frombuffer(fh.read(size), dtype="<f8").reshape(n, n)
+                             f"expected {8 * grid.n ** 2} for n={grid.n}")
+        data = np.frombuffer(fh.read(size), dtype="<f8").reshape(grid.n, grid.n)
     return RealField2D(grid, data.copy())

@@ -6,6 +6,8 @@ suite's wall time; run this file alone with `pytest tests/test_acceptance.py -s`
 to watch the verdict lines as they complete.
 """
 
+import numpy as np
+
 from bplab import acceptance
 
 SEED = 0
@@ -34,7 +36,14 @@ def test_criterion_04_energy_certificate():
 
 
 def test_criterion_05_longevity_trend():
-    _check(acceptance.criterion_5(SEED))
+    result = acceptance.criterion_5(SEED)
+    _check(result)
+    d = result.details
+    # one flag per epsilon, set where doubling_time fell back to t_end = 50
+    assert d["censored"] == [t == 50.0 for t in d["t_double"]]
+    assert 0.0 < d["h4_excess"][-1] <= d["h4_excess"][0]
+    slope = np.polyfit(np.log([0.2, 0.1, 0.05]), np.log(d["h4_excess"]), 1)[0]
+    assert d["excess_order"] == slope
 
 
 def test_criterion_06_resonance_identities():
@@ -59,3 +68,16 @@ def test_criterion_10_transport_inequality():
 
 def test_criterion_11_bootstrap_feasibility():
     _check(acceptance.criterion_11(SEED))
+
+
+def test_criterion_decorator_names_and_times():
+    @acceptance._criterion(12, "toy")
+    def toy(seed=0):
+        """Toy criterion."""
+        return seed == 3, {"seed": seed}
+
+    result = toy(3)
+    assert (result.index, result.name, result.passed, result.details) == (12, "toy", True,
+                                                                          {"seed": 3})
+    assert result.elapsed >= 0.0 and toy.__doc__ == "Toy criterion."
+    assert not toy().passed

@@ -8,8 +8,7 @@ from bplab.propagator import (
     decay_curve,
     hessian_det,
     phase_gradient,
-    split_bound_amplitude,
-    split_bound_exponent,
+    split_bound,
     split_decay_bound,
     stationary_roots,
     symbol,
@@ -275,15 +274,14 @@ class TestDecayCurve:
 
 class TestSplitBound:
     def test_mu_half_constants(self):
-        assert split_bound_exponent(0.5) == pytest.approx(5.0 / 6.0)
-        assert split_bound_amplitude(0.5) == pytest.approx(0.5 ** (-1.0 / 18.0))
+        inv_p, amp = split_bound(0.5)
+        assert inv_p == pytest.approx(5.0 / 6.0)
+        assert amp == pytest.approx(0.5 ** (-1.0 / 18.0))
 
     @pytest.mark.parametrize("mu", [0.0, 1.0, -0.2, 1.5])
     def test_mu_domain(self, mu):
         with pytest.raises(ValueError):
-            split_bound_exponent(mu)
-        with pytest.raises(ValueError):
-            split_bound_amplitude(mu)
+            split_bound(mu)
 
     def test_extreme_splits_are_worse(self):
         # the high term blows up as N -> 0 and the low term as N -> infinity,
@@ -294,7 +292,7 @@ class TestSplitBound:
         assert split_decay_bound(f, [10.0], 1e6, 0.5, 3)[0] > mid
 
     def test_amplitude_blows_up_small_mu(self):
-        assert split_bound_amplitude(1e-6) > split_bound_amplitude(0.1) > 1.0
+        assert split_bound(1e-6)[1] > split_bound(0.1)[1] > 1.0
 
     def test_bound_dominates_measured(self):
         # measured sup over bound stays below one fixed constant at both times

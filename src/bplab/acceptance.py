@@ -44,13 +44,15 @@ class CriterionResult:
 
 def _criterion(index, name):
     """Make fn(seed) -> (passed, details) acceptance criterion `index`, titled
-    `name`: called with a seed, it returns the CriterionResult, timed."""
+    `name`: called with a seed, it returns the CriterionResult, timed. Its
+    `index` attribute is what run_all selects by."""
     def wrap(fn):
         @functools.wraps(fn)
         def timed(seed=0):
             t0 = time.perf_counter()
             passed, details = fn(seed)
             return CriterionResult(index, name, bool(passed), details, time.perf_counter() - t0)
+        timed.index = index
         return timed
     return wrap
 
@@ -167,7 +169,6 @@ def criterion_5(seed=0):
     nondecreasing and its peak excess over |omega(0)|_H4 nonincreasing;
     weighted profile norms bounded at the smallest epsilon."""
     t_doubles, censored, excess = [], [], []
-    details = {}
     last = None
     epsilons = (0.2, 0.1, 0.05)
     for eps in epsilons:
@@ -196,11 +197,10 @@ def criterion_5(seed=0):
     s2 = [r["fhat_sup2"] for r in rows]
     bounded = all(max(series) <= 4.0 * series[0]
                   for series in (w2, w3, s2) if series[0] > 0)
-    details.update({"t_double": t_doubles, "censored": censored, "monotone": monotone,
-                    "h4_excess": excess, "excess_order": order,
-                    "w2_growth": max(w2) / w2[0], "w3_growth": max(w3) / w3[0],
-                    "s2_growth": max(s2) / s2[0]})
-    return monotone and shrinking and bounded, details
+    return monotone and shrinking and bounded, {
+        "t_double": t_doubles, "censored": censored, "monotone": monotone,
+        "h4_excess": excess, "excess_order": order, "w2_growth": max(w2) / w2[0],
+        "w3_growth": max(w3) / w3[0], "s2_growth": max(s2) / s2[0]}
 
 
 @_criterion(6, "resonance identities")
@@ -396,10 +396,6 @@ ALL_CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
 
 
 def run_all(seed=0, only=None) -> list[CriterionResult]:
-    """Run every criterion (or the subset whose indices are in `only`)."""
-    results = []
-    for i, fn in enumerate(ALL_CRITERIA, start=1):
-        if only is not None and i not in only:
-            continue
-        results.append(fn(seed))
-    return results
+    """Run every criterion, or those whose index is in `only`, in the order
+    of ALL_CRITERIA."""
+    return [fn(seed) for fn in ALL_CRITERIA if only is None or fn.index in only]

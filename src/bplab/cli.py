@@ -33,12 +33,9 @@ from .spectral import (
     InputError,
     NormReport,
     Profile,
-    read_field,
     shell_field,
-    transform_forward,
     transform_inverse,
     write_field,
-    zero_mean,
 )
 
 EXIT_OK = 0
@@ -47,8 +44,6 @@ EXIT_RUNTIME = 3
 
 
 def _load_config(path):
-    if path is None:
-        raise ConfigurationError("simulate needs --config")
     try:
         with open(path) as fh:
             return solver.parse_config(fh.read())
@@ -136,8 +131,8 @@ def _checkpoint_path(directory, i, t):
 def _reconstruct_run(run_csv, checkpoint_dir):
     """The run of run_csv and its `warnings:` header lines. The config and
     the norm reports are read from the CSV (written with %.17g, so read back
-    exactly); each row's checkpoint file, named by its index and t, gives
-    the profile. Other files in checkpoint_dir are not read."""
+    exactly); solver.read_vorticity reads each row's checkpoint, named by its
+    index and t, for the profile. Other files in checkpoint_dir are not read."""
     with open(run_csv) as fh:
         lines = fh.read().splitlines()
     comments = [line[2:] for line in lines if line.startswith("# ")]
@@ -157,8 +152,7 @@ def _reconstruct_run(run_csv, checkpoint_dir):
     reports = [NormReport(**dict(zip(NORM_REPORT_COLUMNS, v))) for v in values]
     checkpoints = []
     for i, rep in enumerate(reports):
-        path = _checkpoint_path(checkpoint_dir, i, rep.t)
-        omega = zero_mean(transform_forward(read_field(path)))
+        omega = solver.read_vorticity(_checkpoint_path(checkpoint_dir, i, rep.t), cfg.grid)
         checkpoints.append((rep.t, solver.profile_from_omega(omega, rep.t, cfg.beta)))
     warnings = [c for c in comments if c.startswith("warnings: ")]
     return solver.RunResult(cfg, reports, checkpoints), warnings
@@ -248,10 +242,10 @@ def cmd_bootstrap(args):
 
 def cmd_reproduce_all(args):
     only = set(args.only) if args.only else None
-    count = len(acceptance.ALL_CRITERIA)
-    unknown = sorted((only or set()) - set(range(1, count + 1)))
+    known = sorted(fn.index for fn in acceptance.ALL_CRITERIA)
+    unknown = sorted((only or set()) - set(known))
     if unknown:
-        raise ConfigurationError(f"unknown criterion index(es) {unknown}; known: 1 .. {count}")
+        raise ConfigurationError(f"unknown criterion index(es) {unknown}; known: {known}")
     results = acceptance.run_all(seed=args.seed, only=only)
     for r in results:
         print(r.summary_line())
@@ -286,7 +280,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", parents=[writes], help="time-integrate a configured run")
-    p.add_argument("--config", default=None, help="config file path")
+    p.add_argument("--config", required=True, help="config file path")
     p.add_argument("--checkpoints", default=None, help="directory for field checkpoints")
     p.set_defaults(fn=cmd_simulate)
 
@@ -334,8 +328,8 @@ def build_parser():
 
     p = sub.add_parser("reproduce-all", parents=[common],
                        help="run every acceptance criterion")
-    p.add_argument("--only", type=int, nargs="*", default=None,
-                   help="criterion indices to run")
+    p.add_argument("--only", type=int, nargs="+", default=None,
+                   help="criterion indices to run, at least one")
     p.set_defaults(fn=cmd_reproduce_all)
     return parser
 

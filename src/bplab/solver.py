@@ -41,7 +41,6 @@ from .spectral import (
     ConfigurationError,
     Grid2D,
     GridOperators,
-    InputError,
     NormReport,
     Profile,
     RealField2D,
@@ -138,10 +137,17 @@ class RunResult:
     abort_reason: str = ""
 
 
+def _boolean(text: str) -> bool:
+    """true/yes/1 or false/no/0, in any case; ValueError for any other word."""
+    if text.lower() not in ("true", "yes", "1", "false", "no", "0"):
+        raise ValueError(f"expected true/false, yes/no or 1/0, got {text!r}")
+    return text.lower() in ("true", "yes", "1")
+
+
 CONFIG_KEYS = {
     "n": int, "L": float, "beta": float, "dt": float, "t_end": float,
     "k_energy": int, "output_stride": int, "init": str, "eps": float,
-    "init_width": float, "init_file": str, "nonlinear": lambda s: s.lower() in ("1", "true", "yes"),
+    "init_width": float, "init_file": str, "nonlinear": _boolean,
 }
 
 _KEY_TO_FIELD = {"L": "box_length"}
@@ -247,7 +253,7 @@ class _Workspace:
 
 
 def _workspace(grid: Grid2D) -> _Workspace:
-    n, kc = grid.n, grid.n // 3 + 1
+    n, kc = grid.n, _block_operators(grid).kc
     return _Workspace(w=np.empty((n, kc), dtype=complex),
                       spec=np.empty((2, n, kc), dtype=complex), u=np.empty((2, n, n)),
                       prod=np.empty((2, n, n)), rows=np.empty((2, n, n // 2 + 1), dtype=complex),
@@ -310,13 +316,12 @@ def profile_from_omega(omega: SpectralField2D, t: float, beta: float) -> Profile
 @functools.lru_cache(maxsize=4)
 def _phase_ratios(grid: Grid2D, beta: float, dt: float):
     """E(dt/2) and E(dt), E(s) = free_flow(beta s), the factors of the
-    Lawson stages and step: on the half spectrum, and copied contiguous on
-    the kept block, since numpy copies a strided operand of a ufunc into a
-    freshly allocated buffer."""
-    ratios = np.stack([free_flow(grid, beta * s) for s in (0.5 * dt, dt)])
-    block = ratios[..., :_block_operators(grid).kc].copy()
-    ratios.flags.writeable = block.flags.writeable = False
-    return ratios, block
+    Lawson stages, on the kept block: a contiguous (2, n, kc) copy, since
+    numpy copies a strided operand of a ufunc into a freshly allocated buffer."""
+    kc = _block_operators(grid).kc
+    block = np.stack([free_flow(grid, beta * s)[:, :kc] for s in (0.5 * dt, dt)])
+    block.flags.writeable = False
+    return block
 
 
 def _lawson_increment(w: np.ndarray, cfg: SimConfig, ws: _Workspace) -> np.ndarray:
@@ -335,7 +340,7 @@ def _lawson_increment(w: np.ndarray, cfg: SimConfig, ws: _Workspace) -> np.ndarr
     """
     g, dt = cfg.grid, cfg.dt
     blk = _block_operators(g)
-    e_half, e_one = _phase_ratios(g, cfg.beta, dt)[1]
+    e_half, e_one = _phase_ratios(g, cfg.beta, dt)
     np.copyto(ws.w, w[:, :blk.kc])
     w = ws.w
     k1, k2, k3, k4 = ws.k
@@ -385,7 +390,7 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
     if cfg.nonlinear:
         p0 = free_flow(g, cfg.beta * state.t)
         kc = _block_operators(g).kc
-        p1 = p0[:, :kc] * _phase_ratios(g, cfg.beta, cfg.dt)[1][1]
+        p1 = p0[:, :kc] * _phase_ratios(g, cfg.beta, cfg.dt)[1]
         fnew[:, :kc] += np.conj(p1) * _lawson_increment(f0 * p0, cfg, _workspace(g))
     fnew[0, 0] = 0.0
     t = state.t + cfg.dt
@@ -414,15 +419,20 @@ def initial_vorticity(cfg: SimConfig) -> SpectralField2D:
     else:                     # "file"
         if not cfg.init_file:
             raise ConfigurationError("init=file requires init_file")
-        fld = read_field(cfg.init_file)
-        if fld.grid != g:
-            raise ConfigurationError(f"init_file grid (n={fld.grid.n}, L={fld.grid.box_length!r})"
-                                     f" differs from the config's (n={g.n}, L={g.box_length!r})")
-        wh = transform_forward(fld)
-        if abs(wh.mean_mode()) > 1e-10 * max(1.0, float(np.abs(wh.modes).max())):
-            raise InputError("field file has nonzero mean vorticity")
-        return zero_mean(wh)
+        return read_vorticity(cfg.init_file, g)
     return zero_mean(transform_forward(RealField2D(g, samples)))
+
+
+def read_vorticity(path, grid: Grid2D) -> SpectralField2D:
+    """The mean-free vorticity modes of the field file at path: refuses a field
+    on another grid (ConfigurationError) or with a mean (require_mean_zero)."""
+    fld = read_field(path)
+    if fld.grid != grid:
+        raise ConfigurationError(f"{path}: field grid (n={fld.grid.n}, L={fld.grid.box_length!r})"
+                                 f" differs from the run's (n={grid.n}, L={grid.box_length!r})")
+    omega = transform_forward(fld)
+    require_mean_zero(omega)
+    return zero_mean(omega)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +489,7 @@ def run(cfg: SimConfig, dump_path=None) -> RunResult:
     """
     g = cfg.grid
     kc = _block_operators(g).kc
-    e_one = _phase_ratios(g, cfg.beta, cfg.dt)[0][1]
+    e_one = free_flow(g, cfg.beta * cfg.dt)
     ws = _workspace(g)
     w = initial_vorticity(cfg).modes
     w_next = np.empty_like(w)

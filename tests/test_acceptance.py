@@ -70,6 +70,19 @@ def test_criterion_11_bootstrap_feasibility():
     _check(acceptance.criterion_11(SEED))
 
 
+def test_run_all_selects_by_index(monkeypatch):
+    # the index that @_criterion sets, not the position in ALL_CRITERIA,
+    # decides which criterion runs
+    real = acceptance.ALL_CRITERIA
+    assert [fn.index for fn in real] == list(range(1, 12))
+    stubs = [acceptance._criterion(k, f"stub {k}")(lambda seed: (True, {})) for k in range(1, 12)]
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", stubs[::-1])
+    for k in range(1, 12):
+        assert [(r.index, r.name) for r in acceptance.run_all(only={k})] == [(k, f"stub {k}")]
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", real[::-1])
+    assert [r.name for r in acceptance.run_all(only={8})] == ["null structure"]
+
+
 def test_criterion_decorator_names_and_times():
     @acceptance._criterion(12, "toy")
     def toy(seed=0):

@@ -15,6 +15,7 @@ from bplab.spectral import (
     RealField2D,
     besov_norm,
     linf_norm,
+    read_field,
     shell_field,
     transform_inverse,
     write_field,
@@ -182,6 +183,33 @@ class TestSimulate:
             assert capsys.readouterr().err.splitlines() == err
         assert len(os.listdir(mixed)) == 11 and len(os.listdir(clean)) == 6
 
+    def test_diagnose_refuses_checkpoints_of_another_grid(self, tmp_path, config_file,
+                                                          capsys):
+        # an n=64 run with the same L, dt, t_end and stride overwrote the
+        # n=32 run's checkpoints under the same names
+        out, chk = str(tmp_path / "run.csv"), str(tmp_path / "chk")
+        fine = tmp_path / "fine.cfg"
+        fine.write_text(CONFIG.replace("n = 32", "n = 64"))
+        for cfg, csv in ((config_file, out), (str(fine), str(tmp_path / "fine.csv"))):
+            assert main(["simulate", "--config", cfg, "--out", csv,
+                         "--checkpoints", chk]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["diagnose", "--in", out, "--checkpoints", chk,
+                     "--out", str(tmp_path / "diag.csv")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "(n=64, L=20.0)" in err and "(n=32, L=20.0)" in err
+
+    def test_diagnose_refuses_a_checkpoint_with_a_mean(self, tmp_path, config_file, capsys):
+        out, chk = str(tmp_path / "run.csv"), tmp_path / "chk"
+        assert main(["simulate", "--config", config_file, "--out", out,
+                     "--checkpoints", str(chk)]) == EXIT_OK
+        path = chk / sorted(os.listdir(chk))[-1]
+        field = read_field(path)
+        write_field(path, RealField2D(field.grid, field.samples + 1e-3))
+        assert main(["diagnose", "--in", out, "--checkpoints", str(chk),
+                     "--out", str(tmp_path / "diag.csv")]) == EXIT_RUNTIME
+        assert "nonzero mean" in capsys.readouterr().err
+
     def test_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("n = 32\nL = twenty\n")
@@ -341,6 +369,8 @@ def _run_csv_text(text):
     (["bootstrap", "--k", "inf"], EXIT_CONFIG),
     (["diagnose", "--in", _ten_column_run_csv, "--checkpoints", lambda p: str(p / "chk")],
      EXIT_RUNTIME),
+    (["simulate", "--config", _config_with("nonlinear = on")], EXIT_CONFIG),
+    (["reproduce-all", "--only"], EXIT_CONFIG),
 ], ids=["unknown-id", "partly-unknown-ids", "classify-no-vectors", "classify-no-eta",
         "truncated-init-file", "too-few-samples", "mu-out-of-range", "negative-t-min",
         "zero-t-min", "decay-mu-out-of-range", "stphase-not-a-number", "stphase-nan",
@@ -355,7 +385,7 @@ def _run_csv_text(text):
         "decay-t-max-inf", "bootstrap-M-nan", "bootstrap-M-negative",
         "simulate-init-file-other-L", "simulate-init-file-other-n",
         "simulate-init-width-negative", "bootstrap-eps-inf", "bootstrap-k-inf",
-        "diagnose-ten-column-run-csv"])
+        "diagnose-ten-column-run-csv", "simulate-nonlinear-on", "only-no-index"])
 def test_bad_input_exit_codes(tmp_path, argv, code):
     argv = [a(tmp_path) if callable(a) else a for a in argv]
     # --out only where the subcommand writes a file, so that each case fails
@@ -522,10 +552,11 @@ class TestReproduceAll:
     def test_sidecar_is_strict_json(self, tmp_path, monkeypatch):
         # criterion 7 reports ids without a ratio with a NaN empirical_constant;
         # the sidecar writes it, and any infinity, as null
+        @acceptance._criterion(1, "non-finite details")
         def criterion(seed=0):
             details = {"a": {"violations": 0, "empirical_constant": np.float64("nan")},
                        "range": (0.5, float("nan")), "c": {2: np.inf}}
-            return acceptance.CriterionResult(1, "non-finite details", True, details)
+            return True, details
 
         def refuse(token):
             raise ValueError(f"bare {token} in the sidecar")

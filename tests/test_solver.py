@@ -89,6 +89,18 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             parse_config("n=sixty-four\n")
 
+    @pytest.mark.parametrize("word, value", [
+        ("true", True), ("TRUE", True), ("Yes", True), ("1", True),
+        ("false", False), ("False", False), ("NO", False), ("0", False),
+        ("on", None), ("off", None), ("2", None), ("", None)])
+    def test_nonlinear_values(self, word, value):
+        # any other word is refused, not read as false
+        if value is None:
+            with pytest.raises(ConfigurationError, match="bad value for nonlinear"):
+                parse_config(f"nonlinear = {word}\n")
+        else:
+            assert parse_config(f"nonlinear = {word}\n").nonlinear is value
+
     def test_missing_equals(self):
         with pytest.raises(ConfigurationError):
             parse_config("n 64\n")
@@ -470,7 +482,7 @@ def expression_increment(w, cfg):
     allocates its result: the oracle of the workspace form."""
     g, dt = cfg.grid, cfg.dt
     blk = solver._block_operators(g)
-    e_half, e_one = solver._phase_ratios(g, cfg.beta, dt)[0][..., :blk.kc]
+    e_half, e_one = solver._phase_ratios(g, cfg.beta, dt)
 
     def slope(v):
         u1, u2 = np.fft.irfft(np.fft.ifft(blk.velocity * v, axis=-2), n=g.n, axis=-1)
@@ -761,6 +773,23 @@ class TestInitialData:
         with pytest.raises(ConfigurationError,
                            match=rf"\(n=32, L=20\.0\).*\(n={n}, L={box_length}\)"):
             initial_vorticity(cfg)
+
+    @pytest.mark.parametrize("ratio, refused", [(1e-13, False), (1e-11, True)])
+    def test_file_init_mean_policy(self, tmp_path, ratio, refused):
+        # every field read takes require_mean_zero's policy: a mean mode of
+        # at most 1e-12 of max(1, largest |mode|)
+        cfg = SimConfig(n=32, box_length=20.0, eps=0.2, init="gaussian")
+        w = initial_vorticity(cfg)
+        unit = transform_forward(RealField2D(cfg.grid, np.ones((32, 32)))).mean_mode().real
+        lift = ratio * max(1.0, float(np.abs(w.modes).max())) / unit
+        path = tmp_path / "init.bpf"
+        write_field(path, RealField2D(cfg.grid, transform_inverse(w).samples + lift))
+        cfg_file = SimConfig(n=32, box_length=20.0, init="file", init_file=str(path))
+        if refused:
+            with pytest.raises(InputError, match="nonzero mean"):
+                initial_vorticity(cfg_file)
+        else:
+            assert initial_vorticity(cfg_file).mean_mode() == 0.0
 
     def test_file_init_rejects_nonzero_mean(self, tmp_path):
         g = Grid2D(16, 5.0)

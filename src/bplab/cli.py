@@ -33,6 +33,7 @@ from .spectral import (
     InputError,
     NormReport,
     Profile,
+    linf_norm,
     shell_field,
     transform_inverse,
     write_field,
@@ -43,16 +44,12 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-def _load_config(path):
-    try:
-        with open(path) as fh:
-            return solver.parse_config(fh.read())
-    except FileNotFoundError:
-        raise ConfigurationError(f"config file not found: {path}")
-
-
 def cmd_simulate(args):
-    cfg = _load_config(args.config)
+    try:
+        with open(args.config) as fh:
+            cfg = solver.parse_config(fh.read())
+    except FileNotFoundError:
+        raise ConfigurationError(f"config file not found: {args.config}")
     res = solver.run(cfg, dump_path=args.out + ".dump.bpf")
     # one line: the count of the reports' warnings and the first of them
     flagged = [r for r in res.reports if r.warnings]
@@ -132,7 +129,9 @@ def _reconstruct_run(run_csv, checkpoint_dir):
     """The run of run_csv and its `warnings:` header lines. The config and
     the norm reports are read from the CSV (written with %.17g, so read back
     exactly); solver.read_vorticity reads each row's checkpoint, named by its
-    index and t, for the profile. Other files in checkpoint_dir are not read."""
+    index and t, for the profile, and a checkpoint whose |omega|_Linf is not
+    its row's to 1e-12 relative is refused. Other files in checkpoint_dir are
+    not read."""
     with open(run_csv) as fh:
         lines = fh.read().splitlines()
     comments = [line[2:] for line in lines if line.startswith("# ")]
@@ -152,7 +151,12 @@ def _reconstruct_run(run_csv, checkpoint_dir):
     reports = [NormReport(**dict(zip(NORM_REPORT_COLUMNS, v))) for v in values]
     checkpoints = []
     for i, rep in enumerate(reports):
-        omega = solver.read_vorticity(_checkpoint_path(checkpoint_dir, i, rep.t), cfg.grid)
+        path = _checkpoint_path(checkpoint_dir, i, rep.t)
+        omega = solver.read_vorticity(path, cfg.grid)
+        # another run on the same grid and times writes the same file names
+        if abs(linf_norm(omega) - rep.linf_omega) > 1e-12 * rep.linf_omega:
+            raise InputError(f"{path}: |omega|_Linf {linf_norm(omega)!r} differs from "
+                             f"{rep.linf_omega!r} of row {i} (t={rep.t!r}) of {run_csv}")
         checkpoints.append((rep.t, solver.profile_from_omega(omega, rep.t, cfg.beta)))
     warnings = [c for c in comments if c.startswith("warnings: ")]
     return solver.RunResult(cfg, reports, checkpoints), warnings

@@ -166,8 +166,7 @@ class BootstrapParams:
     def __post_init__(self):
         if not 0.0 < self.M < np.inf:
             raise ConfigurationError("M must be positive and finite")
-        if not (0.0 < self.mu < 1.0):
-            raise ConfigurationError("mu must lie in (0, 1)")
+        split_bound(self.mu)              # refuses mu outside (0, 1)
         if not (0.0 < self.eps < np.inf and 1 <= self.k < np.inf):
             raise ConfigurationError("need 0 < eps < inf and 1 <= k < inf")
 

@@ -162,8 +162,8 @@ def split_decay_bound(f: Profile, times, N: float, mu: float, k: int) -> list[fl
         2^k N^-k |f|_{H^(3+k)}
         + t^(-1 + 2/p) N^(2 mu + 12/p) A(mu) (|D^3 f|_L2 + |D^3 x f|_L2).
     """
-    if not (all(t > 0 for t in times) and N > 0 and k >= 1):
-        raise ConfigurationError("need t > 0, N > 0, k >= 1")
+    if not (all(t > 0 for t in times) and 0 < N < np.inf and k >= 1):
+        raise ConfigurationError("need t > 0, 0 < N < inf, k >= 1")
     inv_p, amp = split_bound(mu)
     high = 2.0 ** k * N ** (-k) * sobolev_norm(f.field, 3 + k)
     norms = homogeneous_sobolev_norm(f.field, 3.0) + weighted_profile_norm(f)[1]

@@ -50,6 +50,7 @@ from .spectral import (
     grid_operators,
     l2_norm,
     linf_norm,
+    mass_inside,
     read_field,
     real_samples,
     require_mean_zero,
@@ -97,8 +98,11 @@ class SimConfig:
             raise ConfigurationError("t_end must be >= 0 and finite")
         if not np.all(np.isfinite([self.beta, self.eps])):
             raise ConfigurationError("beta and eps must be finite")
-        if not 0 <= self.init_width < np.inf:
-            raise ConfigurationError("init_width must be >= 0 (0 -> L/16) and finite")
+        with np.errstate(over="ignore"):      # initial_vorticity divides by 2 init_width^2
+            two_a2 = 2.0 * np.float64(self.init_width) ** 2
+        if not (0 <= self.init_width and two_a2 < np.inf):
+            raise ConfigurationError(
+                "init_width must be >= 0 (0 -> L/16) with 2 init_width^2 finite")
         if self.output_stride < 1:
             raise ConfigurationError("output_stride must be >= 1")
         if self.init not in _INITS:
@@ -133,8 +137,11 @@ class RunResult:
     config: SimConfig
     reports: list
     checkpoints: list          # (t, Profile) pairs, one per report
-    aborted: bool = False
-    abort_reason: str = ""
+    abort_reason: str = ""     # empty unless the run aborted
+
+    @property
+    def aborted(self) -> bool:
+        return bool(self.abort_reason)
 
 
 def _boolean(text: str) -> bool:
@@ -526,7 +533,7 @@ def run(cfg: SimConfig, dump_path=None) -> RunResult:
             if record(t) > 1e3 * linf0 and linf0 > 0:
                 reason = f"blow-up guard at t={t}"
                 break
-    return RunResult(cfg, reports, checkpoints, aborted=bool(reason), abort_reason=reason)
+    return RunResult(cfg, reports, checkpoints, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -539,13 +546,8 @@ def scaling_transform(omega: RealField2D, lam: float) -> RealField2D:
     if not (lam >= 1 and float(lam).is_integer()):
         raise ValueError(f"lambda must be a whole number >= 1, got {lam}")
     g = omega.grid
-    if lam > 1.0:
-        # reading omega on lambda*box: require the mass to live inside box/lambda
-        x = g.x_coords()
-        inside = (np.abs(x)[:, None] <= g.box_length / (2.0 * lam)) & \
-                 (np.abs(x)[None, :] <= g.box_length / (2.0 * lam))
-        total = float(np.sum(omega.samples ** 2))
-        if total > 0 and float(np.sum(omega.samples[inside] ** 2)) / total < 0.99:
-            raise ValueError("rescaled support does not fit the box")
+    # reading omega on lambda*box: require the mass to live inside box/lambda
+    if mass_inside(omega.samples, g.x_coords(), g.box_length / (2.0 * lam)) < 0.99:
+        raise ValueError("rescaled support does not fit the box")
     idx = (int(lam) * (np.arange(g.n) - g.n // 2) + g.n // 2) % g.n
     return RealField2D(g, omega.samples[np.ix_(idx, idx)] / lam)

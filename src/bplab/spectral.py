@@ -80,6 +80,14 @@ class Grid2D:
             raise ConfigurationError(f"grid size must be a power of two >= 8, got {self.n}")
         if not 0 < self.box_length < np.inf:
             raise ConfigurationError(f"box length must lie in (0, inf), got {self.box_length}")
+        with np.errstate(over="ignore", under="ignore"):
+            dx = np.float64(self.dx)
+            forward = dx ** 2 / (2.0 * np.pi) ** 2
+            scales = ((2.0 * np.pi / dx) ** 2, forward, forward ** 2)
+        if not all(0.0 < s < np.inf for s in scales):
+            raise ConfigurationError(
+                f"box length {self.box_length!r} at n={self.n} gives dx={float(dx)!r}, for which "
+                "(2 pi/dx)^2, dx^2/(2 pi)^2 or its square is not finite and nonzero")
 
     @property
     def dx(self) -> float:
@@ -241,15 +249,10 @@ def require_mean_zero(f: SpectralField2D) -> None:
 # ---------------------------------------------------------------------------
 # Littlewood-Paley machinery
 
-def _smoothstep(t: np.ndarray) -> np.ndarray:
-    """Quintic polynomial smoothstep, C^2 across [0, 1]."""
-    t = np.clip(t, 0.0, 1.0)
-    return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
-
-
 def _chi(s: np.ndarray) -> np.ndarray:
-    """Smoothstep cutoff: 1 on [0, 1], 0 on [2, inf)."""
-    return 1.0 - _smoothstep(s - 1.0)
+    """Cutoff 1 on [0, 1], 0 on [2, inf): 1 minus the C^2 quintic smoothstep of s - 1."""
+    t = np.clip(s - 1.0, 0.0, 1.0)
+    return 1.0 - t * t * t * (t * (6.0 * t - 15.0) + 10.0)
 
 
 def lp_bump(r):
@@ -333,14 +336,10 @@ def besov_norm(f: SpectralField2D) -> float:
     return float(np.sum(terms))
 
 
-def _fft_order_coords(g: Grid2D) -> np.ndarray:
-    """x_coords in FFT order, the order of unshifted samples."""
-    return np.fft.fftfreq(g.n) * g.n * g.dx
-
-
-def _central_mass(samples: np.ndarray, g: Grid2D) -> float:
-    """Fraction of the mass of FFT-ordered real samples in the central half-box."""
-    keep = np.abs(_fft_order_coords(g)) <= g.box_length / 4.0
+def mass_inside(samples: np.ndarray, coords: np.ndarray, half_width: float) -> float:
+    """Fraction of the |f|^2 mass of real samples in the square |x1|, |x2| <= half_width,
+    with coords the coordinates along each axis, in the samples' order; 1 when all are 0."""
+    keep = np.abs(coords) <= half_width
     total = float(np.sum(samples ** 2))
     if total == 0.0:
         return 1.0
@@ -359,9 +358,9 @@ def weighted_profile_norm(f: Profile, warn_sink: list | None = None):
     """
     g = f.field.grid
     phys = real_samples(f.field)
-    if warn_sink is not None and _central_mass(phys, g) < 0.99:
+    x = np.fft.fftfreq(g.n) * g.n * g.dx         # x_coords in FFT order, that of phys
+    if warn_sink is not None and mass_inside(phys, x, g.box_length / 4.0) < 0.99:
         warn_sink.append(f"boundary contamination: <99% mass in central half-box at t={f.t}")
-    x = _fft_order_coords(g)
     d1, d2 = np.fft.rfft2(np.stack((x[:, None] * phys, x[None, :] * phys)))
     grad2 = (np.abs(d1) ** 2 + np.abs(d2) ** 2) * (g.dx ** 2 / (2.0 * np.pi) ** 2) ** 2
     mag2 = grid_operators(g).mag2

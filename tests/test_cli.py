@@ -199,6 +199,29 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "(n=64, L=20.0)" in err and "(n=32, L=20.0)" in err
 
+    @pytest.mark.parametrize("first, second", [
+        ("", "init = pair\n"),
+        ("init = pair\n", "init = pair\nbeta = 0.0\n"),
+        ("init = pair\nnonlinear = false\n", "init = pair\nnonlinear = false\nbeta = 2.0\n"),
+    ], ids=["gaussian-then-pair", "pair-beta-1-then-0", "linear-beta-1-then-2"])
+    def test_diagnose_refuses_checkpoints_of_another_run(self, tmp_path, capsys, first,
+                                                         second):
+        # a run on the same grid, dt, t_end and stride overwrote the first
+        # run's checkpoints under the same names; |omega|_Linf tells them apart
+        chk, cfg = str(tmp_path / "chk"), tmp_path / "run.cfg"
+        runs = [str(tmp_path / f"run{i}.csv") for i in range(2)]
+        for run_csv, extra in zip(runs, (first, second)):
+            cfg.write_text(CONFIG + extra)
+            assert main(["simulate", "--config", str(cfg), "--out", run_csv,
+                         "--checkpoints", chk]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["diagnose", "--in", runs[0], "--checkpoints", chk,
+                     "--out", str(tmp_path / "diag.csv")]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "|omega|_Linf" in err and "chk_" in err and f"of {runs[0]}" in err
+        assert main(["diagnose", "--in", runs[1], "--checkpoints", chk,
+                     "--out", str(tmp_path / "diag.csv")]) == EXIT_OK
+
     def test_diagnose_refuses_a_checkpoint_with_a_mean(self, tmp_path, config_file, capsys):
         out, chk = str(tmp_path / "run.csv"), tmp_path / "chk"
         assert main(["simulate", "--config", config_file, "--out", out,
@@ -371,6 +394,11 @@ def _run_csv_text(text):
      EXIT_RUNTIME),
     (["simulate", "--config", _config_with("nonlinear = on")], EXIT_CONFIG),
     (["reproduce-all", "--only"], EXIT_CONFIG),
+    (["decay", "--n", "64", "--L", "1e160"], EXIT_CONFIG),
+    (["decay", "--n", "64", "--L", "1e-160"], EXIT_CONFIG),
+    (["simulate", "--config", _config_with("L = 1e160")], EXIT_CONFIG),
+    (["simulate", "--config", _config_with("init_width = 1e200")], EXIT_CONFIG),
+    (["decay", "--n", "32", "--L", "20", "--N", "inf"], EXIT_CONFIG),
 ], ids=["unknown-id", "partly-unknown-ids", "classify-no-vectors", "classify-no-eta",
         "truncated-init-file", "too-few-samples", "mu-out-of-range", "negative-t-min",
         "zero-t-min", "decay-mu-out-of-range", "stphase-not-a-number", "stphase-nan",
@@ -385,7 +413,9 @@ def _run_csv_text(text):
         "decay-t-max-inf", "bootstrap-M-nan", "bootstrap-M-negative",
         "simulate-init-file-other-L", "simulate-init-file-other-n",
         "simulate-init-width-negative", "bootstrap-eps-inf", "bootstrap-k-inf",
-        "diagnose-ten-column-run-csv", "simulate-nonlinear-on", "only-no-index"])
+        "diagnose-ten-column-run-csv", "simulate-nonlinear-on", "only-no-index",
+        "decay-L-1e160", "decay-L-1e-160", "simulate-L-1e160", "simulate-init-width-1e200",
+        "decay-N-inf"])
 def test_bad_input_exit_codes(tmp_path, argv, code):
     argv = [a(tmp_path) if callable(a) else a for a in argv]
     # --out only where the subcommand writes a file, so that each case fails

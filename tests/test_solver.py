@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bplab import solver
 from bplab.solver import (
     CONFIG_KEYS,
+    RunResult,
     SimConfig,
     SimState,
     StabilityError,
@@ -746,6 +747,13 @@ class TestRun:
         assert [r.t for r in res.reports] == want
         assert [t for t, _ in res.checkpoints] == want
         assert [prof.t for _, prof in res.checkpoints] == want
+
+    def test_aborted_follows_the_reason(self):
+        cfg = SimConfig(n=16, box_length=10.0)
+        assert RunResult(cfg, [], [], "NaN at step 4").aborted
+        assert not RunResult(cfg, [], []).aborted
+        with pytest.raises(TypeError):
+            RunResult(cfg, [], [], aborted=True)
 
 
 class TestInitialData:

@@ -22,6 +22,7 @@ from bplab.spectral import (
     linf_norm,
     lp_bump,
     lp_shell_range,
+    mass_inside,
     read_field,
     real_samples,
     require_mean_zero,
@@ -69,6 +70,16 @@ class TestGrid:
         g = Grid2D(8, 8.0)
         assert g.x_coords()[0] == -4.0
         assert g.x_coords()[-1] == 3.0
+
+    @pytest.mark.parametrize("box_length", [1e160, 1e-160, 1e300, 1e-300])
+    def test_rejects_box_whose_scales_overflow(self, box_length):
+        # (2 pi/dx)^2, dx^2/(2 pi)^2 or its square would be inf or 0
+        with pytest.raises(ConfigurationError, match="not finite and nonzero"):
+            Grid2D(64, box_length)
+
+    @pytest.mark.parametrize("box_length", [1e70, 1e-70])
+    def test_accepts_box_whose_scales_are_finite(self, box_length):
+        assert Grid2D(64, box_length).box_length == box_length
 
 
 class TestGridOperators:
@@ -317,6 +328,30 @@ class TestWeightedNorms:
         n1 = weighted_profile_norm(Profile(transform_forward(RealField2D(g, shifted))))[0]
         assert n1 > n0
         assert n1 < n0 + 2.0 * a * sobolev_norm(transform_forward(RealField2D(g, base)), 2)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mass_inside_matches_oracle(self, seed):
+        # natural order with x_coords, and the FFT order of real_samples with
+        # the same coordinates in that order
+        g = Grid2D(32, 12.0)
+        rng = np.random.default_rng(seed)
+        f = zero_mean(transform_forward(
+            RealField2D(g, rng.normal(size=(32, 32)) * rng.uniform(0.0, 2.0, size=32))))
+        want = central_mass_fraction(f)
+        x = g.x_coords()
+        assert mass_inside(transform_inverse(f).samples, x, g.box_length / 4.0) == \
+            pytest.approx(want, rel=1e-12)
+        assert mass_inside(real_samples(f), np.fft.ifftshift(x), g.box_length / 4.0) == \
+            pytest.approx(want, rel=1e-12)
+
+    def test_mass_inside_edges(self):
+        g = Grid2D(16, 8.0)
+        x = g.x_coords()
+        assert mass_inside(np.zeros((16, 16)), x, 1.0) == 1.0
+        # the whole box, and a square holding only the centre sample
+        ones = np.ones((16, 16))
+        assert mass_inside(ones, x, g.box_length / 2.0) == 1.0
+        assert mass_inside(ones, x, 0.0) == 1.0 / 256
 
     def test_boundary_warning(self):
         g = Grid2D(64, 4.0)     # box too small for the unit Gaussian

@@ -12,15 +12,9 @@ import argparse
 import os
 import sys
 
-
-def _cap_threads():
-    cap = os.environ.get("BPLAB_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
-_cap_threads()
+if os.environ.get("BPLAB_THREADS"):
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, os.environ["BPLAB_THREADS"])
 
 import numpy as np
 
@@ -32,7 +26,6 @@ from .spectral import (
     Grid2D,
     InputError,
     NormReport,
-    Profile,
     linf_norm,
     shell_field,
     transform_inverse,
@@ -85,8 +78,7 @@ def cmd_decay(args):
         raise ConfigurationError("need 0 < t-min < t-max < inf and n-times >= 2")
     data = shell_field(Grid2D(args.n, args.L), args.j)
     times = np.geomspace(args.t_min, args.t_max, args.n_times)
-    prof = Profile(data, 0.0)
-    bounds = propagator.split_decay_bound(prof, times.tolist(), args.N, args.mu, args.k)
+    bounds = propagator.split_decay_bound(data, times.tolist(), args.N, args.mu, args.k)
     fit = propagator.decay_curve(data, times)
     rows = [[t, sup, fit.besov311, t * sup, bound]
             for t, sup, bound in zip(times.tolist(), fit.sup_norms.tolist(), bounds)]

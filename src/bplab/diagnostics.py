@@ -188,8 +188,10 @@ def bootstrap_conditions(params: BootstrapParams):
     e8 = eps ** 0.125
     inv_p, amp = split_bound(mu)
     margins = {}
-    # 1: eps * eps^(-M c(k) eps^(1/8)) <= eps^(1/2), with c(k) = 2^(2k)
-    lhs1 = (1.0 - M * 2.0 ** (2.0 * k) * e8) * le
+    # 1: eps * eps^(-M c(k) eps^(1/8)) <= eps^(1/2), with c(k) = 2^(2k); a c(k)
+    # past float64 is inf, and the margin -inf
+    with np.errstate(over="ignore"):
+        lhs1 = (1.0 - M * np.float64(2.0) ** (2.0 * k) * e8) * le
     margins["cond1"] = 0.5 * le - lhs1
     # 2: [eps + k eps^(-M/k) eps^(1/2) (eps^(1/2)+eps^(1/8)+eps^(1/4))] eps^(-M eps^(1/8))
     shift = -M * e8

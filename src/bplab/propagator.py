@@ -19,7 +19,6 @@ import numpy as np
 from .spectral import (
     ConfigurationError,
     Grid2D,
-    Profile,
     SpectralField2D,
     besov_norm,
     grid_operators,
@@ -155,17 +154,24 @@ def split_bound(mu: float) -> tuple[float, float]:
     return 1.0 + mu - 1.0 / (1.0 + mu), mu ** (-((1.0 - mu) ** 2) / (2.0 * (1.0 + mu) ** 2))
 
 
-def split_decay_bound(f: Profile, times, N: float, mu: float, k: int) -> list[float]:
+def split_decay_bound(f: SpectralField2D, times, N: float, mu: float, k: int) -> list[float]:
     """High/low frequency sup-norm bound with implicit constant 1, at each
     of the times; the three norms of f are computed once:
 
         2^k N^-k |f|_{H^(3+k)}
         + t^(-1 + 2/p) N^(2 mu + 12/p) A(mu) (|D^3 f|_L2 + |D^3 x f|_L2).
+
+    The powers are float64, so they overflow to inf; a bound that is not finite is refused.
     """
-    if not (all(t > 0 for t in times) and 0 < N < np.inf and k >= 1):
-        raise ConfigurationError("need t > 0, 0 < N < inf, k >= 1")
+    if not (all(t > 0 for t in times) and N > 0 and k >= 1):
+        raise ConfigurationError("need t > 0, N > 0, k >= 1")
     inv_p, amp = split_bound(mu)
-    high = 2.0 ** k * N ** (-k) * sobolev_norm(f.field, 3 + k)
-    norms = homogeneous_sobolev_norm(f.field, 3.0) + weighted_profile_norm(f)[1]
-    return [high + t ** (-1.0 + 2.0 * inv_p) * N ** (2.0 * mu + 12.0 * inv_p) * amp * norms
-            for t in times]
+    norms = homogeneous_sobolev_norm(f, 3.0) + weighted_profile_norm(f)[1]
+    N = np.float64(N)
+    with np.errstate(over="ignore", invalid="ignore"):
+        high = 2.0 ** np.float64(k) * N ** (-k) * sobolev_norm(f, 3 + k)
+        bounds = [high + t ** (-1.0 + 2.0 * inv_p) * N ** (2.0 * mu + 12.0 * inv_p) * amp * norms
+                  for t in np.asarray(times, dtype=float)]
+    if not np.all(np.isfinite(bounds)):
+        raise ConfigurationError(f"split bound not finite at N={float(N)!r}, mu={mu!r}, k={k}")
+    return [float(b) for b in bounds]

@@ -42,7 +42,6 @@ from .spectral import (
     Grid2D,
     GridOperators,
     NormReport,
-    Profile,
     RealField2D,
     SpectralField2D,
     besov_norm,
@@ -98,11 +97,15 @@ class SimConfig:
             raise ConfigurationError("t_end must be >= 0 and finite")
         if not np.all(np.isfinite([self.beta, self.eps])):
             raise ConfigurationError("beta and eps must be finite")
-        with np.errstate(over="ignore"):      # initial_vorticity divides by 2 init_width^2
+        # initial_vorticity divides r^2, L^2/2 at the box corner, by 2 init_width^2
+        with np.errstate(over="ignore", divide="ignore"):
             two_a2 = 2.0 * np.float64(self.init_width) ** 2
-        if not (0 <= self.init_width and two_a2 < np.inf):
+            corner = np.float64(self.box_length) ** 2 / 2.0 / two_a2
+        if not (self.init_width == 0 or self.init_width > 0 and 0 < two_a2 < np.inf
+                and corner < np.inf):
             raise ConfigurationError(
-                "init_width must be >= 0 (0 -> L/16) with 2 init_width^2 finite")
+                "init_width must be 0 (-> L/16), or > 0 with 2 init_width^2 finite and "
+                "nonzero and (L^2/2)/(2 init_width^2) finite")
         if self.output_stride < 1:
             raise ConfigurationError("output_stride must be >= 1")
         if self.init not in _INITS:
@@ -124,6 +127,14 @@ class SimConfig:
     @property
     def width(self) -> float:
         return self.init_width if self.init_width > 0 else self.box_length / 16.0
+
+
+@dataclass
+class Profile:
+    """A spectral field interpreted as the free-flow-unwound profile at time t."""
+
+    field: SpectralField2D
+    t: float = 0.0
 
 
 @dataclass
@@ -224,7 +235,7 @@ class _BlockOperators:
     zero on the rows that the 2/3 rule drops. They are stored complex, so a
     product with modes casts no operand through a buffer."""
 
-    kc: int                  # kept columns, n//3 + 1
+    kc: int                  # kept columns, n//3 + 1: those of dealias_mask
     velocity: np.ndarray     # (2, n, kc): Biot-Savart (u1hat, u2hat) per unit what
     basdevant: np.ndarray    # (2, n, kc): inverse_scale (xi1 xi2, xi1^2 - xi2^2)
 
@@ -232,7 +243,7 @@ class _BlockOperators:
 @functools.lru_cache(maxsize=4)
 def _block_operators(grid: Grid2D) -> _BlockOperators:
     ops = grid_operators(grid)
-    kc = grid.n // 3 + 1
+    kc = int(ops.dealias_mask[0].sum())
     mask = ops.dealias_mask.astype(float)
     k1, k2 = ops.k1, ops.k2
     blk = _BlockOperators(
@@ -466,8 +477,7 @@ def velocity_sup_norms(omega: SpectralField2D):
 def make_report(state: SimState, cfg: SimConfig) -> NormReport:
     omega = omega_from_profile(state.profile, cfg.beta)
     u_sup, u2_sup, du_sup = velocity_sup_norms(omega)
-    warnings: list = []
-    weighted2, weighted3 = weighted_profile_norm(state.profile, warnings)
+    weighted2, weighted3, central = weighted_profile_norm(state.profile.field)
     return NormReport(
         t=state.t,
         l2=l2_norm(omega),
@@ -479,8 +489,9 @@ def make_report(state: SimState, cfg: SimConfig) -> NormReport:
         besov311=besov_norm(omega),
         weighted2=weighted2,
         weighted3=weighted3,
-        fhat_sup2=fhat_sup_weighted(state.profile),
-        warnings=warnings,
+        fhat_sup2=fhat_sup_weighted(state.profile.field),
+        warnings=[f"boundary contamination: <99% mass in central half-box at "
+                  f"t={state.profile.t}"] if central < 0.99 else [],
     )
 
 

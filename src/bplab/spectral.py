@@ -183,14 +183,6 @@ class SpectralField2D:
 
 
 @dataclass
-class Profile:
-    """A spectral field interpreted as the free-flow-unwound profile at time t."""
-
-    field: SpectralField2D
-    t: float = 0.0
-
-
-@dataclass
 class NormReport:
     t: float
     l2: float
@@ -266,8 +258,11 @@ def lp_bump(r):
 
 
 def shell_field(grid: Grid2D, j: int = 0) -> SpectralField2D:
-    """Mean-zero data whose modes are the bump of the dyadic shell |xi| ~ 2^j."""
-    return zero_mean(SpectralField2D(grid, lp_bump(grid_operators(grid).mag / 2.0 ** j)))
+    """Mean-zero data whose modes are the bump of the dyadic shell |xi| ~ 2^j;
+    2^j is taken in float64, so a j too large for it gives data with no modes."""
+    with np.errstate(over="ignore"):
+        scale = np.float64(2.0) ** j
+    return zero_mean(SpectralField2D(grid, lp_bump(grid_operators(grid).mag / scale)))
 
 
 def lp_shell_range(grid: Grid2D) -> tuple[int, int]:
@@ -346,30 +341,27 @@ def mass_inside(samples: np.ndarray, coords: np.ndarray, half_width: float) -> f
     return float(np.sum(samples[np.ix_(keep, keep)] ** 2)) / total
 
 
-def weighted_profile_norm(f: Profile, warn_sink: list | None = None):
-    """(|D^2 x f|_{L^2}, |D^3 x f|_{L^2}), with |D^l x f|_{L^2} the L2 norm of
-    |xi|^l grad_xi fhat. The two orders share one inverse transform and one
+def weighted_profile_norm(f: SpectralField2D):
+    """(|D^2 x f|_{L^2}, |D^3 x f|_{L^2}, central), with |D^l x f|_{L^2} the L2
+    norm of |xi|^l grad_xi fhat and central the mass_inside fraction of f in
+    the central half-box. The two orders share one inverse transform and one
     |grad_xi fhat|^2. grad_xi fhat is the transform of -i x f(x), with x the
     centered box coordinate; the two real fields x_i f(x) take one batched
     rfft2.
-
-    Appends a boundary-contamination warning to warn_sink when less than 99%
-    of the field's mass sits in the central half-box.
     """
-    g = f.field.grid
-    phys = real_samples(f.field)
+    g = f.grid
+    phys = real_samples(f)
     x = np.fft.fftfreq(g.n) * g.n * g.dx         # x_coords in FFT order, that of phys
-    if warn_sink is not None and mass_inside(phys, x, g.box_length / 4.0) < 0.99:
-        warn_sink.append(f"boundary contamination: <99% mass in central half-box at t={f.t}")
+    central = mass_inside(phys, x, g.box_length / 4.0)
     d1, d2 = np.fft.rfft2(np.stack((x[:, None] * phys, x[None, :] * phys)))
     grad2 = (np.abs(d1) ** 2 + np.abs(d2) ** 2) * (g.dx ** 2 / (2.0 * np.pi) ** 2) ** 2
     mag2 = grid_operators(g).mag2
-    return _lattice_l2(mag2 ** 2 * grad2, g), _lattice_l2(mag2 ** 3 * grad2, g)
+    return _lattice_l2(mag2 ** 2 * grad2, g), _lattice_l2(mag2 ** 3 * grad2, g), central
 
 
-def fhat_sup_weighted(f: Profile) -> float:
+def fhat_sup_weighted(f: SpectralField2D) -> float:
     """sup over modes of |xi|^2 |fhat(xi)| (in the fhat normalization above)."""
-    return float((grid_operators(f.field.grid).mag2 * np.abs(f.field.modes)).max())
+    return float((grid_operators(f.grid).mag2 * np.abs(f.modes)).max())
 
 
 # ---------------------------------------------------------------------------

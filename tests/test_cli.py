@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from bplab.spectral import (
     NORM_REPORT_COLUMNS,
     ConfigurationError,
     Grid2D,
-    Profile,
     RealField2D,
     besov_norm,
     linf_norm,
@@ -244,6 +245,18 @@ class TestSimulate:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_CONFIG
 
+    def test_aborted_run_exit_code(self, tmp_path, capsys):
+        # dt far above the advective bound: the run stops at its first step,
+        # and the CSV holds the report at t = 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 32\nL = 10.0\ninit = pair\neps = 5.0\ndt = 5.0\nt_end = 10.0\n")
+        out = str(tmp_path / "run.csv")
+        assert main(["simulate", "--config", str(cfg), "--out", out]) == EXIT_RUNTIME
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "run aborted: stability: dt=5.0 violates advective bound 6.136e-02 (try dt=")
+        assert len(read_noncomment(out)) == 2
+
 
 def _truncated_field_config(tmp_path):
     field = tmp_path / "init.bpf"
@@ -320,6 +333,12 @@ def _run_csv_missing_a_checkpoint(tmp_path):
 
 
 RUN_COLUMNS = ",".join(NORM_REPORT_COLUMNS) + "\n"
+
+
+def _run_csv_without_config(tmp_path):
+    path = tmp_path / "run.csv"
+    path.write_text(RUN_COLUMNS + "0.0" + ",1.0" * 10 + "\n")
+    return str(path)
 
 
 def _run_csv_text(text):
@@ -399,6 +418,18 @@ def _run_csv_text(text):
     (["simulate", "--config", _config_with("L = 1e160")], EXIT_CONFIG),
     (["simulate", "--config", _config_with("init_width = 1e200")], EXIT_CONFIG),
     (["decay", "--n", "32", "--L", "20", "--N", "inf"], EXIT_CONFIG),
+    (["decay", "--n", "16", "--L", "20", "--N", "1e30"], EXIT_CONFIG),
+    (["decay", "--n", "16", "--L", "20", "--N", "1e300"], EXIT_CONFIG),
+    (["decay", "--n", "16", "--L", "20", "--N", "1e-300"], EXIT_CONFIG),
+    (["decay", "--n", "16", "--L", "20", "--k", "2000"], EXIT_CONFIG),
+    (["decay", "--n", "16", "--L", "20", "--k", "600"], EXIT_CONFIG),
+    (["decay", "--n", "16", "--L", "20", "--j", "2000"], EXIT_CONFIG),
+    (["simulate", "--config", _config_with("init_width = 1e-200")], EXIT_CONFIG),
+    (["simulate", "--config", _config_with("init = pair\ninit_width = 1e-200")], EXIT_CONFIG),
+    (["simulate", "--config", _config_with("init_width = 1e-160")], EXIT_CONFIG),
+    (["simulate", "--config", _config_with("init = file")], EXIT_CONFIG),
+    (["simulate", "--config", _config_with("output_stride = 0")], EXIT_CONFIG),
+    (["diagnose", "--in", _run_csv_without_config, "--checkpoints", str], EXIT_RUNTIME),
 ], ids=["unknown-id", "partly-unknown-ids", "classify-no-vectors", "classify-no-eta",
         "truncated-init-file", "too-few-samples", "mu-out-of-range", "negative-t-min",
         "zero-t-min", "decay-mu-out-of-range", "stphase-not-a-number", "stphase-nan",
@@ -415,7 +446,10 @@ def _run_csv_text(text):
         "simulate-init-width-negative", "bootstrap-eps-inf", "bootstrap-k-inf",
         "diagnose-ten-column-run-csv", "simulate-nonlinear-on", "only-no-index",
         "decay-L-1e160", "decay-L-1e-160", "simulate-L-1e160", "simulate-init-width-1e200",
-        "decay-N-inf"])
+        "decay-N-inf", "decay-N-1e30", "decay-N-1e300", "decay-N-1e-300", "decay-k-2000",
+        "decay-bound-nan", "decay-j-2000", "simulate-init-width-1e-200",
+        "simulate-pair-init-width-1e-200", "simulate-init-width-1e-160",
+        "simulate-init-file-unset", "simulate-output-stride-0", "diagnose-no-config-line"])
 def test_bad_input_exit_codes(tmp_path, argv, code):
     argv = [a(tmp_path) if callable(a) else a for a in argv]
     # --out only where the subcommand writes a file, so that each case fails
@@ -449,6 +483,53 @@ def test_init_aliases_refused(tmp_path, alias):
     cfg.write_text(CONFIG.replace("init = gaussian", f"init = {alias}"))
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) \
         == EXIT_CONFIG
+
+
+def test_thread_cap_exported_before_numpy():
+    # BPLAB_THREADS fills each thread variable that is unset when numpy is
+    # first imported, and keeps one that is set
+    spy = (
+        "import os, sys\n"
+        "seen = {}\n"
+        "class Spy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        "            seen.update((v, os.environ.get(v)) for v in\n"
+        "                        ('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS', 'MKL_NUM_THREADS'))\n"
+        "sys.meta_path.insert(0, Spy())\n"
+        "import bplab.cli\n"
+        "print(sorted(seen.items()))\n")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env.update(BPLAB_THREADS="3", OMP_NUM_THREADS="2")
+    out = subprocess.run([sys.executable, "-c", spy], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out == str([("MKL_NUM_THREADS", "3"), ("OMP_NUM_THREADS", "2"),
+                       ("OPENBLAS_NUM_THREADS", "3")]) + "\n"
+
+
+SWEEP_VALUES = ("0", "1e300", "-1e300", "1e30", "1e-30", "600", "2000")
+SWEEP_OPTIONS = {
+    ("decay", "--n", "16", "--L", "20"):
+        ("--n", "--L", "--j", "--t-min", "--t-max", "--n-times", "--N", "--mu", "--k"),
+    ("bootstrap",): ("--M", "--k", "--eps", "--mu"),
+    ("stphase", "--x-over-t", "1,1"): ("--x-over-t",),
+    ("resonance", "classify", "--xi", "1,1", "--eta", "1,0"): ("--xi", "--eta"),
+}
+SWEEP = [(base, option) for base, options in SWEEP_OPTIONS.items() for option in options]
+
+
+@pytest.mark.parametrize("base, option", SWEEP, ids=[f"{b[0]}{o}" for b, o in SWEEP])
+def test_extreme_values_never_raise(tmp_path, capsys, base, option):
+    # each numeric option at each extreme value gives an exit code, never a
+    # traceback; a vector option takes the value in both entries
+    argv = list(base) + (["--out", str(tmp_path / "out.csv")] if base[0] == "decay" else [])
+    codes = {}
+    for value in SWEEP_VALUES:
+        arg = f"{value},{value}" if option in ("--x-over-t", "--xi", "--eta") else value
+        codes[value] = main(argv + [option, arg])
+    capsys.readouterr()
+    assert set(codes.values()) <= {EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME}, codes
 
 
 class TestStphase:
@@ -492,6 +573,13 @@ class TestDecay:
         assert fitted == [f"# fitted exponent={fit.exponent:.6f} constant={fit.constant:.6g} "
                           f"c_emp={fit.c_emp:.6g}\n"]
 
+    def test_large_k_with_a_finite_bound(self, tmp_path):
+        # 2^k N^-k |f|_H^(3+k) stays finite at k = 600 on this grid
+        out = str(tmp_path / "decay.csv")
+        assert main(["decay", "--n", "64", "--k", "600", "--out", out]) == EXIT_OK
+        bounds = [float(line.split(",")[4]) for line in read_noncomment(out)[1:]]
+        assert len(bounds) == 8 and all(0 < b < np.inf for b in bounds)
+
     def test_bound_column_is_the_per_time_bound(self, tmp_path):
         # the three t-independent norms are computed once for all times; the
         # bound at each time equals a call with that time alone, bitwise
@@ -499,11 +587,11 @@ class TestDecay:
         assert main(["decay", "--n", "64", "--L", "50", "--t-min", "5", "--t-max", "20",
                      "--n-times", "4", "--N", "3", "--mu", "0.3", "--k", "3",
                      "--out", out]) == EXIT_OK
-        prof = Profile(shell_field(Grid2D(64, 50.0), 0), 0.0)
+        data = shell_field(Grid2D(64, 50.0), 0)
         rows = [line.strip().split(",") for line in read_noncomment(out)[1:]]
         times = np.geomspace(5.0, 20.0, 4).tolist()
         assert [float(row[4]) for row in rows] == \
-            [propagator.split_decay_bound(prof, [t], 3.0, 0.3, 3)[0] for t in times]
+            [propagator.split_decay_bound(data, [t], 3.0, 0.3, 3)[0] for t in times]
 
 
 class TestResonance:
@@ -556,8 +644,30 @@ class TestBootstrap:
         assert rc == EXIT_OK
         assert "all conditions satisfied" in capsys.readouterr().out
 
+    def test_search_infeasible(self, capsys):
+        assert main(["bootstrap", "--search", "--M", "5"]) == EXIT_RUNTIME
+        assert capsys.readouterr().out == "infeasible in box\n"
+
+    def test_cond1_margin_past_float64(self, capsys):
+        # c(k) = 2^(2k) overflows float64 at k = 600: the margin is -inf, a verdict
+        assert main(["bootstrap", "--k", "600"]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert "cond1: margin -inf (violated)" in out
+        assert out[-1] == "not feasible at these parameters"
+
 
 class TestReproduceAll:
+    def test_failed_criterion_exit_code(self, capsys, monkeypatch):
+        @acceptance._criterion(4, "forced failure")
+        def criterion(seed=0):
+            return False, {}
+
+        monkeypatch.setattr(acceptance, "ALL_CRITERIA", [criterion])
+        assert main(["reproduce-all"]) == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert "criterion  4 [FAIL] forced failure" in captured.out
+        assert captured.err == "failed criteria: [4]\n"
+
     def test_only_fast_criterion(self, capsys, tmp_path):
         out = str(tmp_path / "rep.csv")
         rc = main(["reproduce-all", "--only", "11", "--out", out])

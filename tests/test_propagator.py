@@ -18,7 +18,6 @@ from bplab.propagator import (
 from bplab import spectral
 from bplab.spectral import (
     Grid2D,
-    Profile,
     RealField2D,
     SpectralField2D,
     grid_operators,
@@ -286,7 +285,7 @@ class TestSplitBound:
     def test_extreme_splits_are_worse(self):
         # the high term blows up as N -> 0 and the low term as N -> infinity,
         # so a moderate split frequency beats both extremes
-        f = Profile(shell_field(64, 50.0), 0.0)
+        f = shell_field(64, 50.0)
         mid, = split_decay_bound(f, [10.0], 4.0, 0.5, 3)
         assert split_decay_bound(f, [10.0], 1e-3, 0.5, 3)[0] > mid
         assert split_decay_bound(f, [10.0], 1e6, 0.5, 3)[0] > mid
@@ -301,10 +300,9 @@ class TestSplitBound:
         X, Y = np.meshgrid(x, x, indexing="ij")
         r2 = X ** 2 + Y ** 2
         f = zero_mean(transform_forward(RealField2D(g, (1 - r2 / 2) * np.exp(-r2 / 2))))
-        prof = Profile(f, 0.0)
         ratios = []
         for t in (10.0, 100.0):
             measured = linf_norm(apply_semigroup(f, t))
-            bound, = split_decay_bound(prof, [t], 4.0, 0.5, 2)
+            bound, = split_decay_bound(f, [t], 4.0, 0.5, 2)
             ratios.append(measured / bound)
         assert max(ratios) < 10.0

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bplab import solver
 from bplab.solver import (
     CONFIG_KEYS,
+    Profile,
     RunResult,
     SimConfig,
     SimState,
@@ -33,7 +34,6 @@ from bplab.spectral import (
     ConfigurationError,
     Grid2D,
     InputError,
-    Profile,
     RealField2D,
     SpectralField2D,
     grid_operators,
@@ -41,6 +41,7 @@ from bplab.spectral import (
     read_field,
     transform_forward,
     transform_inverse,
+    weighted_profile_norm,
     write_field,
     zero_mean,
 )
@@ -68,7 +69,7 @@ class TestConfig:
            beta=st.floats(-1e3, 1e3), dt=st.floats(1e-4, 1.0), steps=st.integers(0, 10 ** 4),
            k_energy=st.integers(0, 8), output_stride=st.integers(1, 1000),
            init=st.sampled_from(["gaussian", "shell", "pair", "file"]),
-           eps=st.floats(-10.0, 10.0), init_width=st.floats(0.0, 100.0),
+           eps=st.floats(-10.0, 10.0), init_width=st.just(0.0) | st.floats(1e-100, 100.0),
            init_file=st.none() | st.text("abc/._-XYZ 019", min_size=1).map(str.strip)
            .filter(bool), nonlinear=st.booleans())
     def test_format_parse_roundtrip(self, steps, **fields):
@@ -477,6 +478,26 @@ class TestRunAgainstStep:
         want = transform_inverse(omega_from_profile(prof, cfg.beta)).samples
         assert rel_err(read_field(path).samples, want) <= 1e-14
 
+    def test_blow_up_guard(self, monkeypatch):
+        # the slopes of step 4 are scaled up 1e4 times: |omega|_Linf stays
+        # finite but passes 1000x its initial value, and the run stops at
+        # that report
+        cfg = SimConfig(n=32, box_length=10.0, dt=0.05, t_end=0.5, eps=0.5, init="pair",
+                        output_stride=1)
+        advection, calls = solver._advection, []
+
+        def poisoned(u, blk, ws, out):
+            calls.append(1)
+            advection(u, blk, ws, out)
+            return np.multiply(out, 1e4 if len(calls) > 12 else 1.0, out=out)
+
+        monkeypatch.setattr(solver, "_advection", poisoned)
+        res = run(cfg)
+        assert res.abort_reason == f"blow-up guard at t={4 * cfg.dt}"
+        linf = [r.linf_omega for r in res.reports]
+        assert len(linf) == 5 and np.isfinite(linf[-1]) and linf[-1] > 1e3 * linf[0]
+        assert max(linf[:-1]) < 2.0 * linf[0]
+
 
 def expression_increment(w, cfg):
     """The Lawson increment written as numpy expressions, each of which
@@ -646,6 +667,20 @@ class TestReportEquivalence:
                 back = transform_forward(transform_inverse(f)).modes
                 assert rel_err(back, f.modes) <= 1e-14
                 assert f.modes[16, 0].imag == 0.0
+
+    def test_one_warning_per_report(self):
+        # the boundary warning is the report's own: one per report, naming its
+        # t, with the weighted columns of weighted_profile_norm; none when the
+        # mass stays central
+        cfg = SimConfig(n=32, box_length=10.0)
+        state = SimState(0.3, profile_from_omega(random_vorticity(n=32, seed=0), 0.3, cfg.beta))
+        first, second = make_report(state, cfg), make_report(state, cfg)
+        want = ["boundary contamination: <99% mass in central half-box at t=0.3"]
+        assert first.warnings == second.warnings == want
+        assert first.warnings is not second.warnings
+        assert (first.weighted2, first.weighted3) == weighted_profile_norm(state.profile.field)[:2]
+        central = SimState(0.3, profile_from_omega(windowed_vorticity(32, 0), 0.3, cfg.beta))
+        assert make_report(central, cfg).warnings == []
 
 
 class TestStep:

@@ -12,7 +12,6 @@ from bplab.spectral import (
     InputError,
     NORM_REPORT_COLUMNS,
     NormReport,
-    Profile,
     RealField2D,
     SpectralField2D,
     besov_norm,
@@ -291,8 +290,8 @@ class TestNorms:
 class TestWeightedNorms:
     def test_zero_profile(self):
         g = Grid2D(32, 10.0)
-        p = Profile(SpectralField2D(g, np.zeros(g.half_shape)), 0.0)
-        assert weighted_profile_norm(p) == (0.0, 0.0)
+        assert weighted_profile_norm(SpectralField2D(g, np.zeros(g.half_shape))) == \
+            (0.0, 0.0, 1.0)
 
     @pytest.mark.parametrize("l,expect", [(2, np.sqrt(6 * np.pi)),
                                           (3, np.sqrt(24 * np.pi))])
@@ -301,19 +300,8 @@ class TestWeightedNorms:
         # 2 pi (int |xi|^(2l) |xi|^2 e^(-|xi|^2) dxi / (2 pi)^2)^(1/2)
         # = (pi Gamma(l+2))^(1/2) by the radial integral.
         g = Grid2D(256, 40.0)
-        p = Profile(transform_forward(gaussian_field(g)), 0.0)
-        assert weighted_profile_norm(p)[l - 2] == pytest.approx(expect, rel=0.01)
-
-    def test_one_warning_per_call(self):
-        # one call gives both orders and at most one boundary warning, the
-        # same norms with or without a sink
-        g = Grid2D(64, 4.0)
-        p = Profile(transform_forward(gaussian_field(g, width=2.0)), 0.3)
-        warns = []
-        assert weighted_profile_norm(p, warns) == weighted_profile_norm(p)
-        assert len(warns) == 1 and "t=0.3" in warns[0]
-        weighted_profile_norm(p, warns)
-        assert len(warns) == 2
+        f = transform_forward(gaussian_field(g))
+        assert weighted_profile_norm(f)[l - 2] == pytest.approx(expect, rel=0.01)
 
     def test_translation_modulation_growth(self):
         # translating by a multiplies fhat by exp(-i a xi1); the weighted norm
@@ -324,8 +312,8 @@ class TestWeightedNorms:
         base = np.exp(-(X ** 2 + Y ** 2) / 2.0)
         a = 3.0
         shifted = np.exp(-((X - a) ** 2 + Y ** 2) / 2.0)
-        n0 = weighted_profile_norm(Profile(transform_forward(RealField2D(g, base))))[0]
-        n1 = weighted_profile_norm(Profile(transform_forward(RealField2D(g, shifted))))[0]
+        n0 = weighted_profile_norm(transform_forward(RealField2D(g, base)))[0]
+        n1 = weighted_profile_norm(transform_forward(RealField2D(g, shifted)))[0]
         assert n1 > n0
         assert n1 < n0 + 2.0 * a * sobolev_norm(transform_forward(RealField2D(g, base)), 2)
 
@@ -355,11 +343,10 @@ class TestWeightedNorms:
 
     def test_boundary_warning(self):
         g = Grid2D(64, 4.0)     # box too small for the unit Gaussian
-        p = Profile(transform_forward(gaussian_field(g, width=2.0)), 0.0)
-        assert central_mass_fraction(p.field) < 0.99
-        warns = []
-        weighted_profile_norm(p, warns)
-        assert warns
+        f = transform_forward(gaussian_field(g, width=2.0))
+        central = weighted_profile_norm(f)[2]
+        assert central < 0.99
+        assert central == pytest.approx(central_mass_fraction(f), rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -403,7 +390,7 @@ def test_half_spectrum_norms_are_lattice_sums(seed, n, box):
     xs = np.fft.ifftshift(x)
     d1 = np.fft.fft2(xs[:, None] * np.fft.ifftshift(samples)) * scale
     d2 = np.fft.fft2(xs[None, :] * np.fft.ifftshift(samples)) * scale
-    got = weighted_profile_norm(Profile(f, 0.0))
+    got = weighted_profile_norm(f)
     for l, norm in zip((2, 3), got):
         want = lattice_norm(mag2 ** l * (np.abs(d1) ** 2 + np.abs(d2) ** 2))
         assert norm == pytest.approx(want, rel=1e-12)

@@ -80,13 +80,12 @@ def criterion_2(seed=0):
     roots, found = propagator.stationary_roots(vs)
     max_count = int(found.sum(-1).max())
     grad = propagator.phase_gradient(vs[:, None, :], roots)
-    res = np.sqrt(np.vecdot(grad, grad))     # np.linalg.norm of each 2-vector
-    worst_res = float(res[found].max(initial=0.0))
+    worst_res = float(propagator.length(grad)[found].max(initial=0.0))
     # closed-form determinant vs finite differences at shell points
     fd_worst = 0.0
     for _ in range(100):
         xi = rng.uniform(-2, 2, 2)
-        if np.linalg.norm(xi) < 0.3:
+        if propagator.length(xi) < 0.3:
             continue
         det = np.linalg.det(-propagator.symbol_hess(xi))
         ref = propagator.hessian_det(xi)
@@ -107,13 +106,13 @@ def criterion_2(seed=0):
 @_criterion(3, "L2 conservation")
 def criterion_3(seed=0):
     """Conservation of |omega|_L2 and |u|_L2 for beta in {0, 1}, plus the
-    discrete energy bracket."""
+    discrete energy bracket. At beta = 0 the data is a moving pair, since the
+    radial Gaussian is a steady Euler flow that leaves transport untested."""
     details = {}
     ok = True
-    for beta in (0.0, 1.0):
+    for beta, init in ((0.0, "pair"), (1.0, "gaussian")):
         cfg = solver.SimConfig(n=256, box_length=50.0, beta=beta, dt=0.05,
-                               t_end=10.0, eps=0.5, init="gaussian",
-                               output_stride=20)
+                               t_end=10.0, eps=0.5, init=init, output_stride=20)
         res = solver.run(cfg)
         if res.aborted:
             return False, {"abort": res.abort_reason}

@@ -20,12 +20,11 @@ import numpy as np
 
 from . import acceptance, diagnostics, propagator, resonance, solver
 from .harness import TOOL_VERSION, header_lines, substream_seed, write_csv, write_json
+from .solver import NORM_REPORT_COLUMNS, NormReport
 from .spectral import (
-    NORM_REPORT_COLUMNS,
     ConfigurationError,
     Grid2D,
     InputError,
-    NormReport,
     linf_norm,
     shell_field,
     transform_inverse,

@@ -51,8 +51,13 @@ def energy_certificate(result: RunResult, k: int) -> EnergyCertificate:
     The time integral uses the trapezoid rule at checkpoint resolution. The
     certificate fails only when the initial norm vanishes while later norms
     do not (no finite c can dominate). The H^k norm is read off the profile:
-    the free flow is unimodular, so the vorticity has the same norm.
+    the free flow is unimodular, so the vorticity has the same norm. 4^k is
+    taken in float64; a k for which it is not finite is refused.
     """
+    with np.errstate(over="ignore"):
+        four_k = np.float64(4.0) ** k
+    if not np.isfinite(four_k):
+        raise ConfigurationError(f"4^k not finite at k={k}")
     ts, hks, integrand = [], [], []
     for t, prof, rep in _checkpoint_reports(result):
         ts.append(t)
@@ -73,8 +78,8 @@ def energy_certificate(result: RunResult, k: int) -> EnergyCertificate:
             continue
         if I <= 0:      # norm growth with vanishing integrand
             return EnergyCertificate(hks, np.inf, np.zeros_like(hks), valid=False)
-        c = max(c, growth / (4.0 ** k * I))
-    envelope = h0 * np.exp(c * 4.0 ** k * cumint)
+        c = max(c, growth / (four_k * I))
+    envelope = h0 * np.exp(c * four_k * cumint)
     # tiny headroom so the fitted equality point still dominates in floats
     valid = bool(np.all(envelope * (1.0 + 1e-12) >= hks))
     return EnergyCertificate(hks, c, envelope, valid)

@@ -86,6 +86,13 @@ def apply_semigroup(f: SpectralField2D, t: float) -> SpectralField2D:
 # ---------------------------------------------------------------------------
 # stationary phase
 
+def length(a):
+    """Euclidean length over the last axis of a (..., 2) array, rounded as
+    np.linalg.norm rounds one 2-vector (a dot product); inf past float64."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.vecdot(a, a))
+
+
 def phase_gradient(x_over_t, xi):
     """grad of phi(xi) = (x/t).xi - xi1/|xi|^2."""
     return np.asarray(x_over_t, dtype=float) - symbol_grad(np.asarray(xi, dtype=float))
@@ -101,9 +108,6 @@ def stationary_roots(x_over_t):
     found, its residual below 1e-10 and |xi| in the shell [1/4, 4], (..., 2);
     none is found for x/t zero, non-finite or with r outside.
     """
-    def length(a):  # rounds as np.linalg.norm of one 2-vector does (a BLAS dot)
-        return np.sqrt(np.vecdot(a, a))
-
     v = np.asarray(x_over_t, dtype=float)
     lead, v = v.shape[:-1], v.reshape(-1, 2)
     half = 0.5 * np.arctan2(-v[:, 1], -v[:, 0])

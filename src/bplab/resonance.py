@@ -39,7 +39,7 @@ class FreqPair:
         eta = np.asarray(self.eta, dtype=float)
         if xi.shape != (2,) or eta.shape != (2,):
             raise InputError("xi and eta must be 2-vectors")
-        lengths = [np.linalg.norm(v) for v in (xi, eta, xi - eta)]
+        lengths = [norm(v) for v in (xi, eta, xi - eta)]
         if min(lengths) <= _SINGULAR_MARGIN * max(1.0, *lengths[:2]):
             raise InputError("singular pair: xi = 0, eta = 0 or xi = eta")
         object.__setattr__(self, "xi", (float(xi[0]), float(xi[1])))

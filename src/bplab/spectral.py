@@ -47,17 +47,11 @@ import functools
 import os
 import stat
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 BPF_MAGIC = b"BPF1"
-
-# Column order is fixed for CSV export.
-NORM_REPORT_COLUMNS = (
-    "t", "l2", "hk", "linf_omega", "linf_u", "linf_u2", "linf_du",
-    "besov311", "weighted2", "weighted3", "fhat_sup2",
-)
 
 
 class ConfigurationError(ValueError):
@@ -178,28 +172,6 @@ class SpectralField2D:
             raise ConfigurationError(
                 f"expected {self.grid.half_shape} modes, got {self.modes.shape}")
 
-    def mean_mode(self) -> complex:
-        return complex(self.modes[0, 0])
-
-
-@dataclass
-class NormReport:
-    t: float
-    l2: float
-    hk: float
-    linf_omega: float
-    linf_u: float
-    linf_u2: float
-    linf_du: float
-    besov311: float
-    weighted2: float
-    weighted3: float
-    fhat_sup2: float
-    warnings: list = field(default_factory=list)
-
-    def row(self) -> list[float]:
-        return [getattr(self, c) for c in NORM_REPORT_COLUMNS]
-
 
 # ---------------------------------------------------------------------------
 # transforms
@@ -233,7 +205,7 @@ def require_mean_zero(f: SpectralField2D) -> None:
     """Raise InputError unless the zero mode is negligible: at most 1e-12 of
     the largest mode, or of 1."""
     scale = max(1.0, float(np.abs(f.modes).max(initial=0.0)))
-    mean = f.mean_mode()
+    mean = complex(f.modes[0, 0])
     if abs(mean) > 1e-12 * scale:
         raise InputError(f"field has nonzero mean mode {mean:.3e}")
 
@@ -259,10 +231,11 @@ def lp_bump(r):
 
 def shell_field(grid: Grid2D, j: int = 0) -> SpectralField2D:
     """Mean-zero data whose modes are the bump of the dyadic shell |xi| ~ 2^j;
-    2^j is taken in float64, so a j too large for it gives data with no modes."""
-    with np.errstate(over="ignore"):
-        scale = np.float64(2.0) ** j
-    return zero_mean(SpectralField2D(grid, lp_bump(grid_operators(grid).mag / scale)))
+    2^j is taken in float64, so a j for which it overflows or underflows gives
+    data with no modes (|xi|/2^j is then 0, or inf with a 0/0 that zero_mean clears)."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        radius = grid_operators(grid).mag / np.float64(2.0) ** j
+    return zero_mean(SpectralField2D(grid, lp_bump(radius)))
 
 
 def lp_shell_range(grid: Grid2D) -> tuple[int, int]:
@@ -290,20 +263,21 @@ def l2_norm(f: SpectralField2D) -> float:
 
 
 def sobolev_norm(f: SpectralField2D, k: int) -> float:
-    """Inhomogeneous H^k norm via the symbol (1 + |xi|^2)^(k/2)."""
+    """Inhomogeneous H^k norm via the symbol (1 + |xi|^2)^(k/2); a norm that
+    float64 cannot hold is refused."""
     if k < 0:
         raise ConfigurationError("Sobolev index must be >= 0")
-    w = (1.0 + grid_operators(f.grid).mag2) ** k
-    return _lattice_l2(w * np.abs(f.modes) ** 2, f.grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = _lattice_l2((1.0 + grid_operators(f.grid).mag2) ** k * np.abs(f.modes) ** 2,
+                           f.grid)
+    if not np.isfinite(norm):
+        raise ConfigurationError(f"H^{k} norm not finite at n={f.grid.n}, L={f.grid.box_length!r}")
+    return norm
 
 
 def homogeneous_sobolev_norm(f: SpectralField2D, s: float) -> float:
-    """|D^s f|_{L^2}; the zero mode is skipped (its symbol is singular)."""
-    mag = grid_operators(f.grid).mag
-    w = np.zeros_like(mag)
-    nz = mag > 0
-    w[nz] = mag[nz] ** (2.0 * s)
-    return _lattice_l2(w * np.abs(f.modes) ** 2, f.grid)
+    """|D^s f|_{L^2} for s > 0."""
+    return _lattice_l2(grid_operators(f.grid).mag ** (2.0 * s) * np.abs(f.modes) ** 2, f.grid)
 
 
 def linf_norm(f: SpectralField2D) -> float:

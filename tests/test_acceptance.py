@@ -7,8 +7,9 @@ to watch the verdict lines as they complete.
 """
 
 import numpy as np
+import pytest
 
-from bplab import acceptance
+from bplab import acceptance, solver
 
 SEED = 0
 
@@ -94,3 +95,20 @@ def test_criterion_decorator_names_and_times():
                                                                           {"seed": 3})
     assert result.elapsed >= 0.0 and toy.__doc__ == "Toy criterion."
     assert not toy().passed
+
+
+@pytest.mark.parametrize("criterion, extra", [
+    (acceptance.criterion_3, {}), (acceptance.criterion_4, {}),
+    (acceptance.criterion_5, {"eps": 0.2}), (acceptance.criterion_9, {}),
+    (acceptance.criterion_10, {}),
+], ids=["3", "4", "5", "9", "10"])
+def test_solver_criteria_fail_on_an_aborted_run(monkeypatch, criterion, extra):
+    # a run that aborts fails its criterion at once, with the reason (and
+    # criterion 5's eps) as the details
+    def aborted(cfg, dump_path=None):
+        return solver.RunResult(cfg, [], [], "NaN at step 4")
+
+    monkeypatch.setattr(solver, "run", aborted)
+    result = criterion(SEED)
+    assert not result.passed
+    assert result.details == {"abort": "NaN at step 4", **extra}

@@ -2,15 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from bplab import acceptance, propagator, solver
 from bplab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from bplab.solver import parse_config
+from bplab.solver import NORM_REPORT_COLUMNS, parse_config
 from bplab.spectral import (
-    NORM_REPORT_COLUMNS,
     ConfigurationError,
     Grid2D,
     RealField2D,
@@ -66,6 +66,20 @@ class TestSimulate:
         assert rc == EXIT_OK
         rows = read_noncomment(diag)
         assert rows[0].startswith("t,hk,energy_envelope")
+
+    def test_diagnose_refuses_hk_past_float64(self, tmp_path):
+        # on this grid H^180 is finite and H^181 overflows: the first is
+        # certified, the second refused, and neither warns
+        out, chk, diag = _finished_run_csv(tmp_path), str(tmp_path / "chk"), str(tmp_path / "d")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["diagnose", "--in", out, "--checkpoints", chk, "--out", diag,
+                         "--k", "180"]) == EXIT_OK
+            hk = [float(row.split(",")[1]) for row in read_noncomment(diag)[1:]]
+            assert main(["diagnose", "--in", out, "--checkpoints", chk, "--out", diag,
+                         "--k", "181"]) == EXIT_CONFIG
+        assert [str(w.message) for w in caught] == []
+        assert all(0 < h < np.inf for h in hk)
 
     def test_deterministic_output(self, tmp_path, config_file):
         outs = []
@@ -289,10 +303,11 @@ def _config_with(line):
     return make
 
 
-def _finished_run_csv(tmp_path):
-    """A run CSV from simulate, with its checkpoints in tmp_path/chk."""
+def _finished_run_csv(tmp_path, lines=""):
+    """A run CSV from simulate on CONFIG with `lines` appended, with its
+    checkpoints in tmp_path/chk."""
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(CONFIG)
+    cfg.write_text(CONFIG + lines)
     out = str(tmp_path / "run.csv")
     assert main(["simulate", "--config", str(cfg), "--out", out,
                  "--checkpoints", str(tmp_path / "chk")]) == EXIT_OK
@@ -430,6 +445,17 @@ def _run_csv_text(text):
     (["simulate", "--config", _config_with("init = file")], EXIT_CONFIG),
     (["simulate", "--config", _config_with("output_stride = 0")], EXIT_CONFIG),
     (["diagnose", "--in", _run_csv_without_config, "--checkpoints", str], EXIT_RUNTIME),
+    (["diagnose", "--in", _finished_run_csv, "--checkpoints", lambda p: str(p / "chk"),
+      "--k", "181"], EXIT_CONFIG),
+    (["diagnose", "--in", _finished_run_csv, "--checkpoints", lambda p: str(p / "chk"),
+      "--k", "200"], EXIT_CONFIG),
+    (["diagnose", "--in", _finished_run_csv, "--checkpoints", lambda p: str(p / "chk"),
+      "--k", "300"], EXIT_CONFIG),
+    (["diagnose", "--in", _finished_run_csv, "--checkpoints", lambda p: str(p / "chk"),
+      "--k", "2000"], EXIT_CONFIG),
+    (["diagnose", "--in", lambda p: _finished_run_csv(p, "L = 100.0\n"), "--checkpoints",
+      lambda p: str(p / "chk"), "--k", "600"], EXIT_CONFIG),
+    (["simulate", "--config", _config_with("k_energy = 400")], EXIT_CONFIG),
 ], ids=["unknown-id", "partly-unknown-ids", "classify-no-vectors", "classify-no-eta",
         "truncated-init-file", "too-few-samples", "mu-out-of-range", "negative-t-min",
         "zero-t-min", "decay-mu-out-of-range", "stphase-not-a-number", "stphase-nan",
@@ -449,7 +475,9 @@ def _run_csv_text(text):
         "decay-N-inf", "decay-N-1e30", "decay-N-1e300", "decay-N-1e-300", "decay-k-2000",
         "decay-bound-nan", "decay-j-2000", "simulate-init-width-1e-200",
         "simulate-pair-init-width-1e-200", "simulate-init-width-1e-160",
-        "simulate-init-file-unset", "simulate-output-stride-0", "diagnose-no-config-line"])
+        "simulate-init-file-unset", "simulate-output-stride-0", "diagnose-no-config-line",
+        "diagnose-hk-181-overflows", "diagnose-hk-200-overflows", "diagnose-hk-300-overflows",
+        "diagnose-k-2000", "diagnose-4k-600-overflows", "simulate-hk-400-overflows"])
 def test_bad_input_exit_codes(tmp_path, argv, code):
     argv = [a(tmp_path) if callable(a) else a for a in argv]
     # --out only where the subcommand writes a file, so that each case fails
@@ -508,7 +536,7 @@ def test_thread_cap_exported_before_numpy():
                        ("OPENBLAS_NUM_THREADS", "3")]) + "\n"
 
 
-SWEEP_VALUES = ("0", "1e300", "-1e300", "1e30", "1e-30", "600", "2000")
+SWEEP_VALUES = ("0", "1e300", "-1e300", "1e30", "1e-30", "600", "2000", "-600", "-2000")
 SWEEP_OPTIONS = {
     ("decay", "--n", "16", "--L", "20"):
         ("--n", "--L", "--j", "--t-min", "--t-max", "--n-times", "--N", "--mu", "--k"),
@@ -522,14 +550,19 @@ SWEEP = [(base, option) for base, options in SWEEP_OPTIONS.items() for option in
 @pytest.mark.parametrize("base, option", SWEEP, ids=[f"{b[0]}{o}" for b, o in SWEEP])
 def test_extreme_values_never_raise(tmp_path, capsys, base, option):
     # each numeric option at each extreme value gives an exit code, never a
-    # traceback; a vector option takes the value in both entries
+    # traceback or a warning; a vector option takes the value in both entries
     argv = list(base) + (["--out", str(tmp_path / "out.csv")] if base[0] == "decay" else [])
-    codes = {}
+    codes, warned = {}, {}
     for value in SWEEP_VALUES:
         arg = f"{value},{value}" if option in ("--x-over-t", "--xi", "--eta") else value
-        codes[value] = main(argv + [option, arg])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            codes[value] = main(argv + [option, arg])
+        if caught:
+            warned[value] = [str(w.message) for w in caught]
     capsys.readouterr()
     assert set(codes.values()) <= {EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME}, codes
+    assert warned == {}
 
 
 class TestStphase:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bplab import solver
 from bplab.solver import (
     CONFIG_KEYS,
+    NORM_REPORT_COLUMNS,
     Profile,
     RunResult,
     SimConfig,
@@ -30,7 +31,6 @@ from bplab.solver import (
     velocity_sup_norms,
 )
 from bplab.spectral import (
-    NORM_REPORT_COLUMNS,
     ConfigurationError,
     Grid2D,
     InputError,
@@ -783,6 +783,26 @@ class TestRun:
         assert [t for t, _ in res.checkpoints] == want
         assert [prof.t for _, prof in res.checkpoints] == want
 
+    @pytest.mark.parametrize("beta", [1.0, -0.7])
+    def test_packet_moves_at_the_group_velocity(self, tmp_path, beta):
+        # a small packet at xi = (1, 0.5) moves with the group velocity of
+        # the free flow exp(-i beta t g), g = xi1/|xi|^2: its omega^2 centroid
+        # sits at beta t grad g(1, 0.5) = beta t (-0.48, -0.64)
+        g = Grid2D(128, 100.0)
+        x = g.x_coords()
+        X, Y = np.meshgrid(x, x, indexing="ij")
+        samples = 1e-3 * np.exp(-(X ** 2 + Y ** 2) / 72.0) * np.cos(X + 0.5 * Y)
+        path = tmp_path / "packet.bpf"
+        write_field(path, RealField2D(g, samples - samples.mean()))
+        cfg = SimConfig(n=128, box_length=100.0, beta=beta, dt=0.1, t_end=20.0,
+                        init="file", init_file=str(path), output_stride=50)
+        res = run(cfg)
+        assert not res.aborted and len(res.checkpoints) == 5
+        for t, prof in res.checkpoints[1:]:
+            w2 = transform_inverse(omega_from_profile(prof, beta)).samples ** 2
+            centroid = np.array([np.sum(X * w2), np.sum(Y * w2)]) / np.sum(w2)
+            assert np.abs(centroid - beta * t * np.array([-0.48, -0.64])).max() < 1e-3
+
     def test_aborted_follows_the_reason(self):
         cfg = SimConfig(n=16, box_length=10.0)
         assert RunResult(cfg, [], [], "NaN at step 4").aborted
@@ -796,7 +816,7 @@ class TestInitialData:
     def test_mean_zero(self, init):
         cfg = SimConfig(n=64, box_length=50.0, eps=0.3, init=init)
         w = initial_vorticity(cfg)
-        assert w.mean_mode() == 0.0
+        assert w.modes[0, 0] == 0.0
         assert np.abs(w.modes).max() > 0
 
     def test_file_init(self, tmp_path):
@@ -823,7 +843,7 @@ class TestInitialData:
         # at most 1e-12 of max(1, largest |mode|)
         cfg = SimConfig(n=32, box_length=20.0, eps=0.2, init="gaussian")
         w = initial_vorticity(cfg)
-        unit = transform_forward(RealField2D(cfg.grid, np.ones((32, 32)))).mean_mode().real
+        unit = transform_forward(RealField2D(cfg.grid, np.ones((32, 32)))).modes[0, 0].real
         lift = ratio * max(1.0, float(np.abs(w.modes).max())) / unit
         path = tmp_path / "init.bpf"
         write_field(path, RealField2D(cfg.grid, transform_inverse(w).samples + lift))
@@ -832,7 +852,7 @@ class TestInitialData:
             with pytest.raises(InputError, match="nonzero mean"):
                 initial_vorticity(cfg_file)
         else:
-            assert initial_vorticity(cfg_file).mean_mode() == 0.0
+            assert initial_vorticity(cfg_file).modes[0, 0] == 0.0
 
     def test_file_init_rejects_nonzero_mean(self, tmp_path):
         g = Grid2D(16, 5.0)

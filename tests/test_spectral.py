@@ -10,8 +10,6 @@ from bplab.spectral import (
     ConfigurationError,
     Grid2D,
     InputError,
-    NORM_REPORT_COLUMNS,
-    NormReport,
     RealField2D,
     SpectralField2D,
     besov_norm,
@@ -33,6 +31,7 @@ from bplab.spectral import (
     zero_mean,
 )
 from bplab.harness import write_csv
+from bplab.solver import NORM_REPORT_COLUMNS, NormReport
 from halfspec import full_wavenumbers, hermitian_extension
 from lp_oracle import central_mass_fraction, lp_phys_norm, lp_project
 

@@ -80,12 +80,12 @@ def criterion_2(seed=0):
     roots, found = propagator.stationary_roots(vs)
     max_count = int(found.sum(-1).max())
     grad = propagator.phase_gradient(vs[:, None, :], roots)
-    worst_res = float(propagator.length(grad)[found].max(initial=0.0))
+    worst_res = float(propagator.norm(grad)[found].max(initial=0.0))
     # closed-form determinant vs finite differences at shell points
     fd_worst = 0.0
     for _ in range(100):
         xi = rng.uniform(-2, 2, 2)
-        if propagator.length(xi) < 0.3:
+        if propagator.norm(xi) < 0.3:
             continue
         det = np.linalg.det(-propagator.symbol_hess(xi))
         ref = propagator.hessian_det(xi)
@@ -190,10 +190,9 @@ def criterion_5(seed=0):
     shrinking = all(excess[i + 1] <= excess[i] for i in range(2))
     order = (float(np.polyfit(np.log(epsilons), np.log(excess), 1)[0])
              if min(excess) > 0 else np.nan)
-    rows = diagnostics.weighted_norm_series(last)
-    w2 = [r["weighted2"] for r in rows]
-    w3 = [r["weighted3"] for r in rows]
-    s2 = [r["fhat_sup2"] for r in rows]
+    w2 = [r.weighted2 for r in last.reports]
+    w3 = [r.weighted3 for r in last.reports]
+    s2 = [r.fhat_sup2 for r in last.reports]
     bounded = all(max(series) <= 4.0 * series[0]
                   for series in (w2, w3, s2) if series[0] > 0)
     return monotone and shrinking and bounded, {

@@ -159,13 +159,11 @@ def cmd_diagnose(args):
     res, warnings = _reconstruct_run(args.infile, args.checkpoints)
     cert = diagnostics.energy_certificate(res, args.k)
     transport = diagnostics.linfty_transport_check(res)
-    weighted = diagnostics.weighted_norm_series(res)
-    rows = []
-    for i, row in enumerate(weighted):
-        rows.append([row["t"], cert.hk_measured[i], cert.rhs_envelope[i],
-                     transport.lhs[i], transport.rhs[i], transport.slack[i],
-                     row["weighted2"], row["weighted3"], row["fhat_sup2"],
-                     int(row["flagged"])])
+    flags = diagnostics.weighted_norm_series(res)
+    rows = [[rep.t, cert.hk_measured[i], cert.rhs_envelope[i], transport.lhs[i],
+             transport.rhs[i], transport.slack[i], rep.weighted2, rep.weighted3,
+             rep.fhat_sup2, int(flag)]
+            for i, (rep, flag) in enumerate(zip(res.reports, flags))]
     header = header_lines("diagnose", args.seed) + [
         f"k={args.k} energy_c={cert.c:.6g} energy_valid={cert.valid} "
         f"transport_ok={transport.ok}"] + warnings
@@ -340,7 +338,8 @@ def main(argv=None):
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InputError, resonance.SamplerError, solver.StabilityError, OSError) as exc:
+    except (InputError, resonance.SamplerError, solver.StabilityError, OSError,
+            MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -1,5 +1,5 @@
 """Post-processing of simulation output: energy-growth certificates, the
-transport a priori bound, weighted profile norms, and the bootstrap
+transport a priori bound, weighted-norm growth flags, and the bootstrap
 feasibility arithmetic.
 
 Nothing here advances the dynamics; every routine is a pure function of a
@@ -127,21 +127,13 @@ def linfty_transport_check(result: RunResult) -> TransportReport:
 # ---------------------------------------------------------------------------
 # weighted norm series
 
-def weighted_norm_series(result: RunResult):
-    """Rows (t, weighted2, weighted3, fhat_sup2, flagged, warnings) per
-    checkpoint, read from its report; flagged marks entries above 10x their
-    initial value."""
-    rows = []
-    base = None
-    for t, _, rep in _checkpoint_reports(result):
-        values = (rep.weighted2, rep.weighted3, rep.fhat_sup2)
-        if base is None:
-            base = values
-        flagged = any(b > 0 and v > 10.0 * b for v, b in zip(values, base))
-        rows.append({"t": t, "weighted2": rep.weighted2, "weighted3": rep.weighted3,
-                     "fhat_sup2": rep.fhat_sup2, "flagged": flagged,
-                     "warnings": list(rep.warnings)})
-    return rows
+def weighted_norm_series(result: RunResult) -> list[bool]:
+    """One flag per checkpoint: whether its report's weighted2, weighted3 or
+    fhat_sup2 is above 10x its nonzero value at the first checkpoint."""
+    series = [(rep.weighted2, rep.weighted3, rep.fhat_sup2)
+              for _, _, rep in _checkpoint_reports(result)]
+    return [any(b > 0 and v > 10.0 * b for v, b in zip(values, series[0]))
+            for values in series]
 
 
 def doubling_time(times, values, t_end):

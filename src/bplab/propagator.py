@@ -86,11 +86,9 @@ def apply_semigroup(f: SpectralField2D, t: float) -> SpectralField2D:
 # ---------------------------------------------------------------------------
 # stationary phase
 
-def length(a):
-    """Euclidean length over the last axis of a (..., 2) array, rounded as
-    np.linalg.norm rounds one 2-vector (a dot product); inf past float64."""
-    with np.errstate(over="ignore"):
-        return np.sqrt(np.vecdot(a, a))
+def norm(v):
+    """Euclidean length over the last axis of a (..., 2) array."""
+    return np.hypot(v[..., 0], v[..., 1])
 
 
 def phase_gradient(x_over_t, xi):
@@ -115,11 +113,11 @@ def stationary_roots(x_over_t):
     v = np.repeat(v, 2, axis=0)                      # one row per candidate
     lo, hi = 0.25, 4.0                               # the shell
     with np.errstate(divide="ignore"):
-        r = length(v) ** -0.5
+        r = norm(v) ** -0.5
     live = (lo <= r) & (r <= hi)
     xi = np.where(live, r, np.nan)[:, None] * np.stack([np.cos(theta), np.sin(theta)], -1)
-    size = length(xi)
-    found = (length(phase_gradient(v, xi)) < 1e-10) & (lo <= size) & (size <= hi)
+    size = norm(xi)
+    found = (norm(phase_gradient(v, xi)) < 1e-10) & (lo <= size) & (size <= hi)
     return xi.reshape(lead + (2, 2)), found.reshape(lead + (2,))
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .propagator import symbol
+from .propagator import norm, symbol
 from .spectral import ConfigurationError, InputError
 
 _SINGULAR_MARGIN = 1e-12
@@ -93,11 +93,6 @@ def grad_phase_magnitudes_arr(xi, eta):
     g_xi = norm(eta - 2.0 * xi) * neta / (d2 * nxi ** 2)
     g_eta = norm(xi - 2.0 * eta) * nxi / (d2 * neta ** 2)
     return g_xi, g_eta
-
-
-def norm(v):
-    """Euclidean length over the last axis of a (..., 2) array."""
-    return np.hypot(v[..., 0], v[..., 1])
 
 
 # ---------------------------------------------------------------------------

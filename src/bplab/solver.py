@@ -97,7 +97,7 @@ class SimConfig:
         if not np.all(np.isfinite([self.beta, self.eps])):
             raise ConfigurationError("beta and eps must be finite")
         # initial_vorticity divides r^2, L^2/2 at the box corner, by 2 init_width^2
-        with np.errstate(over="ignore", divide="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             two_a2 = 2.0 * np.float64(self.init_width) ** 2
             corner = np.float64(self.box_length) ** 2 / 2.0 / two_a2
         if not (self.init_width == 0 or self.init_width > 0 and 0 < two_a2 < np.inf
@@ -110,7 +110,10 @@ class SimConfig:
         if self.init not in _INITS:
             raise ConfigurationError(
                 f"unknown init {self.init!r}; known: {', '.join(_INITS)}")
+        # past 2^53 float64 cannot tell whether t_end is a whole number of steps
         steps = self.t_end / self.dt
+        if not steps < 2.0 ** 53:
+            raise ConfigurationError(f"t_end/dt={steps!r} must be below 2^53")
         if abs(steps - self.n_steps) > 1e-9 * steps:
             raise ConfigurationError(
                 f"t_end={self.t_end} is not a whole number of steps of dt={self.dt}")
@@ -145,7 +148,7 @@ class SimState:
 @dataclass
 class RunResult:
     config: SimConfig
-    reports: list
+    reports: list[NormReport]
     checkpoints: list          # (t, Profile) pairs, one per report
     abort_reason: str = ""     # empty unless the run aborted
 
@@ -500,24 +503,31 @@ def velocity_sup_norms(omega: SpectralField2D):
 
 
 def make_report(state: SimState, cfg: SimConfig) -> NormReport:
-    omega = omega_from_profile(state.profile, cfg.beta)
-    u_sup, u2_sup, du_sup = velocity_sup_norms(omega)
-    weighted2, weighted3, central = weighted_profile_norm(state.profile.field)
-    return NormReport(
-        t=state.t,
-        l2=l2_norm(omega),
-        hk=sobolev_norm(omega, cfg.k_energy),
-        linf_omega=linf_norm(omega),
-        linf_u=u_sup,
-        linf_u2=u2_sup,
-        linf_du=du_sup,
-        besov311=besov_norm(omega),
-        weighted2=weighted2,
-        weighted3=weighted3,
-        fhat_sup2=fhat_sup_weighted(state.profile.field),
-        warnings=[f"boundary contamination: <99% mass in central half-box at "
-                  f"t={state.profile.t}"] if central < 0.99 else [],
-    )
+    """The norm report of the state. Its norms are taken in float64 without
+    overflow warnings; a report with a column that is not finite is refused
+    (ConfigurationError)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        omega = omega_from_profile(state.profile, cfg.beta)
+        u_sup, u2_sup, du_sup = velocity_sup_norms(omega)
+        weighted2, weighted3, central = weighted_profile_norm(state.profile.field)
+        report = NormReport(
+            t=state.t,
+            l2=l2_norm(omega),
+            hk=sobolev_norm(omega, cfg.k_energy),
+            linf_omega=linf_norm(omega),
+            linf_u=u_sup,
+            linf_u2=u2_sup,
+            linf_du=du_sup,
+            besov311=besov_norm(omega),
+            weighted2=weighted2,
+            weighted3=weighted3,
+            fhat_sup2=fhat_sup_weighted(state.profile.field),
+            warnings=[f"boundary contamination: <99% mass in central half-box at "
+                      f"t={state.t}"] if central < 0.99 else [],
+        )
+    if not np.all(np.isfinite(report.row())):
+        raise ConfigurationError(f"norm report not finite at t={state.t}")
+    return report
 
 
 def run(cfg: SimConfig, dump_path=None) -> RunResult:

@@ -325,7 +325,7 @@ def weighted_profile_norm(f: SpectralField2D):
     """
     g = f.grid
     phys = real_samples(f)
-    x = np.fft.fftfreq(g.n) * g.n * g.dx         # x_coords in FFT order, that of phys
+    x = np.fft.ifftshift(g.x_coords())           # in FFT order, that of phys
     central = mass_inside(phys, x, g.box_length / 4.0)
     d1, d2 = np.fft.rfft2(np.stack((x[:, None] * phys, x[None, :] * phys)))
     grad2 = (np.abs(d1) ** 2 + np.abs(d2) ** 2) * (g.dx ** 2 / (2.0 * np.pi) ** 2) ** 2

@@ -124,6 +124,30 @@ class TestSimulate:
         with open(out) as fh:
             assert not any(line.startswith("# warnings") for line in fh)
 
+    def test_report_not_finite_refused(self, tmp_path, capsys):
+        # at k_energy = 0 the H^k norm is finite, but the weighted norms of
+        # this amplitude overflow: the run is refused before any row is
+        # written, and nothing warns
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(CONFIG + "k_energy = 0\neps = 1e154\n")
+        out = str(tmp_path / "run.csv")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", str(cfg), "--out", out]) == EXIT_CONFIG
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == "configuration error: norm report not finite at t=0.0\n"
+        assert not os.path.exists(out)
+
+    def test_out_of_memory_is_a_runtime_error(self, tmp_path, config_file, capsys,
+                                              monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 GiB for an array")
+        monkeypatch.setattr(solver, "run", exhausted)
+        out = str(tmp_path / "run.csv")
+        assert main(["simulate", "--config", config_file, "--out", out]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == \
+            "runtime error: Unable to allocate 8.00 GiB for an array\n"
+
     def test_handoff_is_exact(self, tmp_path):
         # every config key and each checkpoint time reach diagnose unrounded,
         # so it unwinds the profiles with the very beta and t of the run
@@ -456,6 +480,9 @@ def _run_csv_text(text):
     (["diagnose", "--in", lambda p: _finished_run_csv(p, "L = 100.0\n"), "--checkpoints",
       lambda p: str(p / "chk"), "--k", "600"], EXIT_CONFIG),
     (["simulate", "--config", _config_with("k_energy = 400")], EXIT_CONFIG),
+    (["simulate", "--config", _config_with("dt = 1e-30")], EXIT_CONFIG),
+    (["simulate", "--config", _config_with("t_end = 1e30")], EXIT_CONFIG),
+    (["simulate", "--config", _config_with("t_end = 1e300")], EXIT_CONFIG),
 ], ids=["unknown-id", "partly-unknown-ids", "classify-no-vectors", "classify-no-eta",
         "truncated-init-file", "too-few-samples", "mu-out-of-range", "negative-t-min",
         "zero-t-min", "decay-mu-out-of-range", "stphase-not-a-number", "stphase-nan",
@@ -477,7 +504,9 @@ def _run_csv_text(text):
         "simulate-pair-init-width-1e-200", "simulate-init-width-1e-160",
         "simulate-init-file-unset", "simulate-output-stride-0", "diagnose-no-config-line",
         "diagnose-hk-181-overflows", "diagnose-hk-200-overflows", "diagnose-hk-300-overflows",
-        "diagnose-k-2000", "diagnose-4k-600-overflows", "simulate-hk-400-overflows"])
+        "diagnose-k-2000", "diagnose-4k-600-overflows", "simulate-hk-400-overflows",
+        "simulate-dt-1e-30-steps-uncountable", "simulate-t-end-1e30-steps-uncountable",
+        "simulate-t-end-1e300-steps-uncountable"])
 def test_bad_input_exit_codes(tmp_path, argv, code):
     argv = [a(tmp_path) if callable(a) else a for a in argv]
     # --out only where the subcommand writes a file, so that each case fails
@@ -558,6 +587,34 @@ def test_extreme_values_never_raise(tmp_path, capsys, base, option):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             codes[value] = main(argv + [option, arg])
+        if caught:
+            warned[value] = [str(w.message) for w in caught]
+    capsys.readouterr()
+    assert set(codes.values()) <= {EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME}, codes
+    assert warned == {}
+
+
+SIMULATE_KEYS = ("n", "L", "beta", "dt", "t_end", "k_energy", "output_stride", "eps",
+                 "init_width")
+
+
+@pytest.mark.parametrize("key", SIMULATE_KEYS)
+def test_simulate_extreme_values_never_raise(tmp_path, capsys, key):
+    # each numeric config key at each extreme value gives an exit code, never
+    # a traceback or a warning. A run that float64 cannot count would hang
+    # the sweep instead, so its refusal is checked first
+    for line in ("dt = 1e-30", "t_end = 1e30", "t_end = 1e300"):
+        with pytest.raises(ConfigurationError, match=r"2\^53"):
+            parse_config(CONFIG + line)
+    codes, warned = {}, {}
+    for value in SWEEP_VALUES:
+        if key == "t_end" and value in ("600", "2000"):
+            continue          # legal runs of 12000 and 40000 steps
+        argv = ["simulate", "--config", _config_with(f"{key} = {value}")(tmp_path),
+                "--out", str(tmp_path / "out.csv")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            codes[value] = main(argv)
         if caught:
             warned[value] = [str(w.message) for w in caught]
     capsys.readouterr()

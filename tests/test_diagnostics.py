@@ -17,6 +17,7 @@ from bplab.diagnostics import (
     weighted_norm_series,
 )
 from bplab.solver import (
+    NormReport,
     Profile,
     RunResult,
     SimConfig,
@@ -191,18 +192,43 @@ class TestTransportCheck:
 
 class TestWeightedSeries:
     def test_linear_run_constant(self, linear_run):
-        rows = weighted_norm_series(linear_run)
-        w2 = np.array([r["weighted2"] for r in rows])
-        w3 = np.array([r["weighted3"] for r in rows])
+        w2 = np.array([r.weighted2 for r in linear_run.reports])
+        w3 = np.array([r.weighted3 for r in linear_run.reports])
         assert np.abs(w2 - w2[0]).max() < 1e-12 * w2[0]
         assert np.abs(w3 - w3[0]).max() < 1e-12 * w3[0]
-        assert not any(r["flagged"] for r in rows)
+        assert weighted_norm_series(linear_run) == [False] * len(linear_run.reports)
 
     def test_zero_data(self):
         cfg = SimConfig(n=16, box_length=10.0, dt=0.1, t_end=0.3, eps=0.0,
                         output_stride=1)
-        rows = weighted_norm_series(run(cfg))
-        assert all(r["weighted2"] == 0.0 and r["weighted3"] == 0.0 for r in rows)
+        res = run(cfg)
+        assert all(r.weighted2 == 0.0 and r.weighted3 == 0.0 for r in res.reports)
+        assert weighted_norm_series(res) == [False] * 4
+
+    @staticmethod
+    def _series(**columns):
+        """A RunResult whose reports carry the given weighted-norm columns,
+        1.0 for the columns not given, on dummy checkpoints."""
+        n = len(next(iter(columns.values())))
+        reports = [NormReport(t=float(i), l2=1.0, hk=1.0, linf_omega=1.0, linf_u=1.0,
+                              linf_u2=1.0, linf_du=1.0, besov311=1.0,
+                              **{c: columns.get(c, [1.0] * n)[i]
+                                 for c in ("weighted2", "weighted3", "fhat_sup2")})
+                   for i in range(n)]
+        return RunResult(SimConfig(), reports, [(r.t, None) for r in reports])
+
+    def test_flag_strictly_above_ten_times(self):
+        assert weighted_norm_series(self._series(weighted2=[1.0, 5.0, 10.0, 10.5])) == \
+            [False, False, False, True]
+
+    def test_zero_first_value_never_flags(self):
+        assert weighted_norm_series(self._series(weighted2=[0.0, 1.0, 1e300])) == \
+            [False, False, False]
+
+    @pytest.mark.parametrize("column", ["weighted2", "weighted3", "fhat_sup2"])
+    def test_each_column_flags(self, column):
+        assert weighted_norm_series(self._series(**{column: [2.0, 21.0, 3.0]})) == \
+            [False, True, False]
 
 
 class TestDiagnosticsReadReports:
@@ -217,14 +243,14 @@ class TestDiagnosticsReadReports:
         return run(cfg)
 
     def test_weighted_series_matches_checkpoints(self, contaminated_run):
-        rows = weighted_norm_series(contaminated_run)
-        assert len(rows) == len(contaminated_run.checkpoints) == 6
-        for row, (t, prof) in zip(rows, contaminated_run.checkpoints):
+        flags = weighted_norm_series(contaminated_run)
+        assert flags == [False] * len(contaminated_run.checkpoints) and len(flags) == 6
+        for rep, (t, prof) in zip(contaminated_run.reports, contaminated_run.checkpoints):
             weighted2, weighted3, central = weighted_profile_norm(prof.field)
-            assert row["t"] == t
-            assert (row["weighted2"], row["weighted3"]) == (weighted2, weighted3)
-            assert row["fhat_sup2"] == fhat_sup_weighted(prof.field)
-            assert central < 0.99 and row["warnings"] == [
+            assert rep.t == t
+            assert (rep.weighted2, rep.weighted3) == (weighted2, weighted3)
+            assert rep.fhat_sup2 == fhat_sup_weighted(prof.field)
+            assert central < 0.99 and rep.warnings == [
                 f"boundary contamination: <99% mass in central half-box at t={t}"]
 
     def test_transport_lhs_matches_checkpoints(self, contaminated_run):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +34,8 @@ class CriterionResult:
     index: int
     name: str
     passed: bool
-    details: dict = field(default_factory=dict)
-    elapsed: float = 0.0
+    details: dict
+    elapsed: float
 
     def summary_line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"

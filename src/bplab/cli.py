@@ -43,13 +43,13 @@ def cmd_simulate(args):
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {args.config}")
     res = solver.run(cfg, dump_path=args.out + ".dump.bpf")
-    # one line: the count of the reports' warnings and the first of them
-    flagged = [r for r in res.reports if r.warnings]
-    warnings = [f"warnings: {sum(len(r.warnings) for r in flagged)}, first at "
-                f"t={flagged[0].t:.6g}: {flagged[0].warnings[0]}"] if flagged else []
+    flagged = [r for r in res.reports if r.warning]
+    warnings = [f"warnings: {len(flagged)}, first at "
+                f"t={flagged[0].t:.6g}: {flagged[0].warning}"] if flagged else []
+    aborted = [f"aborted: {res.abort_reason}"] if res.aborted else []
     header = header_lines("simulate", args.seed, args.config) + [
         f"config-line: {line}" for line in solver.format_config(cfg).splitlines()] + warnings
-    write_csv(args.out, header, NORM_REPORT_COLUMNS, [r.row() for r in res.reports])
+    write_csv(args.out, header + aborted, NORM_REPORT_COLUMNS, [r.row() for r in res.reports])
     for line in warnings:
         print(line, file=sys.stderr)
     if args.checkpoints:
@@ -117,12 +117,12 @@ def _checkpoint_path(directory, i, t):
 
 
 def _reconstruct_run(run_csv, checkpoint_dir):
-    """The run of run_csv and its `warnings:` header lines. The config and
-    the norm reports are read from the CSV (written with %.17g, so read back
-    exactly); solver.read_vorticity reads each row's checkpoint, named by its
-    index and t, for the profile, and a checkpoint whose |omega|_Linf is not
-    its row's to 1e-12 relative is refused. Other files in checkpoint_dir are
-    not read."""
+    """The run of run_csv and its `warnings:` and `aborted:` lines. The config
+    and the norm reports are read from the CSV (written with %.17g, so read
+    back exactly); solver.read_vorticity reads each row's checkpoint, named by
+    its index and t, for the profile, and a checkpoint whose |omega|_Linf is
+    not its row's to 1e-12 relative is refused. Other files in checkpoint_dir
+    are not read."""
     with open(run_csv) as fh:
         lines = fh.read().splitlines()
     comments = [line[2:] for line in lines if line.startswith("# ")]
@@ -133,13 +133,12 @@ def _reconstruct_run(run_csv, checkpoint_dir):
     table = [line.split(",") for line in lines if not line.startswith("#")]
     if not table or tuple(table[0]) != NORM_REPORT_COLUMNS:
         raise InputError(f"run CSV {run_csv} needs the columns {','.join(NORM_REPORT_COLUMNS)}")
-    try:
-        values = [[float(v) for v in row] for row in table[1:]]
-    except ValueError:
-        values = []
-    if not values or {len(v) for v in values} != {len(table[0])}:
+    if {len(row) for row in table[1:]} != {len(table[0])}:   # zip would cut a long row
         raise InputError(f"run CSV {run_csv} needs report rows of {len(table[0])} numbers")
-    reports = [NormReport(**dict(zip(NORM_REPORT_COLUMNS, v))) for v in values]
+    try:
+        reports = [NormReport(**dict(zip(NORM_REPORT_COLUMNS, map(float, r)))) for r in table[1:]]
+    except ValueError as exc:     # a cell that is not a number, or a report not finite
+        raise InputError(f"run CSV {run_csv}: {exc}") from exc
     checkpoints = []
     for i, rep in enumerate(reports):
         path = _checkpoint_path(checkpoint_dir, i, rep.t)
@@ -149,14 +148,14 @@ def _reconstruct_run(run_csv, checkpoint_dir):
             raise InputError(f"{path}: |omega|_Linf {linf_norm(omega)!r} differs from "
                              f"{rep.linf_omega!r} of row {i} (t={rep.t!r}) of {run_csv}")
         checkpoints.append((rep.t, solver.profile_from_omega(omega, rep.t, cfg.beta)))
-    warnings = [c for c in comments if c.startswith("warnings: ")]
-    return solver.RunResult(cfg, reports, checkpoints), warnings
+    notes = [c for c in comments if c.startswith(("warnings: ", "aborted: "))]
+    return solver.RunResult(cfg, reports, checkpoints), notes
 
 
 def cmd_diagnose(args):
     if args.k < 0:
         raise ConfigurationError("Sobolev index --k must be >= 0")
-    res, warnings = _reconstruct_run(args.infile, args.checkpoints)
+    res, notes = _reconstruct_run(args.infile, args.checkpoints)
     cert = diagnostics.energy_certificate(res, args.k)
     transport = diagnostics.linfty_transport_check(res)
     flags = diagnostics.weighted_norm_series(res)
@@ -166,11 +165,11 @@ def cmd_diagnose(args):
             for i, (rep, flag) in enumerate(zip(res.reports, flags))]
     header = header_lines("diagnose", args.seed) + [
         f"k={args.k} energy_c={cert.c:.6g} energy_valid={cert.valid} "
-        f"transport_ok={transport.ok}"] + warnings
+        f"transport_ok={transport.ok}"] + notes
     write_csv(args.out, header,
               ["t", "hk", "energy_envelope", "linf_omega", "transport_rhs",
                "transport_slack", "weighted2", "weighted3", "fhat_sup2", "flagged"], rows)
-    for line in warnings:
+    for line in notes:
         print(line, file=sys.stderr)
     print(f"energy c={cert.c:.4g} valid={cert.valid}; transport ok={transport.ok}; "
           f"wrote {args.out}")

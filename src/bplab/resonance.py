@@ -12,7 +12,7 @@ Perpendicular convention, fixed once: v_perp = (-v2, v1).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,8 +119,8 @@ class Region(enum.Enum):
 @dataclass
 class RegionLabel:
     region: Region
-    margins: dict = field(default_factory=dict)
-    swapped: bool = False
+    margins: dict
+    swapped: bool
 
 
 def _region_sides(xi, eta_n, nxi, neta, dist2, ndiff):

@@ -33,7 +33,7 @@ have evaluated the expression.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .spectral import (
     ConfigurationError,
     Grid2D,
     GridOperators,
+    InputError,
     RealField2D,
     SpectralField2D,
     besov_norm,
@@ -126,17 +127,13 @@ class SimConfig:
     def grid(self) -> Grid2D:
         return Grid2D(self.n, self.box_length)
 
-    @property
-    def width(self) -> float:
-        return self.init_width if self.init_width > 0 else self.box_length / 16.0
-
 
 @dataclass
 class Profile:
     """A spectral field interpreted as the free-flow-unwound profile at time t."""
 
     field: SpectralField2D
-    t: float = 0.0
+    t: float
 
 
 @dataclass
@@ -424,7 +421,7 @@ def initial_vorticity(cfg: SimConfig) -> SpectralField2D:
     g = cfg.grid
     x = g.x_coords()
     X, Y = np.meshgrid(x, x, indexing="ij")
-    a = cfg.width
+    a = cfg.init_width or cfg.box_length / 16.0
     if cfg.init == "gaussian":
         r2 = (X ** 2 + Y ** 2) / (2.0 * a ** 2)
         # mean-zero radial vortex (second radial moment of a Gaussian)
@@ -445,12 +442,16 @@ def initial_vorticity(cfg: SimConfig) -> SpectralField2D:
 
 def read_vorticity(path, grid: Grid2D) -> SpectralField2D:
     """The mean-free vorticity modes of the field file at path: refuses a field
-    on another grid (ConfigurationError) or with a mean (require_mean_zero)."""
+    on another grid (ConfigurationError), with a sample that is not finite or
+    modes that overflow float64 (InputError), or with a mean (require_mean_zero)."""
     fld = read_field(path)
     if fld.grid != grid:
         raise ConfigurationError(f"{path}: field grid (n={fld.grid.n}, L={fld.grid.box_length!r})"
                                  f" differs from the run's (n={grid.n}, L={grid.box_length!r})")
-    omega = transform_forward(fld)
+    with np.errstate(over="ignore", invalid="ignore"):
+        omega = transform_forward(fld)
+    if not np.all(np.isfinite(omega.modes)):
+        raise InputError(f"{path}: field samples not finite, or their modes overflow float64")
     require_mean_zero(omega)
     return zero_mean(omega)
 
@@ -478,7 +479,11 @@ class NormReport:
     weighted2: float
     weighted3: float
     fhat_sup2: float
-    warnings: list = field(default_factory=list)
+    warning: str = ""            # the boundary warning, if any
+
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.row())):
+            raise ConfigurationError(f"norm report not finite at t={self.t}")
 
     def row(self) -> list[float]:
         return [getattr(self, c) for c in NORM_REPORT_COLUMNS]
@@ -504,13 +509,12 @@ def velocity_sup_norms(omega: SpectralField2D):
 
 def make_report(state: SimState, cfg: SimConfig) -> NormReport:
     """The norm report of the state. Its norms are taken in float64 without
-    overflow warnings; a report with a column that is not finite is refused
-    (ConfigurationError)."""
+    overflow warnings; NormReport refuses a column that is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         omega = omega_from_profile(state.profile, cfg.beta)
         u_sup, u2_sup, du_sup = velocity_sup_norms(omega)
         weighted2, weighted3, central = weighted_profile_norm(state.profile.field)
-        report = NormReport(
+        return NormReport(
             t=state.t,
             l2=l2_norm(omega),
             hk=sobolev_norm(omega, cfg.k_energy),
@@ -522,12 +526,9 @@ def make_report(state: SimState, cfg: SimConfig) -> NormReport:
             weighted2=weighted2,
             weighted3=weighted3,
             fhat_sup2=fhat_sup_weighted(state.profile.field),
-            warnings=[f"boundary contamination: <99% mass in central half-box at "
-                      f"t={state.t}"] if central < 0.99 else [],
+            warning=f"boundary contamination: <99% mass in central half-box at "
+                    f"t={state.t}" if central < 0.99 else "",
         )
-    if not np.all(np.isfinite(report.row())):
-        raise ConfigurationError(f"norm report not finite at t={state.t}")
-    return report
 
 
 def run(cfg: SimConfig, dump_path=None) -> RunResult:

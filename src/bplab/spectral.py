@@ -74,7 +74,7 @@ class Grid2D:
             raise ConfigurationError(f"grid size must be a power of two >= 8, got {self.n}")
         if not 0 < self.box_length < np.inf:
             raise ConfigurationError(f"box length must lie in (0, inf), got {self.box_length}")
-        with np.errstate(over="ignore", under="ignore"):
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
             dx = np.float64(self.dx)
             forward = dx ** 2 / (2.0 * np.pi) ** 2
             scales = ((2.0 * np.pi / dx) ** 2, forward, forward ** 2)

@@ -285,15 +285,44 @@ class TestSimulate:
 
     def test_aborted_run_exit_code(self, tmp_path, capsys):
         # dt far above the advective bound: the run stops at its first step,
-        # and the CSV holds the report at t = 0
+        # and the CSV holds the report at t = 0 and the reason it printed;
+        # diagnose prints and writes that reason, and certifies the one row
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("n = 32\nL = 10.0\ninit = pair\neps = 5.0\ndt = 5.0\nt_end = 10.0\n")
-        out = str(tmp_path / "run.csv")
-        assert main(["simulate", "--config", str(cfg), "--out", out]) == EXIT_RUNTIME
+        cfg.write_text("n = 32\nL = 10.0\ninit = pair\neps = 5.0\ndt = 5.0\nt_end = 10.0\n"
+                       "output_stride = 1\n")
+        out, chk, diag = (str(tmp_path / name) for name in ("run.csv", "chk", "diag.csv"))
+        assert main(["simulate", "--config", str(cfg), "--out", out,
+                     "--checkpoints", chk]) == EXIT_RUNTIME
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(
             "run aborted: stability: dt=5.0 violates advective bound 6.136e-02 (try dt=")
         assert len(read_noncomment(out)) == 2
+        note = err[0][len("run "):]
+        with open(out) as fh:
+            assert [c for c in fh if c.startswith("# aborted")] == [f"# {note}\n"]
+        assert main(["diagnose", "--in", out, "--checkpoints", chk, "--out", diag]) == EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [note]
+        with open(diag) as fh:
+            assert [c for c in fh if c.startswith("# aborted")] == [f"# {note}\n"]
+
+    @pytest.mark.parametrize("cell", ["inf", "nan"])
+    def test_diagnose_refuses_a_report_not_finite(self, tmp_path, capsys, cell):
+        # a norm report is finite wherever it is built: a run CSV with an
+        # edited cell is refused as bad input, by name, before anything warns
+        out = _finished_run_csv(tmp_path)
+        with open(out) as fh:
+            lines = fh.read().splitlines()
+        col, row = NORM_REPORT_COLUMNS.index("linf_omega"), len(lines) - 1
+        cells = lines[row].split(",")
+        cells[col] = cell
+        lines[row] = ",".join(cells)
+        with open(out, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        assert main(["diagnose", "--in", out, "--checkpoints", str(tmp_path / "chk"),
+                     "--out", str(tmp_path / "diag.csv")]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == \
+            f"runtime error: run CSV {out}: norm report not finite at t=0.5\n"
+        assert not os.path.exists(tmp_path / "diag.csv")
 
 
 def _truncated_field_config(tmp_path):
@@ -362,6 +391,29 @@ def _ten_column_run_csv(tmp_path):
             cells = line.split(",")
             fh.write(line if line.startswith("#") else ",".join(cells[:col] + cells[col + 1:]))
             fh.write("\n")
+    return out
+
+
+def _init_file_with(*values):
+    """A fixture: a config on the grid (32, 20.0) whose init_file holds a
+    mean-free field with `values` in its first samples."""
+    def make(tmp_path):
+        samples = transform_inverse(shell_field(Grid2D(32, 20.0))).samples
+        samples.flat[:len(values)] = values
+        field = tmp_path / "init.bpf"
+        write_field(field, RealField2D(Grid2D(32, 20.0), samples))
+        cfg = tmp_path / "file.cfg"
+        cfg.write_text(f"n = 32\nL = 20.0\nt_end = 0.1\ninit = file\ninit_file = {field}\n")
+        return str(cfg)
+    return make
+
+
+def _run_csv_with_a_nan_checkpoint(tmp_path):
+    out = _finished_run_csv(tmp_path)
+    path = tmp_path / "chk" / "chk_00003_t=0.30000000000000004.bpf"
+    samples = read_field(path).samples
+    samples[7, 9] = np.nan
+    write_field(path, RealField2D(Grid2D(32, 20.0), samples))
     return out
 
 
@@ -483,6 +535,10 @@ def _run_csv_text(text):
     (["simulate", "--config", _config_with("dt = 1e-30")], EXIT_CONFIG),
     (["simulate", "--config", _config_with("t_end = 1e30")], EXIT_CONFIG),
     (["simulate", "--config", _config_with("t_end = 1e300")], EXIT_CONFIG),
+    (["simulate", "--config", _init_file_with(np.inf, -np.inf)], EXIT_RUNTIME),
+    (["simulate", "--config", _init_file_with(np.nan)], EXIT_RUNTIME),
+    (["diagnose", "--in", _run_csv_with_a_nan_checkpoint, "--checkpoints",
+      lambda p: str(p / "chk")], EXIT_RUNTIME),
 ], ids=["unknown-id", "partly-unknown-ids", "classify-no-vectors", "classify-no-eta",
         "truncated-init-file", "too-few-samples", "mu-out-of-range", "negative-t-min",
         "zero-t-min", "decay-mu-out-of-range", "stphase-not-a-number", "stphase-nan",
@@ -506,7 +562,8 @@ def _run_csv_text(text):
         "diagnose-hk-181-overflows", "diagnose-hk-200-overflows", "diagnose-hk-300-overflows",
         "diagnose-k-2000", "diagnose-4k-600-overflows", "simulate-hk-400-overflows",
         "simulate-dt-1e-30-steps-uncountable", "simulate-t-end-1e30-steps-uncountable",
-        "simulate-t-end-1e300-steps-uncountable"])
+        "simulate-t-end-1e300-steps-uncountable", "simulate-init-file-inf",
+        "simulate-init-file-nan", "diagnose-checkpoint-nan"])
 def test_bad_input_exit_codes(tmp_path, argv, code):
     argv = [a(tmp_path) if callable(a) else a for a in argv]
     # --out only where the subcommand writes a file, so that each case fails

@@ -1,13 +1,17 @@
 import dataclasses
 import itertools
+import os
+import struct
+import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bplab import solver
+from bplab import acceptance, solver
 from bplab.solver import (
     CONFIG_KEYS,
     NORM_REPORT_COLUMNS,
@@ -25,12 +29,14 @@ from bplab.solver import (
     omega_from_profile,
     parse_config,
     profile_from_omega,
+    read_vorticity,
     run,
     scaling_transform,
     step,
     velocity_sup_norms,
 )
 from bplab.spectral import (
+    BPF_MAGIC,
     ConfigurationError,
     Grid2D,
     InputError,
@@ -652,7 +658,7 @@ class TestReportEquivalence:
             assert getattr(rep, col) == pytest.approx(expect[col], rel=1e-12, abs=0), col
         assert central_mass_fraction(state.profile.field) == pytest.approx(mass, rel=1e-12)
         assert (mass >= 0.99) == windowed
-        assert len(rep.warnings) == int(not windowed)
+        assert bool(rep.warning) == (not windowed)
         omega = omega_from_profile(state.profile, cfg.beta)
         ref = c2c_samples(hermitian_extension(omega.modes), omega.grid).real
         assert rel_err(transform_inverse(omega).samples, ref) <= 1e-12
@@ -675,12 +681,11 @@ class TestReportEquivalence:
         cfg = SimConfig(n=32, box_length=10.0)
         state = SimState(0.3, profile_from_omega(random_vorticity(n=32, seed=0), 0.3, cfg.beta))
         first, second = make_report(state, cfg), make_report(state, cfg)
-        want = ["boundary contamination: <99% mass in central half-box at t=0.3"]
-        assert first.warnings == second.warnings == want
-        assert first.warnings is not second.warnings
+        want = "boundary contamination: <99% mass in central half-box at t=0.3"
+        assert first.warning == second.warning == want
         assert (first.weighted2, first.weighted3) == weighted_profile_norm(state.profile.field)[:2]
         central = SimState(0.3, profile_from_omega(windowed_vorticity(32, 0), 0.3, cfg.beta))
-        assert make_report(central, cfg).warnings == []
+        assert make_report(central, cfg).warning == ""
 
 
 class TestStep:
@@ -749,6 +754,29 @@ class TestStep:
         assert abs(ip) < 1e-16 * float(np.sum(weight * np.abs(w.modes) ** 2))
 
 
+def packet_centroid_error(tmp_path, beta):
+    """The largest error of the omega^2 centroid of a small packet at
+    xi = (1, 0.5), at t = 5, 10, 15 and 20, against the group velocity of the
+    free flow exp(-i beta t g), g = xi1/|xi|^2: the centroid sits at
+    beta t grad g(1, 0.5) = beta t (-0.48, -0.64)."""
+    g = Grid2D(128, 100.0)
+    x = g.x_coords()
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    samples = 1e-3 * np.exp(-(X ** 2 + Y ** 2) / 72.0) * np.cos(X + 0.5 * Y)
+    path = tmp_path / "packet.bpf"
+    write_field(path, RealField2D(g, samples - samples.mean()))
+    cfg = SimConfig(n=128, box_length=100.0, beta=beta, dt=0.1, t_end=20.0,
+                    init="file", init_file=str(path), output_stride=50)
+    res = run(cfg)
+    assert not res.aborted and len(res.checkpoints) == 5
+    errors = []
+    for t, prof in res.checkpoints[1:]:
+        w2 = transform_inverse(omega_from_profile(prof, beta)).samples ** 2
+        centroid = np.array([np.sum(X * w2), np.sum(Y * w2)]) / np.sum(w2)
+        errors.append(np.abs(centroid - beta * t * np.array([-0.48, -0.64])).max())
+    return max(errors)
+
+
 class TestRun:
     def test_zero_data(self):
         cfg = SimConfig(n=16, box_length=10.0, dt=0.1, t_end=0.5, eps=0.0,
@@ -785,23 +813,7 @@ class TestRun:
 
     @pytest.mark.parametrize("beta", [1.0, -0.7])
     def test_packet_moves_at_the_group_velocity(self, tmp_path, beta):
-        # a small packet at xi = (1, 0.5) moves with the group velocity of
-        # the free flow exp(-i beta t g), g = xi1/|xi|^2: its omega^2 centroid
-        # sits at beta t grad g(1, 0.5) = beta t (-0.48, -0.64)
-        g = Grid2D(128, 100.0)
-        x = g.x_coords()
-        X, Y = np.meshgrid(x, x, indexing="ij")
-        samples = 1e-3 * np.exp(-(X ** 2 + Y ** 2) / 72.0) * np.cos(X + 0.5 * Y)
-        path = tmp_path / "packet.bpf"
-        write_field(path, RealField2D(g, samples - samples.mean()))
-        cfg = SimConfig(n=128, box_length=100.0, beta=beta, dt=0.1, t_end=20.0,
-                        init="file", init_file=str(path), output_stride=50)
-        res = run(cfg)
-        assert not res.aborted and len(res.checkpoints) == 5
-        for t, prof in res.checkpoints[1:]:
-            w2 = transform_inverse(omega_from_profile(prof, beta)).samples ** 2
-            centroid = np.array([np.sum(X * w2), np.sum(Y * w2)]) / np.sum(w2)
-            assert np.abs(centroid - beta * t * np.array([-0.48, -0.64])).max() < 1e-3
+        assert packet_centroid_error(tmp_path, beta) < 1e-3
 
     def test_aborted_follows_the_reason(self):
         cfg = SimConfig(n=16, box_length=10.0)
@@ -809,6 +821,83 @@ class TestRun:
         assert not RunResult(cfg, [], []).aborted
         with pytest.raises(TypeError):
             RunResult(cfg, [], [], aborted=True)
+
+
+class TestPlantedBugs:
+    """Each solver bug planted here fails a check of the acceptance
+    criteria, run at the smallest size that still catches it."""
+
+    @staticmethod
+    def w_drift():
+        # criterion 3's beta = 1 run at n = 32 and t_end = 2: its bound is
+        # w_drift < 1e-8
+        cfg = SimConfig(n=32, box_length=50.0, beta=1.0, dt=0.05, t_end=2.0, eps=0.5,
+                        init="gaussian", output_stride=10)
+        res = run(cfg)
+        assert not res.aborted
+        return acceptance._rel_spread([r.l2 for r in res.reports])
+
+    def test_unplanted_solver_passes(self):
+        assert self.w_drift() < 1e-8
+
+    def test_full_step_phase_in_the_stages(self, monkeypatch):
+        # E(dt) in place of E(dt/2): the drift is 6e-6
+        ratios = solver._phase_ratios
+        monkeypatch.setattr(solver, "_phase_ratios",
+                            lambda grid, beta, dt: np.stack([ratios(grid, beta, dt)[1]] * 2))
+        assert not self.w_drift() < 1e-8
+
+    def test_k4_dropped(self, monkeypatch):
+        # every 4th slope of a step is k4; zeroed, the drift is 1.5e-6
+        advection, calls = solver._advection, itertools.count(1)
+
+        def planted(u, blk, ws, out):
+            advection(u, blk, ws, out)
+            if next(calls) % 4 == 0:
+                out[...] = 0.0
+            return out
+
+        monkeypatch.setattr(solver, "_advection", planted)
+        assert not self.w_drift() < 1e-8
+
+    def test_beta_sign_flipped(self, tmp_path, monkeypatch):
+        # the solver's free flow runs as E(-t): the packet moves against its
+        # group velocity, and its centroid misses by 25
+        free_flow, apply_semigroup = solver.free_flow, solver.apply_semigroup
+        monkeypatch.setattr(solver, "free_flow", lambda grid, t: free_flow(grid, -t))
+        monkeypatch.setattr(solver, "apply_semigroup", lambda f, t: apply_semigroup(f, -t))
+        solver._phase_ratios.cache_clear()
+        try:
+            assert not packet_centroid_error(tmp_path, 1.0) < 1e-3
+        finally:
+            solver._phase_ratios.cache_clear()
+
+
+@st.composite
+def field_files(draw):
+    """The bytes of a BPF1 file: a header (n, L), most often the (32, 20.0)
+    of the reading grid, then the float bits of n^2 samples, less a drawn
+    count of bytes. The samples are a mean-free normal field at a drawn
+    scale, zeros or random bits, with a few drawn floats planted."""
+    n = draw(st.one_of(st.just(32), st.sampled_from([16, 64, 7, 0, -32])))
+    box_length = draw(st.one_of(st.just(20.0), st.floats()))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    size = max(n, 0) ** 2
+    kind = draw(st.sampled_from(["normal", "zeros", "bits"]))
+    if kind == "normal":
+        samples = rng.normal(size=size)
+        samples = (samples - samples.sum() / max(size, 1)) * draw(
+            st.sampled_from([1.0, 1e-300, 1e150, 1e300]))
+    elif kind == "zeros":
+        samples = np.zeros(size)
+    else:
+        samples = rng.integers(0, 2 ** 64, size, dtype=np.uint64).view(np.float64)
+    for value in draw(st.lists(st.floats(), max_size=3)):
+        if size:
+            samples[rng.integers(size)] = value
+    payload = samples.astype("<f8").tobytes()
+    payload = payload[:len(payload) - draw(st.sampled_from([0, 0, 0, 1, 8]))]
+    return BPF_MAGIC + struct.pack("<qd", n, box_length) + payload
 
 
 class TestInitialData:
@@ -866,6 +955,35 @@ class TestInitialData:
         with pytest.raises(ConfigurationError):
             initial_vorticity(SimConfig(init="plume"))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e308])
+    def test_file_init_rejects_samples_not_finite(self, tmp_path, value):
+        # a sample that is not finite, or modes that overflow, is refused by
+        # name before anything warns
+        samples = transform_inverse(random_vorticity(n=32, box_length=20.0)).samples
+        samples[3, 4] = value
+        samples[5, 6] = -value
+        path = tmp_path / "init.bpf"
+        write_field(path, RealField2D(Grid2D(32, 20.0), samples))
+        with pytest.raises(InputError, match=f"{path}: field samples not finite"):
+            read_vorticity(path, Grid2D(32, 20.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.one_of(st.binary(max_size=64), st.binary(max_size=64).map(BPF_MAGIC.__add__),
+                          field_files()))
+    def test_any_file_gives_a_field_or_a_refusal(self, data):
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "field.bpf")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    omega = read_vorticity(path, Grid2D(32, 20.0))
+                except (InputError, ConfigurationError):
+                    return
+        assert omega.grid == Grid2D(32, 20.0) and omega.modes[0, 0] == 0.0
+        assert np.all(np.isfinite(omega.modes))
+
 
 class TestScalingTransform:
     def test_identity(self):
@@ -885,7 +1003,7 @@ class TestScalingTransform:
         g = w.grid
         x = g.x_coords()
         X, Y = np.meshgrid(x, x, indexing="ij")
-        a = cfg.width
+        a = cfg.box_length / 16.0
         r2 = (lam * X) ** 2 + (lam * Y) ** 2
         exact = cfg.eps * (1 - r2 / (2 * a * a)) * np.exp(-r2 / (2 * a * a)) / lam
         central = (np.abs(X) < g.box_length / 4) & (np.abs(Y) < g.box_length / 4)

@@ -69,9 +69,10 @@ class TestGrid:
         assert g.x_coords()[0] == -4.0
         assert g.x_coords()[-1] == 3.0
 
-    @pytest.mark.parametrize("box_length", [1e160, 1e-160, 1e300, 1e-300])
+    @pytest.mark.parametrize("box_length", [1e160, 1e-160, 1e300, 1e-300, 5e-324])
     def test_rejects_box_whose_scales_overflow(self, box_length):
-        # (2 pi/dx)^2, dx^2/(2 pi)^2 or its square would be inf or 0
+        # (2 pi/dx)^2, dx^2/(2 pi)^2 or its square would be inf or 0; at
+        # L = 5e-324, dx is 0 and 2 pi/dx divides by zero, without a warning
         with pytest.raises(ConfigurationError, match="not finite and nonzero"):
             Grid2D(64, box_length)
 

@@ -185,25 +185,25 @@ def bootstrap_conditions(params: BootstrapParams):
     e8 = eps ** 0.125
     inv_p, amp = split_bound(mu)
     margins = {}
-    # 1: eps * eps^(-M c(k) eps^(1/8)) <= eps^(1/2), with c(k) = 2^(2k); a c(k)
-    # past float64 is inf, and the margin -inf
+    # a power or product past float64 is inf, and its margin -inf
     with np.errstate(over="ignore"):
+        # 1: eps * eps^(-M c(k) eps^(1/8)) <= eps^(1/2), with c(k) = 2^(2k)
         lhs1 = (1.0 - M * np.float64(2.0) ** (2.0 * k) * e8) * le
-    margins["cond1"] = 0.5 * le - lhs1
-    # 2: [eps + k eps^(-M/k) eps^(1/2) (eps^(1/2)+eps^(1/8)+eps^(1/4))] eps^(-M eps^(1/8))
-    shift = -M * e8
-    lhs2 = _log_poly_in_eps(
-        [(1.0, 1.0)] + [(k, -M / k + 0.5 + q) for q in (0.5, 0.125, 0.25)], le)
-    margins["cond2"] = 0.5 * le - (lhs2 + shift * le)
-    # 3: adds the eps^(1/8) intermediate commutator term and doubles the loss M/k
-    lhs3 = _log_poly_in_eps(
-        [(1.0, 1.0), (k, -M / k + 0.125 + 0.5)]
-        + [(k, -2.0 * M / k + 0.5 + q) for q in (0.5, 0.125, 0.25)], le)
-    margins["cond3"] = 0.5 * le - (lhs3 + shift * le)
-    # 4: A(mu) eps^(-2M/p) eps^(-(2M/k)(mu + 6/p)) eps^(1/2) <= eps^(1/4)
-    lhs4 = np.log(amp) + (
-        -2.0 * M * inv_p - (2.0 * M / k) * (mu + 6.0 * inv_p) + 0.5) * le
-    margins["cond4"] = 0.25 * le - lhs4
+        margins["cond1"] = 0.5 * le - lhs1
+        # 2: [eps + k eps^(-M/k) eps^(1/2) (eps^(1/2)+eps^(1/8)+eps^(1/4))] eps^(-M eps^(1/8))
+        shift = -M * e8
+        lhs2 = _log_poly_in_eps(
+            [(1.0, 1.0)] + [(k, -M / k + 0.5 + q) for q in (0.5, 0.125, 0.25)], le)
+        margins["cond2"] = 0.5 * le - (lhs2 + shift * le)
+        # 3: adds the eps^(1/8) intermediate commutator term and doubles the loss M/k
+        lhs3 = _log_poly_in_eps(
+            [(1.0, 1.0), (k, -M / k + 0.125 + 0.5)]
+            + [(k, -2.0 * M / k + 0.5 + q) for q in (0.5, 0.125, 0.25)], le)
+        margins["cond3"] = 0.5 * le - (lhs3 + shift * le)
+        # 4: A(mu) eps^(-2M/p) eps^(-(2M/k)(mu + 6/p)) eps^(1/2) <= eps^(1/4)
+        lhs4 = np.log(amp) + (
+            -2.0 * M * inv_p - (2.0 * M / k) * (mu + 6.0 * inv_p) + 0.5) * le
+        margins["cond4"] = 0.25 * le - lhs4
     return margins
 
 

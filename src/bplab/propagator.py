@@ -71,7 +71,12 @@ def symbol_hess(v):
 
 
 def free_flow(grid: Grid2D, t: float) -> np.ndarray:
-    """E(t) = exp(-i t xi1/|xi|^2) on the half spectrum of grid: the free flow."""
+    """E(t) = exp(-i t xi1/|xi|^2) on the half spectrum of grid: the free flow.
+    The largest |xi1|/|xi|^2 is 1/dxi, so a t with |t|/dxi >= 2^53, which
+    leaves float64 no digit of the phase mod 2 pi, is refused."""
+    if not abs(float(t)) / grid.dxi < 2.0 ** 53:
+        raise ConfigurationError(f"free-flow time t={float(t)!r} at L={grid.box_length!r}: "
+                                 "|t| L/(2 pi) >= 2^53 leaves float64 no digit of the phase")
     return np.exp(-1j * t * grid_operators(grid).symbol)
 
 
@@ -137,7 +142,7 @@ def decay_curve(g: SpectralField2D, times) -> DecayFit:
     """Fit the power law of |semigroup(t) g|_Linf over the given times."""
     times = np.asarray(times, dtype=float)
     if times.size < 2 or np.any(times <= 0) or np.any(np.diff(times) <= 0):
-        raise ValueError("times must be positive and increasing, >= 2 entries")
+        raise ConfigurationError("times must be positive and increasing, >= 2 entries")
     sups = np.array([linf_norm(apply_semigroup(g, t)) for t in times])
     if np.any(sups <= 0):
         raise ConfigurationError("sup-norm vanished: the data has no modes on the grid")

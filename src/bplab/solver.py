@@ -224,10 +224,6 @@ def biot_savart(omega: SpectralField2D):
 # them by inverse_scale, and the forward transform of a product of two of them
 # needs that factor exactly once.
 
-def dealias(f: SpectralField2D) -> SpectralField2D:
-    return SpectralField2D(f.grid, f.modes * grid_operators(f.grid).dealias_mask)
-
-
 @dataclass(frozen=True)
 class _BlockOperators:
     """Multipliers on the kept block of the half spectrum, all read-only and
@@ -418,40 +414,48 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
 # initial data
 
 def initial_vorticity(cfg: SimConfig) -> SpectralField2D:
+    """The initial modes; refuses an eps for which they are not finite in float64."""
     g = cfg.grid
-    x = g.x_coords()
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    a = cfg.init_width or cfg.box_length / 16.0
-    if cfg.init == "gaussian":
-        r2 = (X ** 2 + Y ** 2) / (2.0 * a ** 2)
-        # mean-zero radial vortex (second radial moment of a Gaussian)
-        samples = cfg.eps * (1.0 - r2) * np.exp(-r2)
-    elif cfg.init == "shell":
-        return SpectralField2D(g, cfg.eps * shell_field(g).modes)
-    elif cfg.init == "pair":
-        d = 2.0 * a
-        rp = ((X - d) ** 2 + Y ** 2) / (2.0 * a ** 2)
-        rm = ((X + d) ** 2 + Y ** 2) / (2.0 * a ** 2)
-        samples = cfg.eps * (np.exp(-rp) - np.exp(-rm))
-    else:                     # "file"
+    if cfg.init == "file":
         if not cfg.init_file:
             raise ConfigurationError("init=file requires init_file")
         return read_vorticity(cfg.init_file, g)
-    return zero_mean(transform_forward(RealField2D(g, samples)))
+    x = g.x_coords()
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    a = cfg.init_width or cfg.box_length / 16.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.init == "shell":
+            omega = SpectralField2D(g, cfg.eps * shell_field(g).modes)
+        else:
+            if cfg.init == "gaussian":
+                r2 = (X ** 2 + Y ** 2) / (2.0 * a ** 2)
+                # mean-zero radial vortex (second radial moment of a Gaussian)
+                samples = cfg.eps * (1.0 - r2) * np.exp(-r2)
+            else:             # "pair"
+                d = 2.0 * a
+                rp = ((X - d) ** 2 + Y ** 2) / (2.0 * a ** 2)
+                rm = ((X + d) ** 2 + Y ** 2) / (2.0 * a ** 2)
+                samples = cfg.eps * (np.exp(-rp) - np.exp(-rm))
+            omega = zero_mean(transform_forward(RealField2D(g, samples)))
+    if not np.all(np.isfinite(omega.modes)):
+        raise ConfigurationError(f"eps={cfg.eps!r}: initial modes not finite in float64")
+    return omega
 
 
 def read_vorticity(path, grid: Grid2D) -> SpectralField2D:
     """The mean-free vorticity modes of the field file at path: refuses a field
-    on another grid (ConfigurationError), with a sample that is not finite or
-    modes that overflow float64 (InputError), or with a mean (require_mean_zero)."""
+    on another grid (ConfigurationError), with a sample, mode or L2 norm that
+    is not finite in float64 (InputError), or with a mean (require_mean_zero)."""
     fld = read_field(path)
     if fld.grid != grid:
         raise ConfigurationError(f"{path}: field grid (n={fld.grid.n}, L={fld.grid.box_length!r})"
                                  f" differs from the run's (n={grid.n}, L={grid.box_length!r})")
     with np.errstate(over="ignore", invalid="ignore"):
         omega = transform_forward(fld)
-    if not np.all(np.isfinite(omega.modes)):
-        raise InputError(f"{path}: field samples not finite, or their modes overflow float64")
+        finite = np.all(np.isfinite(omega.modes)) and np.isfinite(l2_norm(omega))
+    if not finite:
+        raise InputError(f"{path}: field samples not finite, or their modes or L2 norm "
+                         "overflow float64")
     require_mean_zero(omega)
     return zero_mean(omega)
 

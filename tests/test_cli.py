@@ -408,6 +408,17 @@ def _init_file_with(*values):
     return make
 
 
+def _init_file_l2_overflows(tmp_path):
+    """A config on the grid (32, 20.0) whose init_file holds mean-free normal
+    samples times 1e300: finite samples and modes, an L2 norm past float64."""
+    samples = np.random.default_rng(0).normal(size=(32, 32))
+    field = tmp_path / "init.bpf"
+    write_field(field, RealField2D(Grid2D(32, 20.0), (samples - samples.mean()) * 1e300))
+    cfg = tmp_path / "file.cfg"
+    cfg.write_text(f"n = 32\nL = 20.0\nt_end = 0.1\ninit = file\ninit_file = {field}\n")
+    return str(cfg)
+
+
 def _run_csv_with_a_nan_checkpoint(tmp_path):
     out = _finished_run_csv(tmp_path)
     path = tmp_path / "chk" / "chk_00003_t=0.30000000000000004.bpf"
@@ -539,6 +550,11 @@ def _run_csv_text(text):
     (["simulate", "--config", _init_file_with(np.nan)], EXIT_RUNTIME),
     (["diagnose", "--in", _run_csv_with_a_nan_checkpoint, "--checkpoints",
       lambda p: str(p / "chk")], EXIT_RUNTIME),
+    (["decay", "--n", "16", "--L", "20", "--t-min", "1", "--t-max", "1.0000000000000002"],
+     EXIT_CONFIG),
+    (["decay", "--n", "16", "--L", "20", "--t-max", "1e300"], EXIT_CONFIG),
+    (["simulate", "--config", _config_with("init = pair\neps = 1e308")], EXIT_CONFIG),
+    (["simulate", "--config", _init_file_l2_overflows], EXIT_RUNTIME),
 ], ids=["unknown-id", "partly-unknown-ids", "classify-no-vectors", "classify-no-eta",
         "truncated-init-file", "too-few-samples", "mu-out-of-range", "negative-t-min",
         "zero-t-min", "decay-mu-out-of-range", "stphase-not-a-number", "stphase-nan",
@@ -563,7 +579,8 @@ def _run_csv_text(text):
         "diagnose-k-2000", "diagnose-4k-600-overflows", "simulate-hk-400-overflows",
         "simulate-dt-1e-30-steps-uncountable", "simulate-t-end-1e30-steps-uncountable",
         "simulate-t-end-1e300-steps-uncountable", "simulate-init-file-inf",
-        "simulate-init-file-nan", "diagnose-checkpoint-nan"])
+        "simulate-init-file-nan", "diagnose-checkpoint-nan", "decay-repeated-times",
+        "decay-t-max-1e300-phase", "simulate-pair-eps-1e308", "simulate-init-file-l2-overflows"])
 def test_bad_input_exit_codes(tmp_path, argv, code):
     argv = [a(tmp_path) if callable(a) else a for a in argv]
     # --out only where the subcommand writes a file, so that each case fails
@@ -622,7 +639,8 @@ def test_thread_cap_exported_before_numpy():
                        ("OPENBLAS_NUM_THREADS", "3")]) + "\n"
 
 
-SWEEP_VALUES = ("0", "1e300", "-1e300", "1e30", "1e-30", "600", "2000", "-600", "-2000")
+SWEEP_VALUES = ("0", "1e300", "-1e300", "1e30", "1e-30", "600", "2000", "-600", "-2000",
+                "1e308", "-1e308", "5e-324")
 SWEEP_OPTIONS = {
     ("decay", "--n", "16", "--L", "20"):
         ("--n", "--L", "--j", "--t-min", "--t-max", "--n-times", "--N", "--mu", "--k"),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from bplab.propagator import (
     apply_semigroup,
     decay_curve,
+    free_flow,
     hessian_det,
     phase_gradient,
     split_bound,
@@ -17,6 +20,7 @@ from bplab.propagator import (
 )
 from bplab import spectral
 from bplab.spectral import (
+    ConfigurationError,
     Grid2D,
     RealField2D,
     SpectralField2D,
@@ -69,6 +73,17 @@ class TestSemigroup:
         flow_then_deriv = SpectralField2D(f.grid, 1j * k1 * flow_then_deriv.modes)
         diff = np.abs(deriv_then_flow.modes - flow_then_deriv.modes).max()
         assert diff < 1e-15 * np.abs(deriv_then_flow.modes).max()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_time_past_float64_phase_refused(self, sign):
+        # the largest |xi1|/|xi|^2 is 1/dxi, so from |t|/dxi = 2^53 on float64
+        # holds no digit of the phase; the refusal names t as a float
+        g = Grid2D(16, 20.0)
+        edge = 2.0 ** 53 * g.dxi
+        assert np.all(np.isfinite(free_flow(g, sign * np.nextafter(edge, 0.0))))
+        for t in (edge, np.float64(1e308), np.inf, np.nan):
+            with pytest.raises(ConfigurationError, match=re.escape(f"t={float(sign * t)!r} at L=20.0")):
+                free_flow(g, sign * t)
 
 
 class TestSymbol:
@@ -266,8 +281,8 @@ class TestDecayCurve:
 
     def test_bad_times_rejected(self):
         f = shell_field(64, 50.0)
-        for times in ([5.0], [3.0, 2.0], [-1.0, 2.0]):
-            with pytest.raises(ValueError):
+        for times in ([5.0], [3.0, 2.0], [-1.0, 2.0], [1.0, 1.0]):
+            with pytest.raises(ConfigurationError):
                 decay_curve(f, times)
 
 

@@ -326,13 +326,22 @@ def profile_from_omega(omega: SpectralField2D, t: float, beta: float) -> Profile
     return Profile(apply_semigroup(omega, -(beta * t)), t)
 
 
+def _step_flow(grid: Grid2D, beta: float, dt: float, s: float) -> np.ndarray:
+    """E(s) = free_flow(beta s) at a time s of a step dt; a time that
+    free_flow refuses is reported with the beta and dt that make it."""
+    try:
+        return free_flow(grid, beta * s)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"beta={beta!r} and dt={dt!r}: {exc}") from exc
+
+
 @functools.lru_cache(maxsize=4)
 def _phase_ratios(grid: Grid2D, beta: float, dt: float):
     """E(dt/2) and E(dt), E(s) = free_flow(beta s), the factors of the
     Lawson stages, on the kept block: a contiguous (2, n, kc) copy, since
     numpy copies a strided operand of a ufunc into a freshly allocated buffer."""
     kc = _block_operators(grid).kc
-    block = np.stack([free_flow(grid, beta * s)[:, :kc] for s in (0.5 * dt, dt)])
+    block = np.stack([_step_flow(grid, beta, dt, s)[:, :kc] for s in (0.5 * dt, dt)])
     block.flags.writeable = False
     return block
 
@@ -547,7 +556,7 @@ def run(cfg: SimConfig, dump_path=None) -> RunResult:
     """
     g = cfg.grid
     kc = _block_operators(g).kc
-    e_one = free_flow(g, cfg.beta * cfg.dt)
+    e_one = _step_flow(g, cfg.beta, cfg.dt, cfg.dt)
     ws = _workspace(g)
     w = initial_vorticity(cfg).modes
     w_next = np.empty_like(w)

@@ -39,6 +39,13 @@ field.
 
 The samples come out in FFT order; max and sum |.|^p norms do not depend
 on the order, so the norms skip the fftshift.
+
+Pruned inverse: a multiplier that is zero past column kc needs only an ifft
+down columns 0 .. kc-1, then an irfft along the rows, which reads the other
+columns as zeros. These are the two steps of irfft2, so the samples are
+equal bit for bit; besov_norm inverts each shell so. The two 1-D calls also
+write through out=, which np.fft.irfft2 drops (numpy 2.4 passes out=None on
+to irfftn).
 """
 
 from __future__ import annotations
@@ -247,6 +254,28 @@ def lp_shell_range(grid: Grid2D) -> tuple[int, int]:
     return j_min, j_max
 
 
+@functools.lru_cache(maxsize=4)
+def _lp_shells(grid: Grid2D) -> tuple[tuple[int, np.ndarray | None], ...]:
+    """(j, bump) for each j in lp_shell_range: the bump chi(|xi|/2^j) -
+    chi(|xi|/2^(j-1)) on the half spectrum, cut to the columns up to its last
+    nonzero one, contiguous and read-only; None for a shell with no mode on
+    the grid. Built once; equal grids share one tuple."""
+    mag = grid_operators(grid).mag
+    j_min, j_max = lp_shell_range(grid)
+    chi_below = _chi(mag / 2.0 ** (j_min - 1))
+    shells = []
+    for j in range(j_min, j_max + 1):
+        chi = _chi(mag / 2.0 ** j)
+        bump = chi - chi_below
+        chi_below = chi
+        cols = np.flatnonzero(np.any(bump, axis=0))
+        if cols.size:
+            bump = np.ascontiguousarray(bump[:, :cols[-1] + 1])
+            bump.flags.writeable = False
+        shells.append((j, bump if cols.size else None))
+    return tuple(shells)
+
+
 # ---------------------------------------------------------------------------
 # norms
 
@@ -288,20 +317,28 @@ def besov_norm(f: SpectralField2D) -> float:
     """Homogeneous B^3_{1,1} norm: the sum over shells of 2^(3 j) |P_j f|_{L^1}.
 
     The shell sum is truncated to lp_shell_range, the dyadic range
-    resolvable on the grid. Each shell costs one irfft2; the bump of shell j
-    is chi(r/2^j) - chi(r/2^(j-1)), so consecutive shells share one cutoff.
+    resolvable on the grid. The bumps come from _lp_shells, built once per
+    grid. Each shell multiplies only the columns its bump reaches and takes
+    one pruned inverse; every shell reuses the same two buffers, made once
+    per call. An empty shell adds 0.0 in its place, so the sum runs over
+    the same terms, in the same order, as one over full-width shells.
     """
     g = f.grid
-    mag = grid_operators(g).mag
-    j_min, j_max = lp_shell_range(g)
-    chi_below = _chi(mag / 2.0 ** (j_min - 1))
+    n, m = g.half_shape
+    scale = grid_operators(g).inverse_scale
+    spec = np.empty(n * m, dtype=complex)
+    samples = np.empty((n, n))
     terms = []
-    for j in range(j_min, j_max + 1):
-        chi = _chi(mag / 2.0 ** j)
-        piece = SpectralField2D(g, f.modes * (chi - chi_below))
-        chi_below = chi
-        terms.append(2.0 ** (3.0 * j) * float(np.sum(np.abs(real_samples(piece))) * g.dx ** 2)
-                     if np.any(piece.modes) else 0.0)
+    for j, bump in _lp_shells(g):
+        if bump is None:
+            terms.append(0.0)
+            continue
+        piece = spec[:bump.size].reshape(bump.shape)     # contiguous, for out=
+        np.multiply(f.modes[:, :bump.shape[1]], bump, out=piece)
+        np.fft.ifft(piece, axis=0, out=piece)
+        np.fft.irfft(piece, n=n, axis=1, out=samples)
+        np.multiply(samples, scale, out=samples)
+        terms.append(2.0 ** (3.0 * j) * float(np.sum(np.abs(samples, out=samples)) * g.dx ** 2))
     return float(np.sum(terms))
 
 

@@ -138,6 +138,28 @@ class TestSimulate:
         assert capsys.readouterr().err == "configuration error: norm report not finite at t=0.0\n"
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("lines, message", [
+        ("eps = 1e300", "H^3 norm not finite at n=32, L=20.0"),
+        ("init = shell\neps = 1e308", "H^3 norm not finite at n=32, L=20.0"),
+        ("eps = 1e308", "eps=1e+308: initial modes not finite in float64"),
+        ("init = pair\neps = 1e308", "eps=1e+308: initial modes not finite in float64"),
+        ("beta = 1e300", "beta=1e+300 and dt=0.05: free-flow time t=5e+298 at L=20.0: "),
+    ], ids=["eps-1e300-hk", "shell-eps-1e308-hk", "gaussian-eps-1e308", "pair-eps-1e308",
+            "beta-1e300-free-flow"])
+    def test_readme_refusal_examples(self, tmp_path, capsys, lines, message):
+        # each config README's exit-code list gives as an example is refused
+        # with the message of its refusal, and nothing warns; k_energy = 0
+        # with eps = 1e154 is test_report_not_finite_refused
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(CONFIG + lines + "\n")
+        out = str(tmp_path / "run.csv")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", str(cfg), "--out", out]) == EXIT_CONFIG
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err.startswith("configuration error: " + message)
+        assert not os.path.exists(out)
+
     def test_out_of_memory_is_a_runtime_error(self, tmp_path, config_file, capsys,
                                               monkeypatch):
         def exhausted(*args, **kwargs):

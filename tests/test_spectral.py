@@ -23,6 +23,7 @@ from bplab.spectral import (
     read_field,
     real_samples,
     require_mean_zero,
+    shell_field,
     sobolev_norm,
     transform_forward,
     transform_inverse,
@@ -30,10 +31,11 @@ from bplab.spectral import (
     write_field,
     zero_mean,
 )
+from bplab.spectral import _lp_shells
 from bplab.harness import write_csv
 from bplab.solver import NORM_REPORT_COLUMNS, NormReport
 from halfspec import full_wavenumbers, hermitian_extension
-from lp_oracle import central_mass_fraction, lp_phys_norm, lp_project
+from lp_oracle import besov_reference, central_mass_fraction, lp_phys_norm, lp_project
 
 
 def random_field(grid, seed=0, scale=1.0):
@@ -285,6 +287,64 @@ class TestNorms:
         # mass confined to shells j in {-1, 0, 1}
         for j in (j_min, j_max):
             assert lp_phys_norm(lp_project(f, j), 1.0) == 0.0
+
+
+# Past L = 128 pi, dxi falls just below 2^-6 but log2(dxi) rounds to -6, so
+# the bottom shell of lp_shell_range keeps a tiny weight at |xi| = dxi; at
+# L = 50 it has no mode. The top shell lies an octave past the lattice's
+# corner, so it has no mode at any L.
+BOTTOM_SHELL_FILLED = float(np.nextafter(128 * np.pi, np.inf))
+
+
+class TestBesovShells:
+    def test_equal_grids_share_one_tuple(self):
+        assert _lp_shells(Grid2D(32, 10.0)) is _lp_shells(Grid2D(32, 10.0))
+
+    def test_bumps_are_read_only(self):
+        for _, bump in _lp_shells(Grid2D(32, 10.0)):
+            if bump is not None:
+                assert bump.flags.c_contiguous
+                with pytest.raises(ValueError):
+                    bump[0, 0] = 1
+
+    def test_columns_at_n256(self):
+        # the low shells fill only the first 2, 4, ..., 64 of the 129 columns
+        shells = _lp_shells(Grid2D(256, 50.0))
+        assert [(j, None if b is None else b.shape[1]) for j, b in shells] == [
+            (-4, None), (-3, 2), (-2, 4), (-1, 8), (0, 16), (1, 32), (2, 64), (3, 128),
+            (4, 129), (5, 129), (6, None)]
+        assert sum(b.nbytes for _, b in shells if b is not None) == 1048576
+
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("box_length", [50.0, BOTTOM_SHELL_FILLED])
+    def test_bumps_are_the_cut_full_bumps(self, n, box_length):
+        # each bump is lp_bump(|xi|/2^j) up to its last nonzero column, bit
+        # for bit; only the ends of the shell range can be empty
+        g = Grid2D(n, box_length)
+        mag = grid_operators(g).mag
+        j_min, j_max = lp_shell_range(g)
+        shells = _lp_shells(g)
+        assert [j for j, _ in shells] == list(range(j_min, j_max + 1))
+        for j, bump in shells:
+            full = lp_bump(mag / 2.0 ** j)
+            kc = 0 if bump is None else bump.shape[1]
+            assert not full[:, kc:].any()
+            if bump is not None:
+                assert np.array_equal(full[:, :kc], bump) and full[:, kc - 1].any()
+        empty = [j for j, bump in shells if bump is None]
+        assert empty == ([j_max] if box_length == BOTTOM_SHELL_FILLED else [j_min, j_max])
+
+    @pytest.mark.parametrize("n", [8, 32, 128, 256])
+    @pytest.mark.parametrize("box_length", [50.0, 2 * np.pi, BOTTOM_SHELL_FILLED])
+    def test_bitwise_equal_to_reference(self, n, box_length):
+        g = Grid2D(n, box_length)
+        j_min, j_max = lp_shell_range(g)
+        fields = [zero_mean(transform_forward(random_field(g, seed=s))) for s in range(2)]
+        fields += [shell_field(g, j) for j in range(j_min, j_max + 1, 2)]
+        fields.append(SpectralField2D(g, np.zeros(g.half_shape)))
+        for f in fields:
+            assert besov_norm(f) == besov_reference(f)
+        assert besov_norm(fields[-1]) == 0.0
 
 
 class TestWeightedNorms:

@@ -92,7 +92,8 @@ def cmd_decay(args):
 def cmd_stphase(args):
     v = _parse_vec(args.x_over_t)
     roots, found = propagator.stationary_roots(v)
-    rows = [[float(xi[0]), float(xi[1]), propagator.hessian_det(xi)] for xi in roots[found]]
+    rows = [[float(xi[0]), float(xi[1]), float(det)]
+            for xi, det in zip(roots[found], propagator.hessian_det(roots[found]))]
     print(f"x/t = ({v[0]:g}, {v[1]:g}): {len(rows)} stationary point(s)")
     for xi1, xi2, det in rows:
         print(f"  xi = ({xi1:+.12f}, {xi2:+.12f})  det_hessian = {det:+.12f}")

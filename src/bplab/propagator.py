@@ -126,11 +126,11 @@ def stationary_roots(x_over_t):
     return xi.reshape(lead + (2, 2)), found.reshape(lead + (2,))
 
 
-def hessian_det(xi) -> float:
-    """Closed-form determinant of the Hessian of phi, -symbol_hess: -4/|xi|^6."""
+def hessian_det(xi):
+    """Closed-form determinant of the Hessian of phi, -symbol_hess: -4/|xi|^6 on (..., 2)."""
     xi = np.asarray(xi, dtype=float)
-    m2 = xi[0] ** 2 + xi[1] ** 2
-    if m2 == 0.0:
+    m2 = xi[..., 0] ** 2 + xi[..., 1] ** 2
+    if np.any(m2 == 0.0):
         raise ValueError("Hessian determinant undefined at xi = 0")
     return -4.0 / m2 ** 3
 

@@ -6,7 +6,7 @@ and the transport null form m(xi, eta) = xi.eta_perp/|eta|^2: derivatives,
 region classification of frequency pairs (its predicates are written once,
 in _region_sides), and Monte-Carlo certification of the region inequalities.
 
-Perpendicular convention, fixed once: v_perp = (-v2, v1).
+Perpendicular convention, fixed once, in _perp_dot: v_perp = (-v2, v1).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ class SamplerError(RuntimeError):
 
 @dataclass(frozen=True)
 class FreqPair:
+    """classify_region's checked input: a nonsingular pair whose region lengths are finite."""
     xi: tuple
     eta: tuple
 
@@ -39,6 +40,11 @@ class FreqPair:
         eta = np.asarray(self.eta, dtype=float)
         if xi.shape != (2,) or eta.shape != (2,):
             raise InputError("xi and eta must be 2-vectors")
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, eta_n, _, lengths = _classify_masks(xi[None], eta[None])
+            sides = [side for _, *pair in _region_sides(xi[None], eta_n, *lengths) for side in pair]
+        if not np.all(np.isfinite(sides)):
+            raise InputError("a length the region predicates compare is not finite in float64")
         lengths = [norm(v) for v in (xi, eta, xi - eta)]
         if min(lengths) <= _SINGULAR_MARGIN * max(1.0, *lengths[:2]):
             raise InputError("singular pair: xi = 0, eta = 0 or xi = eta")
@@ -95,13 +101,14 @@ def grad_phase_magnitudes_arr(xi, eta):
     return g_xi, g_eta
 
 
-# ---------------------------------------------------------------------------
-# scalar API
+def _perp_dot(xi, eta):
+    """xi.eta_perp = -xi1 eta2 + xi2 eta1."""
+    return xi[..., 0] * (-eta[..., 1]) + xi[..., 1] * eta[..., 0]
 
-def null_form(p: FreqPair) -> float:
-    """m = xi.eta_perp/|eta|^2."""
-    (x1, x2), (e1, e2) = p.xi, p.eta
-    return (x1 * (-e2) + x2 * e1) / (e1 ** 2 + e2 ** 2)
+
+def null_form(xi, eta):
+    """m(xi, eta) = xi.eta_perp/|eta|^2."""
+    return _perp_dot(xi, eta) / (eta[..., 0] ** 2 + eta[..., 1] ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +253,7 @@ def _check_c(xi, eta, nxi, neta, dist2):
 
 
 def _check_d(xi, eta, nxi, neta, dist2):
-    cross = np.abs(xi[..., 0] * (-eta[..., 1]) + xi[..., 1] * eta[..., 0])
+    cross = np.abs(_perp_dot(xi, eta))
     base = np.abs(eta[..., 0]) * neta
     ratio = np.where(base > 0, cross / base, np.nan)
     margin = np.minimum(cross - 0.5 * base, 4.0 * base - cross)

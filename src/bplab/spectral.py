@@ -255,11 +255,11 @@ def lp_shell_range(grid: Grid2D) -> tuple[int, int]:
 
 
 @functools.lru_cache(maxsize=4)
-def _lp_shells(grid: Grid2D) -> tuple[tuple[int, np.ndarray | None], ...]:
-    """(j, bump) for each j in lp_shell_range: the bump chi(|xi|/2^j) -
-    chi(|xi|/2^(j-1)) on the half spectrum, cut to the columns up to its last
-    nonzero one, contiguous and read-only; None for a shell with no mode on
-    the grid. Built once; equal grids share one tuple."""
+def _lp_shells(grid: Grid2D) -> tuple[tuple[int, np.ndarray], ...]:
+    """(j, bump) for each j in lp_shell_range whose shell has a mode on the
+    grid: the bump chi(|xi|/2^j) - chi(|xi|/2^(j-1)) on the half spectrum,
+    cut to the columns up to its last nonzero one, contiguous and read-only.
+    Built once; equal grids share one tuple."""
     mag = grid_operators(grid).mag
     j_min, j_max = lp_shell_range(grid)
     chi_below = _chi(mag / 2.0 ** (j_min - 1))
@@ -272,7 +272,7 @@ def _lp_shells(grid: Grid2D) -> tuple[tuple[int, np.ndarray | None], ...]:
         if cols.size:
             bump = np.ascontiguousarray(bump[:, :cols[-1] + 1])
             bump.flags.writeable = False
-        shells.append((j, bump if cols.size else None))
+            shells.append((j, bump))
     return tuple(shells)
 
 
@@ -320,8 +320,7 @@ def besov_norm(f: SpectralField2D) -> float:
     resolvable on the grid. The bumps come from _lp_shells, built once per
     grid. Each shell multiplies only the columns its bump reaches and takes
     one pruned inverse; every shell reuses the same two buffers, made once
-    per call. An empty shell adds 0.0 in its place, so the sum runs over
-    the same terms, in the same order, as one over full-width shells.
+    per call. A shell with no mode on the grid adds no term.
     """
     g = f.grid
     n, m = g.half_shape
@@ -330,9 +329,6 @@ def besov_norm(f: SpectralField2D) -> float:
     samples = np.empty((n, n))
     terms = []
     for j, bump in _lp_shells(g):
-        if bump is None:
-            terms.append(0.0)
-            continue
         piece = spec[:bump.size].reshape(bump.shape)     # contiguous, for out=
         np.multiply(f.modes[:, :bump.shape[1]], bump, out=piece)
         np.fft.ifft(piece, axis=0, out=piece)

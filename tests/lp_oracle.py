@@ -23,12 +23,15 @@ def lp_project(f, j):
 
 def besov_reference(f):
     """The B^3_{1,1} norm summed as besov_norm sums it, with no cached or
-    pruned shell: a full-width multiplier and one irfft2 per shell, and 0.0
-    for a shell whose product has no nonzero mode."""
+    pruned shell: a full-width multiplier and one irfft2 per shell, no term
+    for a shell whose bump has no mode on the grid, and 0.0 for a shell whose
+    product has no nonzero mode."""
     g = f.grid
     j_min, j_max = lp_shell_range(g)
     terms = []
     for j in range(j_min, j_max + 1):
+        if not lp_bump(grid_operators(g).mag / 2.0 ** j).any():
+            continue
         piece = lp_project(f, j)
         terms.append(2.0 ** (3.0 * j) * float(np.sum(np.abs(real_samples(piece))) * g.dx ** 2)
                      if np.any(piece.modes) else 0.0)

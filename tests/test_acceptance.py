@@ -9,7 +9,7 @@ to watch the verdict lines as they complete.
 import numpy as np
 import pytest
 
-from bplab import acceptance, solver
+from bplab import acceptance, propagator, resonance, solver
 
 SEED = 0
 
@@ -57,6 +57,24 @@ def test_criterion_07_region_bounds_certified():
 
 def test_criterion_08_null_form_convolution():
     _check(acceptance.criterion_8(SEED))
+
+
+class TestPlantedOracleBugs:
+    """A sign drift between the free flow and the resonance phase fails
+    criterion 8 at t != 0 (oracle_err_t) and leaves t = 0 (oracle_err) passing."""
+
+    @pytest.mark.parametrize("plant", ["phase-sign", "free-flow-backwards"])
+    def test_sign_flip_fails(self, monkeypatch, plant):
+        if plant == "phase-sign":
+            phase_arr = resonance.phase_arr
+            monkeypatch.setattr(resonance, "phase_arr", lambda xi, eta: -phase_arr(xi, eta))
+        else:
+            free_flow = propagator.free_flow
+            monkeypatch.setattr(propagator, "free_flow", lambda grid, t: free_flow(grid, -t))
+        result = acceptance.criterion_8(SEED)
+        assert not result.passed
+        assert result.details["oracle_err"] < 1e-10
+        assert result.details["oracle_err_t"] > 0.1
 
 
 def test_criterion_09_scaling_covariance():

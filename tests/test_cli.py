@@ -577,6 +577,7 @@ def _run_csv_text(text):
     (["decay", "--n", "16", "--L", "20", "--t-max", "1e300"], EXIT_CONFIG),
     (["simulate", "--config", _config_with("init = pair\neps = 1e308")], EXIT_CONFIG),
     (["simulate", "--config", _init_file_l2_overflows], EXIT_RUNTIME),
+    (["resonance", "classify", "--xi=1e308,1e308", "--eta=-1e308,-1e308"], EXIT_RUNTIME),
 ], ids=["unknown-id", "partly-unknown-ids", "classify-no-vectors", "classify-no-eta",
         "truncated-init-file", "too-few-samples", "mu-out-of-range", "negative-t-min",
         "zero-t-min", "decay-mu-out-of-range", "stphase-not-a-number", "stphase-nan",
@@ -602,7 +603,8 @@ def _run_csv_text(text):
         "simulate-dt-1e-30-steps-uncountable", "simulate-t-end-1e30-steps-uncountable",
         "simulate-t-end-1e300-steps-uncountable", "simulate-init-file-inf",
         "simulate-init-file-nan", "diagnose-checkpoint-nan", "decay-repeated-times",
-        "decay-t-max-1e300-phase", "simulate-pair-eps-1e308", "simulate-init-file-l2-overflows"])
+        "decay-t-max-1e300-phase", "simulate-pair-eps-1e308", "simulate-init-file-l2-overflows",
+        "classify-pair-overflows"])
 def test_bad_input_exit_codes(tmp_path, argv, code):
     argv = [a(tmp_path) if callable(a) else a for a in argv]
     # --out only where the subcommand writes a file, so that each case fails
@@ -676,19 +678,38 @@ SWEEP = [(base, option) for base, options in SWEEP_OPTIONS.items() for option in
 @pytest.mark.parametrize("base, option", SWEEP, ids=[f"{b[0]}{o}" for b, o in SWEEP])
 def test_extreme_values_never_raise(tmp_path, capsys, base, option):
     # each numeric option at each extreme value gives an exit code, never a
-    # traceback or a warning; a vector option takes the value in both entries
+    # traceback or a warning; a vector option takes the value in both entries.
+    # Each is passed as --option=value, so that argparse reads a negative value
+    # as the option's value, not as an unknown option
     argv = list(base) + (["--out", str(tmp_path / "out.csv")] if base[0] == "decay" else [])
     codes, warned = {}, {}
     for value in SWEEP_VALUES:
         arg = f"{value},{value}" if option in ("--x-over-t", "--xi", "--eta") else value
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            codes[value] = main(argv + [option, arg])
+            codes[value] = main(argv + [f"{option}={arg}"])
         if caught:
             warned[value] = [str(w.message) for w in caught]
     capsys.readouterr()
     assert set(codes.values()) <= {EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME}, codes
     assert warned == {}
+
+
+def test_classify_extreme_pairs_never_raise(capsys):
+    # xi and eta each at an extreme value in both entries: an exit code and
+    # no warning; (1e308, -1e308) overflows xi - eta and is refused (exit 3)
+    extremes = ("1e308", "-1e308", "5e-324")
+    codes = {}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for x in extremes:
+            for e in extremes:
+                codes[x, e] = main(["resonance", "classify", f"--xi={x},{x}",
+                                    f"--eta={e},{e}"])
+    err = capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    assert set(codes.values()) <= {EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME}, codes
+    assert codes["1e308", "-1e308"] == EXIT_RUNTIME and "not finite in float64" in err
 
 
 SIMULATE_KEYS = ("n", "L", "beta", "dt", "t_end", "k_energy", "output_stride", "eps",

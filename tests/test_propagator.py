@@ -246,6 +246,11 @@ class TestStationaryPhase:
         assert hessian_det((0.0, 2.0)) == pytest.approx(-0.0625)
         with pytest.raises(ValueError):
             hessian_det((0.0, 0.0))
+        # a (..., 2) batch gives each point's value, and one xi = 0 refuses it
+        batch = np.array([[[1.0, 0.0], [0.0, 2.0]], [[3.0, -4.0], [0.5, 0.5]]])
+        assert hessian_det(batch).tolist() == [[hessian_det(p) for p in row] for row in batch]
+        with pytest.raises(ValueError):
+            hessian_det(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
     def test_hessian_det_finite_differences(self):
         rng = np.random.default_rng(9)

@@ -55,6 +55,18 @@ def region_pairs(draw):
     return FreqPair(tuple(xi), tuple(eta))
 
 
+@st.composite
+def pair_batches(draw):
+    """A batch of 1 to 32 pairs as two (k, 2) arrays xi and eta, with xi, eta
+    and xi - eta each longer than 1e-3."""
+    rows = np.array(draw(st.lists(st.tuples(coords, coords, coords, coords),
+                                  min_size=1, max_size=32)))
+    xi, eta = rows[:, :2], rows[:, 2:]
+    keep = np.minimum.reduce([norm(xi), norm(eta), norm(xi - eta)]) > 1e-3
+    assume(keep.any())
+    return xi[keep], eta[keep]
+
+
 class TestFreqPair:
     @pytest.mark.parametrize("xi,eta", [((0.0, 0.0), (1.0, 0.0)),
                                         ((1.0, 0.0), (0.0, 0.0)),
@@ -66,6 +78,15 @@ class TestFreqPair:
     def test_valid(self):
         p = FreqPair((1.0, 0.0), (0.0, 1.0))
         assert p.xi == (1.0, 0.0)
+
+    @pytest.mark.parametrize("xi,eta", [((1e308, 1e308), (-1e308, -1e308)),
+                                        ((1e306, 0.0), (0.0, 1e306)),
+                                        ((1e308, 0.0), (-0.7e308, 0.0))])
+    def test_lengths_past_float64_refused(self, xi, eta):
+        # a compared length overflows: xi - eta; 10^4 |eta|; 100 |eta| and
+        # xi - 2 eta. Refused with no RuntimeWarning, which tier-1 makes an error
+        with pytest.raises(InputError, match="not finite in float64"):
+            FreqPair(xi, eta)
 
 
 class TestPhase:
@@ -86,22 +107,26 @@ class TestPhase:
 
 class TestNullForm:
     def test_parallel_zero(self):
-        m = null_form(FreqPair((2.0, 0.0), (1.0, 0.0)))
-        assert m == 0.0
+        assert null_form(np.array([2.0, 0.0]), np.array([1.0, 0.0])) == 0.0
 
     def test_perp_convention(self):
-        m = null_form(FreqPair((0.0, 1.0), (1.0, 0.0)))
-        assert m == 1.0
+        # eta_perp = (-eta2, eta1): (0, 1).(0, 1) = 1
+        assert null_form(np.array([0.0, 1.0]), np.array([1.0, 0.0])) == 1.0
+
+    def test_batch_is_pointwise(self):
+        # each entry of a (2, 3) batch of pairs is the form at that pair alone
+        xi, eta = np.random.default_rng(3).normal(size=(2, 2, 3, 2))
+        m = null_form(xi, eta)
+        assert m.shape == (2, 3)
+        assert all(m[i] == null_form(xi[i], eta[i]) for i in np.ndindex(2, 3))
 
     @settings(max_examples=100, deadline=None)
-    @given(p=valid_pairs())
-    def test_pointwise_bound(self, p):
+    @given(batch=pair_batches())
+    def test_pointwise_bound(self, batch):
         # |m| <= min(|xi|, |xi - 2 eta|)/|eta| via xi.eta_perp = (xi-2eta).eta_perp
-        xi = np.asarray(p.xi)
-        eta = np.asarray(p.eta)
-        m = null_form(p)
-        bound = min(np.linalg.norm(xi), np.linalg.norm(xi - 2 * eta)) / np.linalg.norm(eta)
-        assert abs(m) <= bound * (1 + 1e-12)
+        xi, eta = batch
+        bound = np.minimum(norm(xi), norm(xi - 2 * eta)) / norm(eta)
+        assert np.all(np.abs(null_form(xi, eta)) <= bound * (1 + 1e-12))
 
 
 class TestGradPhase:

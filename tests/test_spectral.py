@@ -292,7 +292,7 @@ class TestNorms:
 # Past L = 128 pi, dxi falls just below 2^-6 but log2(dxi) rounds to -6, so
 # the bottom shell of lp_shell_range keeps a tiny weight at |xi| = dxi; at
 # L = 50 it has no mode. The top shell lies an octave past the lattice's
-# corner, so it has no mode at any L.
+# corner, so it has no mode at any L. _lp_shells keeps only shells with a mode.
 BOTTOM_SHELL_FILLED = float(np.nextafter(128 * np.pi, np.inf))
 
 
@@ -302,37 +302,37 @@ class TestBesovShells:
 
     def test_bumps_are_read_only(self):
         for _, bump in _lp_shells(Grid2D(32, 10.0)):
-            if bump is not None:
-                assert bump.flags.c_contiguous
-                with pytest.raises(ValueError):
-                    bump[0, 0] = 1
+            assert bump.flags.c_contiguous
+            with pytest.raises(ValueError):
+                bump[0, 0] = 1
 
     def test_columns_at_n256(self):
-        # the low shells fill only the first 2, 4, ..., 64 of the 129 columns
+        # the low shells fill only the first 2, 4, ..., 64 of the 129 columns;
+        # j = -4 and j = 6 of lp_shell_range have no mode and are left out
         shells = _lp_shells(Grid2D(256, 50.0))
-        assert [(j, None if b is None else b.shape[1]) for j, b in shells] == [
-            (-4, None), (-3, 2), (-2, 4), (-1, 8), (0, 16), (1, 32), (2, 64), (3, 128),
-            (4, 129), (5, 129), (6, None)]
-        assert sum(b.nbytes for _, b in shells if b is not None) == 1048576
+        assert [(j, b.shape[1]) for j, b in shells] == [
+            (-3, 2), (-2, 4), (-1, 8), (0, 16), (1, 32), (2, 64), (3, 128), (4, 129), (5, 129)]
+        assert sum(b.nbytes for _, b in shells) == 1048576
 
     @pytest.mark.parametrize("n", [8, 64])
     @pytest.mark.parametrize("box_length", [50.0, BOTTOM_SHELL_FILLED])
     def test_bumps_are_the_cut_full_bumps(self, n, box_length):
         # each bump is lp_bump(|xi|/2^j) up to its last nonzero column, bit
-        # for bit; only the ends of the shell range can be empty
+        # for bit; a j of the shell range is left out exactly where its full
+        # bump has no mode, and only the ends of the range are
         g = Grid2D(n, box_length)
         mag = grid_operators(g).mag
         j_min, j_max = lp_shell_range(g)
-        shells = _lp_shells(g)
-        assert [j for j, _ in shells] == list(range(j_min, j_max + 1))
-        for j, bump in shells:
+        shells = dict(_lp_shells(g))
+        assert list(shells) == sorted(shells)
+        for j in range(j_min, j_max + 1):
             full = lp_bump(mag / 2.0 ** j)
-            kc = 0 if bump is None else bump.shape[1]
+            kc = shells[j].shape[1] if j in shells else 0
             assert not full[:, kc:].any()
-            if bump is not None:
-                assert np.array_equal(full[:, :kc], bump) and full[:, kc - 1].any()
-        empty = [j for j, bump in shells if bump is None]
-        assert empty == ([j_max] if box_length == BOTTOM_SHELL_FILLED else [j_min, j_max])
+            if j in shells:
+                assert np.array_equal(full[:, :kc], shells[j]) and full[:, kc - 1].any()
+        left_out = sorted(set(range(j_min, j_max + 1)) - set(shells))
+        assert left_out == ([j_max] if box_length == BOTTOM_SHELL_FILLED else [j_min, j_max])
 
     @pytest.mark.parametrize("n", [8, 32, 128, 256])
     @pytest.mark.parametrize("box_length", [50.0, 2 * np.pi, BOTTOM_SHELL_FILLED])

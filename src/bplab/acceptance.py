@@ -115,7 +115,7 @@ def criterion_3(seed=0):
         for t, prof in res.checkpoints:
             omega = solver.omega_from_profile(prof, beta)
             u1h, u2h = solver.biot_savart(omega)
-            u_l2.append(np.hypot(l2_norm(u1h), l2_norm(u2h)))
+            u_l2.append(propagator.norm([l2_norm(u1h), l2_norm(u2h)]))
             nl = solver.nonlinear_term(omega)
             ops = grid_operators(omega.grid)
             wd = omega.modes * ops.dealias_mask

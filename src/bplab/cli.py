@@ -103,6 +103,14 @@ def cmd_stphase(args):
     return EXIT_OK
 
 
+def _vector_option(parser, flag):
+    """A required 2-vector option. After a space argparse reads a value such
+    as -1,0 as an option and exits 2, so the help asks for the = form."""
+    parser.add_argument(flag, required=True,
+                        help=f"comma-separated 2-vector; write {flag}=-1,0 "
+                             "when the first entry is negative")
+
+
 def _parse_vec(text):
     try:
         v = np.array([float(p) for p in text.split(",")])
@@ -290,7 +298,7 @@ def build_parser():
     p.set_defaults(fn=cmd_decay)
 
     p = sub.add_parser("stphase", parents=[common], help="stationary points of the phase")
-    p.add_argument("--x-over-t", required=True, help="comma-separated 2-vector")
+    _vector_option(p, "--x-over-t")
     p.set_defaults(fn=cmd_stphase)
 
     p = sub.add_parser("diagnose", parents=[writes], help="post-process a finished run")
@@ -307,8 +315,8 @@ def build_parser():
     p.add_argument("--n", type=int, default=100_000)
     p.set_defaults(fn=cmd_verify)
     p = actions.add_parser("classify", parents=[seeded], help="classify one frequency pair")
-    p.add_argument("--xi", required=True, help="comma-separated 2-vector")
-    p.add_argument("--eta", required=True, help="comma-separated 2-vector")
+    _vector_option(p, "--xi")
+    _vector_option(p, "--eta")
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("bootstrap", parents=[seeded], help="bootstrap feasibility arithmetic")

@@ -91,9 +91,23 @@ def apply_semigroup(f: SpectralField2D, t: float) -> SpectralField2D:
 # ---------------------------------------------------------------------------
 # stationary phase
 
+_NORM_RANGE = (2.0 ** -450, 2.0 ** 450)   # lengths whose squares neither overflow nor underflow
+
+
 def norm(v):
-    """Euclidean length over the last axis of a (..., 2) array."""
-    return np.hypot(v[..., 0], v[..., 1])
+    """Euclidean length over the last axis of a (..., 2) array-like, vectorised
+    sqrt(v1 v1 + v2 v2). Where that is zero, not finite or outside
+    _NORM_RANGE, a square may have overflowed or lost its digits to underflow,
+    so those entries take np.hypot, which does neither."""
+    v = np.asarray(v, dtype=float)
+    v1, v2 = v[..., 0], v[..., 1]
+    with np.errstate(over="ignore", under="ignore"):
+        r = np.asarray(np.sqrt(v1 * v1 + v2 * v2))
+    ok = (r >= _NORM_RANGE[0]) & (r <= _NORM_RANGE[1])
+    if not ok.all():
+        far = ~ok
+        r[far] = np.hypot(v1[far], v2[far])
+    return r[()]
 
 
 def phase_gradient(x_over_t, xi):

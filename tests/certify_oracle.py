@@ -9,8 +9,9 @@ from bplab import resonance
 from bplab.resonance import SamplerError, grad_eta_arr, grad_xi_arr, norm, phase_arr
 
 
-def classify_codes(xi, eta):
-    """(codes, eta_n): region codes after the |eta| <= |xi-eta| swap."""
+def classify_codes(xi, eta, norm=norm):
+    """(codes, eta_n): region codes after the |eta| <= |xi-eta| swap, with
+    the lengths taken by `norm` (bplab's length rule by default)."""
     nxi = norm(xi)
     neta = norm(eta)
     ndiff = norm(xi - eta)

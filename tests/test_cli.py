@@ -752,6 +752,23 @@ class TestStphase:
         assert main(["stphase", "--x-over-t", "1"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("words, flag, given, echo", [
+    (["stphase"], "--x-over-t", [], "x/t = (-1, 0): 2 stationary point(s)"),
+    (["resonance", "classify"], "--xi", ["--eta=1,0"], "region = "),
+    (["resonance", "classify"], "--eta", ["--xi=1,1"], "region = "),
+])
+def test_negative_vector_spellings(capsys, words, flag, given, echo):
+    # after a space argparse reads -1,0 as an option and exits 2; the help
+    # asks for the = form, which reaches the command
+    assert main(words + given + [flag, "-1,0"]) == 2
+    assert f"argument {flag}: expected one argument" in capsys.readouterr().err
+    assert main(words + given + [f"{flag}=-1,0"]) == EXIT_OK
+    assert echo in capsys.readouterr().out
+    assert main(words + ["--help"]) == 0
+    assert f"write {flag}=-1,0 when the first entry is negative" in \
+        " ".join(capsys.readouterr().out.split())
+
+
 class TestDecay:
     def test_small_run(self, tmp_path):
         out = str(tmp_path / "decay.csv")

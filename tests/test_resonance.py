@@ -256,6 +256,21 @@ class TestChunkedCertification:
                                   [getattr(want, f) for f in fields], equal_nan=True)
 
 
+def _hypot_norm(v):
+    return np.hypot(v[..., 0], v[..., 1])
+
+
+@pytest.mark.parametrize("iid", list("abcdef"))
+def test_length_rule_moves_no_proposal(iid):
+    """The length rule and np.hypot lengths put each proposal of one seed's
+    first batch in the same region, with the same swap."""
+    xi, eta = resonance._REGISTRY[iid][0](np.random.default_rng(0), resonance.BATCH)
+    codes, eta_n, _, _ = resonance._classify_masks(xi, eta)
+    want_codes, want_eta_n = classify_codes(xi, eta, norm=_hypot_norm)
+    assert np.array_equal(codes, want_codes)
+    assert np.array_equal(eta_n, want_eta_n)
+
+
 def _propose_outside(in_region_first):
     """Proposals for id a (Case 2) that all land in R3, xi >> eta, except the
     first of each batch when in_region_first: ((0, 2), (0, 1)), Case 2A."""
